@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::io::BufRead;
 
-use rtdc_sim::trace::{parse_line, MissKind, RegionDef, StallCause, TraceLine};
+use rtdc_sim::trace::{parse_line, RegionDef, TraceLine};
 use rtdc_sim::{StallBreakdown, Stats, TraceEvent};
 
 /// A parsed trace: preamble metadata plus the event stream.
@@ -63,83 +63,14 @@ pub fn parse_trace<R: BufRead>(reader: R) -> Result<Trace, String> {
 /// while emitting it. This is the trace format's correctness contract:
 /// the conformance suite asserts the result equals the machine's own
 /// `Stats` *exactly*, for every registered scheme. It requires an
-/// unfiltered trace (every event kind present).
+/// unfiltered trace (every event kind present). Each event is folded
+/// by [`Stats::apply`], the simulator's own definition of what it carries.
 pub fn fold_stats(events: &[TraceEvent]) -> Stats {
     let mut s = Stats::default();
     for ev in events {
-        match *ev {
-            TraceEvent::Fetch { .. } => s.ifetches += 1,
-            TraceEvent::FetchMiss { kind, .. } => {
-                s.imisses += 1;
-                match kind {
-                    MissKind::Native => s.imisses_native += 1,
-                    MissKind::Compressed => s.imisses_compressed += 1,
-                }
-            }
-            TraceEvent::IFill { .. } => {}
-            TraceEvent::DAccess { hit, .. } => {
-                s.daccesses += 1;
-                if !hit {
-                    s.dmisses += 1;
-                }
-            }
-            TraceEvent::DFill { dirty, .. } => {
-                if dirty {
-                    s.writebacks += 1;
-                }
-            }
-            TraceEvent::ExcEntry { .. } => s.exceptions += 1,
-            TraceEvent::ExcExit { .. } => {}
-            TraceEvent::Swic { .. } => s.swics += 1,
-            TraceEvent::Branch { mispredict, .. } => {
-                s.branches += 1;
-                if mispredict {
-                    s.mispredicts += 1;
-                }
-            }
-            TraceEvent::RegJump { ras_miss, .. } => {
-                s.reg_jumps += 1;
-                if ras_miss {
-                    s.reg_jump_misses += 1;
-                }
-            }
-            TraceEvent::Stall {
-                cause,
-                cycles,
-                handler,
-            } => {
-                add_stall(&mut s.stalls, cause, cycles);
-                if handler {
-                    s.handler_cycles += cycles;
-                }
-            }
-            TraceEvent::Commit { handler, .. } => {
-                s.insns += 1;
-                if handler {
-                    s.handler_insns += 1;
-                    s.handler_cycles += 1;
-                } else {
-                    s.program_insns += 1;
-                }
-            }
-            TraceEvent::RegionEntry { .. } => {}
-        }
+        s.apply(ev);
     }
-    s.cycles = s.insns + s.stalls.sum();
     s
-}
-
-fn add_stall(b: &mut StallBreakdown, cause: StallCause, cycles: u64) {
-    match cause {
-        StallCause::IMiss => b.imiss += cycles,
-        StallCause::DMiss => b.dmiss += cycles,
-        StallCause::Branch => b.branch += cycles,
-        StallCause::RegJump => b.reg_jump += cycles,
-        StallCause::LoadUse => b.load_use += cycles,
-        StallCause::Hilo => b.hilo += cycles,
-        StallCause::Swic => b.swic += cycles,
-        StallCause::Exception => b.exception += cycles,
-    }
 }
 
 /// A log2-bucketed histogram of cycle intervals between consecutive
@@ -474,6 +405,7 @@ pub fn report(a: &TraceAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdc_sim::trace::MissKind;
 
     fn ev_exc(pc: u32, insns: u64, cycles: u64) -> [TraceEvent; 2] {
         [

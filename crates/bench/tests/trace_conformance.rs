@@ -12,7 +12,7 @@ use rtdc_isa::asm::assemble;
 use rtdc_isa::program::{AddrTable, ObjInsn, ObjectProgram, ProcId, Procedure};
 use rtdc_sim::map;
 use rtdc_sim::trace::RegionDef;
-use rtdc_sim::{JsonlTracer, TraceEvent, VecSink};
+use rtdc_sim::{JsonlTracer, Stats, TraceEvent, VecSink};
 
 const DATA_LAYOUT: &str = "\n.data\ntable: .space 4\nbuf: .space 64\n";
 
@@ -195,21 +195,37 @@ fn compressed_traces_attribute_handler_cost_to_procedures() {
     assert!(text.contains("handler cost by procedure"));
 }
 
+/// Every image — native and each scheme ±rf — must emit the native
+/// profile's call sequence as `RegionEntry` events, each at its region's
+/// first instruction and stamped with the cycles the events before it
+/// fold to.
 #[test]
 fn region_entries_match_the_profiler_call_sequence() {
     let cfg = SimConfig::hpca2000_baseline();
-    let p = test_program();
-    let img = build_native(&p).expect("native build");
-    let (_, sink) = run_image_with_sink(&img, cfg, 10_000_000, VecSink::default()).expect("run");
-    let entries: Vec<u32> = sink
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::RegionEntry { region, .. } => Some(*region),
-            _ => None,
-        })
-        .collect();
-    let (_, profile) = profile_native(&p, cfg, 10_000_000).expect("profile");
-    assert_eq!(entries, profile.entry_trace);
+    let (_, profile) = profile_native(&test_program(), cfg, 10_000_000).expect("profile");
     assert!(!profile.entry_trace_truncated);
+    for (label, img) in all_images() {
+        let (report, sink) =
+            run_image_with_sink(&img, cfg, 10_000_000, VecSink::default()).expect(&label);
+        let mut folded = Stats::default();
+        let mut entries = Vec::new();
+        for ev in &sink.events {
+            if let TraceEvent::RegionEntry { region, pc, cycle } = *ev {
+                assert_eq!(
+                    cycle, folded.cycles,
+                    "{label}: entry stamp != folded cycles"
+                );
+                assert!(
+                    img.proc_regions
+                        .iter()
+                        .any(|&(start, _, id)| start == pc && id as u32 == region),
+                    "{label}: entry at {pc:#x} is not region {region}'s first instruction"
+                );
+                entries.push(region);
+            }
+            folded.apply(ev);
+        }
+        assert_eq!(folded, report.stats, "{label}");
+        assert_eq!(entries, profile.entry_trace, "{label}: call sequence");
+    }
 }

@@ -97,14 +97,15 @@ pub fn run_image(
     config: SimConfig,
     max_insns: u64,
 ) -> Result<RunReport, RunError> {
-    run_image_with_sink(image, config, max_insns, NoTrace).map(|(report, NoTrace)| report)
+    run_loaded(load_image(image, config)?, max_insns).map(|(report, NoTrace)| report)
 }
 
 /// Runs `image` to completion with a trace sink attached, returning the
 /// report and the sink (e.g. a [`rtdc_sim::JsonlTracer`] to `finish()`, or
-/// a [`rtdc_sim::VecSink`] full of events). A [`rtdc_sim::RegionProfiler`]
-/// over the image's procedure regions is attached so the sink also sees
-/// [`rtdc_sim::TraceEvent::RegionEntry`] events.
+/// a [`rtdc_sim::VecSink`] full of events). The sink is wrapped in a
+/// [`rtdc_sim::RegionProfiler`] over the image's procedure regions, so it
+/// also sees a [`rtdc_sim::TraceEvent::RegionEntry`] after every
+/// procedure-entering commit.
 ///
 /// # Errors
 ///
@@ -117,13 +118,14 @@ pub fn run_image_with_sink<S: TraceSink>(
     max_insns: u64,
     sink: S,
 ) -> Result<(RunReport, S), RunError> {
-    let mut m = load_image_with_sink(image, config, sink)?;
-    if S::ENABLED {
-        m.attach_profiler(RegionProfiler::new(
-            image.proc_regions.clone(),
-            image.proc_count(),
-        ));
-    }
+    let profiler = RegionProfiler::wrapping(image.proc_regions.clone(), image.proc_count(), sink);
+    let m = load_image_with_sink(image, config, profiler)?;
+    let (report, profiler) = run_loaded(m, max_insns)?;
+    Ok((report, profiler.into_inner()))
+}
+
+/// Runs a loaded machine to completion, timing only the run loop.
+fn run_loaded<S: TraceSink>(mut m: Machine<S>, max_insns: u64) -> Result<(RunReport, S), RunError> {
     let started = std::time::Instant::now();
     let outcome = m.run(max_insns)?;
     let wall = started.elapsed();
@@ -254,8 +256,9 @@ fn verify_filled_unit<S: TraceSink>(
 }
 
 /// Profiles a program natively (§3.3/§4.2: profiles come from the original
-/// uncompressed binary): runs the native image under `config` collecting
-/// per-procedure dynamic-instruction and I-miss counts.
+/// uncompressed binary): runs the native image under `config` with a
+/// [`RegionProfiler`] sink collecting per-procedure dynamic-instruction
+/// and I-miss counts.
 ///
 /// # Errors
 ///
@@ -266,22 +269,10 @@ pub fn profile_native(
     max_insns: u64,
 ) -> Result<(RunReport, ProcedureProfile), ProfileError> {
     let image = build_native(program).map_err(ProfileError::Build)?;
-    let mut m =
-        load_image(&image, config).map_err(|e| ProfileError::Run(RunError::CorruptImage(e)))?;
-    m.attach_profiler(RegionProfiler::new(
-        image.proc_regions.clone(),
-        image.proc_count(),
-    ));
-    let started = std::time::Instant::now();
-    let outcome = m.run(max_insns).map_err(|e| ProfileError::Run(e.into()))?;
-    let wall = started.elapsed();
-    let profiler = m.take_profiler().expect("profiler was attached");
-    let report = RunReport {
-        exit_code: outcome.exit_code,
-        stats: *m.stats(),
-        output: m.output().to_vec(),
-        wall,
-    };
+    let profiler = RegionProfiler::new(image.proc_regions.clone(), image.proc_count());
+    let m = load_image_with_sink(&image, config, profiler)
+        .map_err(|e| ProfileError::Run(RunError::CorruptImage(e)))?;
+    let (report, profiler) = run_loaded(m, max_insns).map_err(ProfileError::Run)?;
     let profile = ProcedureProfile {
         names: image.proc_names.clone(),
         exec: profiler.exec_counts().to_vec(),

@@ -33,7 +33,6 @@ use crate::cache::Cache;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::mem::MainMemory;
-use crate::profile::RegionProfiler;
 use crate::stats::Stats;
 use crate::trace::{MissKind, NoTrace, StallCause, TraceEvent, TraceSink};
 use crate::translate::{build_ops, granule_end, Block, BlockCache, BLOCK_OPS, FILLER};
@@ -111,7 +110,6 @@ pub struct Machine<S: TraceSink = NoTrace> {
     handler_range: Option<(u32, u32)>,
     compressed_range: Option<(u32, u32)>,
     stats: Stats,
-    profiler: Option<RegionProfiler>,
     output: Vec<u8>,
     last_load_dest: Option<Reg>,
     exited: Option<u32>,
@@ -158,7 +156,6 @@ impl<S: TraceSink> Machine<S> {
             handler_range: None,
             compressed_range: None,
             stats: Stats::default(),
-            profiler: None,
             output: Vec::new(),
             last_load_dest: None,
             exited: None,
@@ -328,16 +325,6 @@ impl<S: TraceSink> Machine<S> {
         self.compressed_range = Some((start, end));
     }
 
-    /// Attaches a per-procedure profiler.
-    pub fn attach_profiler(&mut self, profiler: RegionProfiler) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Detaches and returns the profiler.
-    pub fn take_profiler(&mut self) -> Option<RegionProfiler> {
-        self.profiler.take()
-    }
-
     fn in_range(range: Option<(u32, u32)>, pc: u32) -> bool {
         matches!(range, Some((s, e)) if pc >= s && pc < e)
     }
@@ -356,17 +343,7 @@ impl<S: TraceSink> Machine<S> {
     /// diverge).
     fn stall(&mut self, cause: StallCause, n: u64) {
         self.cycle(n);
-        let b = &mut self.stats.stalls;
-        match cause {
-            StallCause::IMiss => b.imiss += n,
-            StallCause::DMiss => b.dmiss += n,
-            StallCause::Branch => b.branch += n,
-            StallCause::RegJump => b.reg_jump += n,
-            StallCause::LoadUse => b.load_use += n,
-            StallCause::Hilo => b.hilo += n,
-            StallCause::Swic => b.swic += n,
-            StallCause::Exception => b.exception += n,
-        }
+        self.stats.stalls.add(cause, n);
         if S::ENABLED {
             self.sink.event(&TraceEvent::Stall {
                 cause,
@@ -376,7 +353,7 @@ impl<S: TraceSink> Machine<S> {
         }
     }
 
-    fn fetch<const PROFILED: bool>(&mut self, pc: u32) -> Result<Fetch, SimError> {
+    fn fetch(&mut self, pc: u32) -> Result<Fetch, SimError> {
         if Self::in_range(self.handler_range, pc) {
             // Dedicated on-chip RAM: single-cycle, never misses.
             return Ok(Fetch::Word(self.mem.read_u32(pc)));
@@ -394,11 +371,6 @@ impl<S: TraceSink> Machine<S> {
             return Ok(Fetch::Word(word));
         }
         self.stats.imisses += 1;
-        if PROFILED {
-            if let Some(p) = self.profiler.as_mut() {
-                p.record_miss(pc);
-            }
-        }
         if Self::in_range(self.compressed_range, pc) {
             // Software-managed miss: raise the decompression exception.
             let (handler_base, _) = self
@@ -544,17 +516,6 @@ impl<S: TraceSink> Machine<S> {
     /// Any [`SimError`]: invalid encodings, unaligned accesses, handler
     /// protocol violations, or unknown syscalls.
     pub fn step(&mut self) -> Result<Step, SimError> {
-        if self.profiler.is_some() {
-            self.step_inner::<true>()
-        } else {
-            self.step_inner::<false>()
-        }
-    }
-
-    /// [`Machine::step`] specialized on profiler presence: the run loops
-    /// pick the variant once, so the `NoTrace`+no-profiler hot path
-    /// carries no per-instruction `profiler` checks at all.
-    fn step_inner<const PROFILED: bool>(&mut self) -> Result<Step, SimError> {
         if let Some(code) = self.exited {
             return Ok(Step::Exited(code));
         }
@@ -562,7 +523,7 @@ impl<S: TraceSink> Machine<S> {
         if !pc.is_multiple_of(4) {
             return Err(SimError::UnalignedFetch { pc });
         }
-        let word = match self.fetch::<PROFILED>(pc)? {
+        let word = match self.fetch(pc)? {
             Fetch::Word(w) => w,
             Fetch::TookException => return Ok(Step::Continue),
         };
@@ -580,20 +541,6 @@ impl<S: TraceSink> Machine<S> {
             self.stats.handler_insns += 1;
         } else {
             self.stats.program_insns += 1;
-            if PROFILED {
-                if let Some(p) = self.profiler.as_mut() {
-                    let entered = p.record_exec(pc);
-                    if S::ENABLED {
-                        if let Some(region) = entered {
-                            self.sink.event(&TraceEvent::RegionEntry {
-                                region,
-                                pc,
-                                cycle: self.stats.cycles,
-                            });
-                        }
-                    }
-                }
-            }
         }
 
         if let Some(dest) = self.last_load_dest.take() {
@@ -1032,32 +979,21 @@ impl<S: TraceSink> Machine<S> {
 
     /// Runs until exit or until `max_insns` instructions have committed.
     ///
-    /// With [`SimConfig::translate`] set (and no trace sink or profiler
-    /// attached), execution goes through the basic-block translation
-    /// engine (see [`crate::translate`]); results and statistics are
-    /// identical to the single-step interpreter either way.
+    /// With [`SimConfig::translate`] set (and no trace sink attached),
+    /// execution goes through the basic-block translation engine (see
+    /// [`crate::translate`]); results and statistics are identical to
+    /// the single-step interpreter either way.
     ///
     /// # Errors
     ///
     /// Propagates any [`SimError`] from [`Machine::step`], or
     /// [`SimError::InsnLimitExceeded`] if the program does not exit in time.
     pub fn run(&mut self, max_insns: u64) -> Result<RunOutcome, SimError> {
-        if self.blocks.is_some() && self.profiler.is_none() {
+        if self.blocks.is_some() {
             return self.run_translated(max_insns);
         }
-        if self.profiler.is_some() {
-            self.run_stepped::<true>(max_insns)
-        } else {
-            self.run_stepped::<false>(max_insns)
-        }
-    }
-
-    fn run_stepped<const PROFILED: bool>(
-        &mut self,
-        max_insns: u64,
-    ) -> Result<RunOutcome, SimError> {
         loop {
-            match self.step_inner::<PROFILED>()? {
+            match self.step()? {
                 Step::Exited(code) => return Ok(RunOutcome { exit_code: code }),
                 Step::Continue => {
                     if self.stats.insns >= max_insns {
@@ -1133,10 +1069,10 @@ impl<S: TraceSink> Machine<S> {
                 // the decompression loop — is hot by definition.)
                 if !handler && bc.seen[slot] != pc {
                     bc.seen[slot] = pc;
-                    return self.step_inner::<false>();
+                    return self.step();
                 }
                 if !self.build_block(pc, handler, slot) {
-                    return self.step_inner::<false>();
+                    return self.step();
                 }
             }
         }
@@ -1151,7 +1087,7 @@ impl<S: TraceSink> Machine<S> {
             // Executing the whole block could overshoot the budget;
             // single-step so `InsnLimitExceeded` fires at the exact
             // instruction the interpreter would stop at.
-            return self.step_inner::<false>();
+            return self.step();
         }
         let blk = *blk;
         self.exec_block(pc, handler, &blk, line)
@@ -1227,7 +1163,7 @@ impl<S: TraceSink> Machine<S> {
         true
     }
 
-    /// Executes one valid block. Per-op work mirrors `step_inner`
+    /// Executes one valid block. Per-op work mirrors `step`
     /// exactly — same statistics in the same order, the same interlock
     /// rule, the same `execute` — minus the per-op fetch resolution,
     /// set scan, and decode the block already paid for at build time.
@@ -1247,7 +1183,7 @@ impl<S: TraceSink> Machine<S> {
             // interpreter step performs the fill — or raises the
             // decompression exception — exactly as always.
             if !self.icache.touch(pc) {
-                return self.step_inner::<false>();
+                return self.step();
             }
         }
         if blk.hilo {
@@ -1389,7 +1325,7 @@ mod tests {
     const TEXT: u32 = 0x1000;
     const DATA: u32 = 0x1000_0000;
 
-    fn load(m: &mut Machine, base: u32, src: &str) {
+    fn load<S: TraceSink>(m: &mut Machine<S>, base: u32, src: &str) {
         let out = assemble(src, base, DATA).expect("test asm");
         for (i, w) in out.encoded_text().iter().enumerate() {
             m.mem_mut().write_u32(base + 4 * i as u32, *w);
@@ -1646,10 +1582,12 @@ mod tests {
     #[test]
     fn profiler_attributes_exec_and_misses() {
         let src = "li $v0,10\nli $a0,0\nsyscall\n";
-        let mut m = machine(src);
-        m.attach_profiler(RegionProfiler::new(vec![(TEXT, TEXT + 12, 0)], 1));
+        let profiler = crate::RegionProfiler::new(vec![(TEXT, TEXT + 12, 0)], 1);
+        let mut m = Machine::with_sink(SimConfig::hpca2000_baseline(), profiler);
+        load(&mut m, TEXT, src);
+        m.set_pc(TEXT);
         m.run(100).unwrap();
-        let p = m.take_profiler().unwrap();
+        let p = m.into_sink();
         assert_eq!(p.exec_counts(), &[3]);
         assert_eq!(p.miss_counts(), &[1]);
     }

@@ -2,28 +2,40 @@
 //!
 //! Selective compression (§3.3) needs two profiles per procedure: dynamic
 //! instruction counts (execution-based selection) and non-speculative
-//! I-cache miss counts (miss-based selection). The simulator attributes
-//! both to caller-supplied address regions.
+//! I-cache miss counts (miss-based selection). [`RegionProfiler`] derives
+//! both from the machine's event stream, attributed to caller-supplied
+//! address regions.
 
-/// Attributes committed instructions and I-misses to address regions, and
+use crate::trace::{NoTrace, TraceEvent, TraceSink};
+
+/// A [`TraceSink`] that attributes committed program instructions
+/// ([`TraceEvent::Commit`] outside the handler) and I-misses
+/// ([`TraceEvent::FetchMiss`], both kinds) to address regions, and
 /// records the region **entry trace** (each execution of a region's first
 /// instruction), which procedure-granularity decompression models replay.
+///
+/// Every event is forwarded to an inner sink `S`. Right after the
+/// `Commit` that enters a region, the inner sink also receives a
+/// [`TraceEvent::RegionEntry`] stamped with the cycles seen so far
+/// (commits plus stall cycles — the machine's `Stats::cycles` at that
+/// instant, by the folding contract).
 ///
 /// # Examples
 ///
 /// ```
-/// use rtdc_sim::RegionProfiler;
+/// use rtdc_sim::trace::MissKind;
+/// use rtdc_sim::{RegionProfiler, TraceEvent, TraceSink};
 ///
 /// let mut p = RegionProfiler::new(vec![(0x1000, 0x1100, 0)], 1);
-/// p.record_exec(0x1000); // procedure entry
-/// p.record_exec(0x1004);
-/// p.record_miss(0x1020);
+/// p.event(&TraceEvent::Commit { pc: 0x1000, handler: false }); // entry
+/// p.event(&TraceEvent::Commit { pc: 0x1004, handler: false });
+/// p.event(&TraceEvent::FetchMiss { pc: 0x1020, cycle: 2, kind: MissKind::Native });
 /// assert_eq!(p.exec_counts(), &[2]);
 /// assert_eq!(p.miss_counts(), &[1]);
 /// assert_eq!(p.entry_trace(), &[0]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct RegionProfiler {
+pub struct RegionProfiler<S: TraceSink = NoTrace> {
     /// Sorted, disjoint half-open ranges with a region id each.
     ranges: Vec<(u32, u32, usize)>,
     exec: Vec<u64>,
@@ -31,6 +43,9 @@ pub struct RegionProfiler {
     entries: Vec<u32>,
     entry_cap: usize,
     truncated: bool,
+    /// Commits plus stall cycles seen so far: the `RegionEntry` stamp.
+    cycles: u64,
+    inner: S,
 }
 
 impl RegionProfiler {
@@ -50,21 +65,23 @@ impl RegionProfiler {
     ///
     /// Panics if ranges overlap or are unsorted after normalization.
     pub fn new(regions: Vec<(u32, u32, usize)>, region_count: usize) -> RegionProfiler {
-        RegionProfiler::with_entry_cap(regions, region_count, RegionProfiler::ENTRY_TRACE_CAP)
+        RegionProfiler::wrapping(regions, region_count, NoTrace)
     }
+}
 
-    /// Like [`RegionProfiler::new`] with an explicit entry-trace cap
-    /// (tests exercise saturation with a small cap; `usize::MAX`
-    /// effectively disables it).
+impl<S: TraceSink> RegionProfiler<S> {
+    /// Like [`RegionProfiler::new`], forwarding every event — plus the
+    /// [`TraceEvent::RegionEntry`] events this profiler derives — to
+    /// `inner`.
     ///
     /// # Panics
     ///
-    /// Panics if ranges overlap or are unsorted after normalization.
-    pub fn with_entry_cap(
+    /// As [`RegionProfiler::new`].
+    pub fn wrapping(
         mut regions: Vec<(u32, u32, usize)>,
         region_count: usize,
-        entry_cap: usize,
-    ) -> RegionProfiler {
+        inner: S,
+    ) -> RegionProfiler<S> {
         regions.sort_by_key(|r| r.0);
         for w in regions.windows(2) {
             assert!(w[0].1 <= w[1].0, "profiler regions overlap");
@@ -78,8 +95,10 @@ impl RegionProfiler {
             exec: vec![0; region_count],
             miss: vec![0; region_count],
             entries: Vec::new(),
-            entry_cap,
+            entry_cap: RegionProfiler::<NoTrace>::ENTRY_TRACE_CAP,
             truncated: false,
+            cycles: 0,
+            inner,
         }
     }
 
@@ -92,15 +111,11 @@ impl RegionProfiler {
         (pc >= start && pc < end).then_some((start, id))
     }
 
-    fn lookup(&self, pc: u32) -> Option<usize> {
-        self.lookup_range(pc).map(|(_, id)| id)
-    }
-
-    /// Records one committed instruction at `pc`. Returns the region id
-    /// when `pc` is a region's first instruction (a region *entry*),
-    /// whether or not the entry trace still has room — callers tracing
-    /// entries see every one even past the cap.
-    pub fn record_exec(&mut self, pc: u32) -> Option<u32> {
+    /// Records one committed program instruction at `pc`. Returns the
+    /// region id when `pc` is a region's first instruction (a region
+    /// *entry*), whether or not the entry trace still has room — the
+    /// inner sink sees every entry even past the cap.
+    fn record_exec(&mut self, pc: u32) -> Option<u32> {
         let (start, id) = self.lookup_range(pc)?;
         self.exec[id] += 1;
         if pc != start {
@@ -115,8 +130,8 @@ impl RegionProfiler {
     }
 
     /// Records one I-cache miss at `pc`.
-    pub fn record_miss(&mut self, pc: u32) {
-        if let Some(id) = self.lookup(pc) {
+    fn record_miss(&mut self, pc: u32) {
+        if let Some((_, id)) = self.lookup_range(pc) {
             self.miss[id] += 1;
         }
     }
@@ -133,8 +148,8 @@ impl RegionProfiler {
 
     /// The region entry trace: region ids in the order their first
     /// instruction executed (i.e. the dynamic call sequence when regions
-    /// are procedures). Recording saturates at the entry cap
-    /// ([`RegionProfiler::ENTRY_TRACE_CAP`] by default): later entries
+    /// are procedures). Recording saturates at
+    /// [`RegionProfiler::ENTRY_TRACE_CAP`] entries: later entries
     /// are dropped from the trace (never from the exec/miss counters)
     /// and [`RegionProfiler::truncated`] turns `true`.
     pub fn entry_trace(&self) -> &[u32] {
@@ -147,6 +162,41 @@ impl RegionProfiler {
     /// complete.
     pub fn truncated(&self) -> bool {
         self.truncated
+    }
+
+    /// Consumes the profiler and returns the inner sink.
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
+}
+
+impl<S: TraceSink> TraceSink for RegionProfiler<S> {
+    // Inlined: each emission site keeps only its event's arm (most are no-ops).
+    #[inline]
+    fn event(&mut self, ev: &TraceEvent) {
+        if S::ENABLED {
+            self.inner.event(ev);
+        }
+        match *ev {
+            TraceEvent::Commit { pc, handler } => {
+                self.cycles += 1;
+                if handler {
+                    return;
+                }
+                if let Some(region) = self.record_exec(pc) {
+                    if S::ENABLED {
+                        self.inner.event(&TraceEvent::RegionEntry {
+                            region,
+                            pc,
+                            cycle: self.cycles,
+                        });
+                    }
+                }
+            }
+            TraceEvent::FetchMiss { pc, .. } => self.record_miss(pc),
+            TraceEvent::Stall { cycles, .. } => self.cycles += cycles,
+            _ => {}
+        }
     }
 }
 
@@ -207,7 +257,10 @@ mod tests {
 
     #[test]
     fn hitting_the_entry_cap_is_reported_not_silent() {
-        let mut p = RegionProfiler::with_entry_cap(vec![(0x100, 0x200, 0)], 1, 3);
+        let mut p = RegionProfiler {
+            entry_cap: 3,
+            ..RegionProfiler::new(vec![(0x100, 0x200, 0)], 1)
+        };
         for _ in 0..3 {
             assert_eq!(p.record_exec(0x100), Some(0));
         }

@@ -1,5 +1,7 @@
 //! Simulation statistics.
 
+use crate::trace::{MissKind, StallCause, TraceEvent};
+
 /// Counters accumulated over a simulation.
 ///
 /// "Program" counters exclude instructions executed inside the cache-miss
@@ -84,9 +86,90 @@ impl StallBreakdown {
             + self.swic
             + self.exception
     }
+
+    /// Charges `cycles` to the bucket of `cause` — the one place a
+    /// [`StallCause`] maps to its field.
+    pub fn add(&mut self, cause: StallCause, cycles: u64) {
+        let bucket = match cause {
+            StallCause::IMiss => &mut self.imiss,
+            StallCause::DMiss => &mut self.dmiss,
+            StallCause::Branch => &mut self.branch,
+            StallCause::RegJump => &mut self.reg_jump,
+            StallCause::LoadUse => &mut self.load_use,
+            StallCause::Hilo => &mut self.hilo,
+            StallCause::Swic => &mut self.swic,
+            StallCause::Exception => &mut self.exception,
+        };
+        *bucket += cycles;
+    }
 }
 
 impl Stats {
+    /// Folds one trace event into the counters it carries. Applying a
+    /// machine's whole, unfiltered event stream to `Stats::default()`
+    /// reconstructs its `Stats` exactly (the folding contract).
+    pub fn apply(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Fetch { .. } => self.ifetches += 1,
+            TraceEvent::FetchMiss { kind, .. } => {
+                self.imisses += 1;
+                match kind {
+                    MissKind::Native => self.imisses_native += 1,
+                    MissKind::Compressed => self.imisses_compressed += 1,
+                }
+            }
+            TraceEvent::DAccess { hit, .. } => {
+                self.daccesses += 1;
+                if !hit {
+                    self.dmisses += 1;
+                }
+            }
+            TraceEvent::DFill { dirty, .. } => {
+                if dirty {
+                    self.writebacks += 1;
+                }
+            }
+            TraceEvent::ExcEntry { .. } => self.exceptions += 1,
+            TraceEvent::Swic { .. } => self.swics += 1,
+            TraceEvent::Branch { mispredict, .. } => {
+                self.branches += 1;
+                if mispredict {
+                    self.mispredicts += 1;
+                }
+            }
+            TraceEvent::RegJump { ras_miss, .. } => {
+                self.reg_jumps += 1;
+                if ras_miss {
+                    self.reg_jump_misses += 1;
+                }
+            }
+            TraceEvent::Stall {
+                cause,
+                cycles,
+                handler,
+            } => {
+                self.stalls.add(cause, cycles);
+                self.cycles += cycles;
+                if handler {
+                    self.handler_cycles += cycles;
+                }
+            }
+            TraceEvent::Commit { handler, .. } => {
+                self.insns += 1;
+                self.cycles += 1;
+                if handler {
+                    self.handler_insns += 1;
+                    self.handler_cycles += 1;
+                } else {
+                    self.program_insns += 1;
+                }
+            }
+            TraceEvent::IFill { .. }
+            | TraceEvent::ExcExit { .. }
+            | TraceEvent::RegionEntry { .. } => {}
+        }
+    }
+
     /// Program I-cache miss ratio (the paper's Table 2 metric).
     pub fn imiss_ratio(&self) -> f64 {
         if self.ifetches == 0 {

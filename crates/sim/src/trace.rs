@@ -210,8 +210,9 @@ pub enum TraceEvent {
         /// Committed inside the exception handler.
         handler: bool,
     },
-    /// Execution entered a profiled region at its first instruction
-    /// (emitted only when a [`crate::RegionProfiler`] is attached).
+    /// Execution entered a profiled region at its first instruction.
+    /// Not emitted by the machine: a [`crate::RegionProfiler`] sink
+    /// derives it and forwards it right after the entering `Commit`.
     RegionEntry {
         /// Region id.
         region: u32,

@@ -6,7 +6,7 @@
 
 use rtdc_isa::asm::assemble;
 use rtdc_isa::Reg;
-use rtdc_sim::trace::{MissKind, StallCause};
+use rtdc_sim::trace::StallCause;
 use rtdc_sim::{Machine, SimConfig, Stats, TraceEvent, VecSink};
 
 const TEXT: u32 = 0x1000;
@@ -37,81 +37,13 @@ fn load(m: &mut Machine<impl rtdc_sim::TraceSink>, src: &str) {
     m.set_reg(Reg::SP, 0x1fff_ff00);
 }
 
-/// Folds the event stream back into a `Stats`, the same arithmetic the
-/// bench-side analyzer uses (duplicated here so the sim crate proves the
-/// event contract without a dependency cycle).
+/// Folds the event stream back into a `Stats` with the shared
+/// per-event step, [`Stats::apply`].
 fn fold(events: &[TraceEvent]) -> Stats {
     let mut s = Stats::default();
     for ev in events {
-        match *ev {
-            TraceEvent::Fetch { .. } => s.ifetches += 1,
-            TraceEvent::FetchMiss { kind, .. } => {
-                s.imisses += 1;
-                match kind {
-                    MissKind::Native => s.imisses_native += 1,
-                    MissKind::Compressed => s.imisses_compressed += 1,
-                }
-            }
-            TraceEvent::IFill { .. } => {}
-            TraceEvent::DAccess { hit, .. } => {
-                s.daccesses += 1;
-                if !hit {
-                    s.dmisses += 1;
-                }
-            }
-            TraceEvent::DFill { dirty, .. } => {
-                if dirty {
-                    s.writebacks += 1;
-                }
-            }
-            TraceEvent::ExcEntry { .. } => s.exceptions += 1,
-            TraceEvent::ExcExit { .. } => {}
-            TraceEvent::Swic { .. } => s.swics += 1,
-            TraceEvent::Branch { mispredict, .. } => {
-                s.branches += 1;
-                if mispredict {
-                    s.mispredicts += 1;
-                }
-            }
-            TraceEvent::RegJump { ras_miss, .. } => {
-                s.reg_jumps += 1;
-                if ras_miss {
-                    s.reg_jump_misses += 1;
-                }
-            }
-            TraceEvent::Stall {
-                cause,
-                cycles,
-                handler,
-            } => {
-                let b = &mut s.stalls;
-                match cause {
-                    StallCause::IMiss => b.imiss += cycles,
-                    StallCause::DMiss => b.dmiss += cycles,
-                    StallCause::Branch => b.branch += cycles,
-                    StallCause::RegJump => b.reg_jump += cycles,
-                    StallCause::LoadUse => b.load_use += cycles,
-                    StallCause::Hilo => b.hilo += cycles,
-                    StallCause::Swic => b.swic += cycles,
-                    StallCause::Exception => b.exception += cycles,
-                }
-                if handler {
-                    s.handler_cycles += cycles;
-                }
-            }
-            TraceEvent::Commit { handler, .. } => {
-                s.insns += 1;
-                if handler {
-                    s.handler_insns += 1;
-                    s.handler_cycles += 1;
-                } else {
-                    s.program_insns += 1;
-                }
-            }
-            TraceEvent::RegionEntry { .. } => {}
-        }
+        s.apply(ev);
     }
-    s.cycles = s.insns + s.stalls.sum();
     s
 }
 
