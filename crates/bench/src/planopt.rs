@@ -344,6 +344,9 @@ pub fn optimize(
     let mut converged = false;
     for iter in 1..=opt.max_iters.max(1) {
         let image = build_planned(program, &plan).map_err(|e| format!("plan build: {e}"))?;
+        let image = image
+            .verify_integrity()
+            .map_err(|e| format!("plan run: {}", RunError::CorruptImage(e)))?;
         let (report, sink) = run_image_with_sink(&image, cfg, MAX_INSNS, PlanSink::default())
             .map_err(|e| format!("plan run: {e}"))?;
         if iter <= opt.observe_iters.max(1) {

@@ -114,7 +114,13 @@ fn jsonl_roundtrip_folds_to_exact_stats_for_every_scheme() {
                 end,
             });
         }
-        let (traced, tracer) = run_image_with_sink(&img, cfg, 10_000_000, tracer).expect(&label);
+        let (traced, tracer) = run_image_with_sink(
+            &img.verify_integrity().expect(&label),
+            cfg,
+            10_000_000,
+            tracer,
+        )
+        .expect(&label);
         let bytes = tracer.finish().expect("tracer I/O");
 
         // Tracing must not perturb the run.
@@ -161,7 +167,13 @@ fn compressed_traces_attribute_handler_cost_to_procedures() {
             end,
         });
     }
-    let (report, tracer) = run_image_with_sink(&img, cfg, 10_000_000, tracer).expect("run");
+    let (report, tracer) = run_image_with_sink(
+        &img.verify_integrity().expect("verify"),
+        cfg,
+        10_000_000,
+        tracer,
+    )
+    .expect("run");
     let bytes = tracer.finish().expect("tracer I/O");
     let trace = analyze::parse_trace(bytes.as_slice()).expect("parse");
     let analysis = analyze::analyze(&trace, 32);
@@ -205,8 +217,13 @@ fn region_entries_match_the_profiler_call_sequence() {
     let (_, profile) = profile_native(&test_program(), cfg, 10_000_000).expect("profile");
     assert!(!profile.entry_trace_truncated);
     for (label, img) in all_images() {
-        let (report, sink) =
-            run_image_with_sink(&img, cfg, 10_000_000, VecSink::default()).expect(&label);
+        let (report, sink) = run_image_with_sink(
+            &img.verify_integrity().expect(&label),
+            cfg,
+            10_000_000,
+            VecSink::default(),
+        )
+        .expect(&label);
         let mut folded = Stats::default();
         let mut entries = Vec::new();
         for ev in &sink.events {

@@ -260,6 +260,9 @@ fn trace_jsonl_one(name: &str, args: &Args, cfg: SimConfig, path: &str) -> Resul
         None => TraceFilter::all(),
     };
     let (label, image) = build_image(name, args, cfg)?;
+    let image = image
+        .verify_integrity()
+        .map_err(|e| RunError::CorruptImage(e).to_string())?;
 
     let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
     let mut tracer = JsonlTracer::with_filter(BufWriter::new(file), filter);

@@ -3,6 +3,10 @@
 //!
 //! [`ObjectProgram`]: rtdc_isa::program::ObjectProgram
 
+use std::borrow::Borrow;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use rtdc_isa::C0Reg;
 
 use crate::error::ImageError;
@@ -240,13 +244,18 @@ impl MemoryImage {
     /// Verifies the image against its build-time digests: every digested
     /// segment must exist with its recorded length and CRC32, no
     /// undigested segment may have appeared, and no segment may wrap the
-    /// address space. Called by the loader before any byte reaches
-    /// simulated memory.
+    /// address space. Success yields the [`Verified`] token the loader
+    /// requires, borrowing this image.
     ///
     /// # Errors
     ///
     /// The first [`ImageError`] found.
-    pub fn verify_integrity(&self) -> Result<(), ImageError> {
+    pub fn verify_integrity(&self) -> Result<Verified<&MemoryImage>, ImageError> {
+        Verified::new(self)
+    }
+
+    /// The check behind [`MemoryImage::verify_integrity`].
+    fn check_integrity(&self) -> Result<(), ImageError> {
         if self.integrity.is_empty() && !self.segments.is_empty() {
             return Err(ImageError::Unsealed);
         }
@@ -358,6 +367,89 @@ impl MemoryImage {
             self.sizes.original_text_bytes,
         );
         s
+    }
+}
+
+/// A [`MemoryImage`] that has passed its integrity check — the only
+/// thing [`crate::runner::load_verified`] accepts, so "never load an
+/// unverified image" is checked by the compiler rather than by every
+/// load path.
+///
+/// The owner `I` is whatever holds the image: a borrow (what
+/// [`MemoryImage::verify_integrity`] returns), an owned image, or an
+/// `Arc` shared with a cache. The field is private and the type has no
+/// `DerefMut`, so a token's bytes are exactly the bytes that were
+/// measured; a shared `Arc` that someone else mutates through
+/// `Arc::make_mut` is copied first, leaving the token's image intact.
+///
+/// ```
+/// use rtdc::prelude::*;
+/// # use rtdc_isa::program::{ObjectProgram, ObjInsn, Procedure, ProcId};
+/// # use rtdc_isa::{Instruction, Reg};
+/// # let program = ObjectProgram {
+/// #     name: "toy".into(),
+/// #     procedures: vec![Procedure::new("main", vec![
+/// #         ObjInsn::Insn(Instruction::Addiu { rt: Reg::V0, rs: Reg::ZERO, imm: 10 }),
+/// #         ObjInsn::Insn(Instruction::Syscall),
+/// #     ])],
+/// #     data: Vec::new(),
+/// #     entry: ProcId(0),
+/// #     addr_tables: Vec::new(),
+/// # };
+/// let image = build_native(&program)?;
+/// let verified = image.verify_integrity()?;
+/// let machine = load_verified(&verified, SimConfig::hpca2000_baseline(), rtdc_sim::NoTrace);
+/// assert_eq!(machine.pc(), image.entry);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Outside this module a token can only come from a successful check:
+///
+/// ```compile_fail,E0451
+/// use rtdc::image::{MemoryImage, Verified};
+///
+/// fn forge(image: MemoryImage) -> Verified<MemoryImage> {
+///     Verified { image }
+/// }
+/// ```
+#[derive(Debug, PartialEq)]
+pub struct Verified<I: Borrow<MemoryImage>> {
+    image: I,
+}
+
+impl<I: Borrow<MemoryImage>> Verified<I> {
+    /// Verifies `owner`'s image ([`MemoryImage::verify_integrity`]) and
+    /// wraps it.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ImageError`] found; `owner` is dropped.
+    pub fn new(owner: I) -> Result<Verified<I>, ImageError> {
+        owner.borrow().check_integrity()?;
+        Ok(Verified { image: owner })
+    }
+
+    /// The owner, e.g. the `Arc` to share with a cache map.
+    pub fn owner(&self) -> &I {
+        &self.image
+    }
+}
+
+impl Verified<MemoryImage> {
+    /// Moves a verified owned image behind an `Arc` without re-checking
+    /// it: the bytes do not change.
+    pub fn into_shared(self) -> Verified<Arc<MemoryImage>> {
+        Verified {
+            image: Arc::new(self.image),
+        }
+    }
+}
+
+impl<I: Borrow<MemoryImage>> Deref for Verified<I> {
+    type Target = MemoryImage;
+
+    fn deref(&self) -> &MemoryImage {
+        self.image.borrow()
     }
 }
 

@@ -80,10 +80,10 @@ pub mod prelude {
     };
     pub use crate::error::{BuildError, ImageError, RunError};
     pub use crate::fault::{Fault, FaultKind, FaultPlan};
-    pub use crate::image::{MemoryImage, Scheme, SizeReport};
+    pub use crate::image::{MemoryImage, Scheme, SizeReport, Verified};
     pub use crate::plan::{CompressionPlan, PlanError, PlanSource, ProcDecision};
     pub use crate::runner::{
-        load_image, load_image_with_sink, profile_native, run_image, run_image_verified,
+        load_image, load_verified, profile_native, run_image, run_image_verified,
         run_image_with_sink, RunReport,
     };
     pub use crate::select::{placement_hot_first, ProcedureProfile, SelectBy, Selection};

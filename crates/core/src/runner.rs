@@ -1,12 +1,14 @@
 //! Loading images into the simulator and running experiments.
 
+use std::borrow::Borrow;
+
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::C0Reg;
 use rtdc_sim::{Machine, Mode, NoTrace, RegionProfiler, SimConfig, Stats, Step, TraceSink};
 
 use crate::builder::build_native;
 use crate::error::{BuildError, ImageError, RunError};
-use crate::image::MemoryImage;
+use crate::image::{MemoryImage, Verified};
 use crate::integrity::{crc32, LINE_BYTES};
 use crate::select::ProcedureProfile;
 
@@ -37,36 +39,19 @@ impl RunReport {
     }
 }
 
-/// Loads an image into a fresh machine (segments, C0 registers, handler and
-/// compressed regions, entry PC and stack pointer), after verifying the
-/// image against its build-time integrity digests.
+/// Loads a verified image into a fresh machine (segments, C0 registers,
+/// handler and compressed regions, entry PC and stack pointer) with
+/// `sink` attached. This is the one path from an image into simulated
+/// memory; the [`Verified`] token proves the integrity check already
+/// ran, so loading cannot fail.
 ///
 /// The configuration's `second_regfile` flag is forced to match the image
 /// so a non-RF handler never runs with banked registers or vice versa.
-///
-/// # Errors
-///
-/// [`ImageError`] if any segment fails its length or CRC32 check — a
-/// corrupt image is rejected before a single byte reaches simulated
-/// memory.
-pub fn load_image(image: &MemoryImage, config: SimConfig) -> Result<Machine, ImageError> {
-    load_image_with_sink(image, config, NoTrace)
-}
-
-/// [`load_image`] with an explicit trace sink: the returned machine emits
-/// a [`rtdc_sim::TraceEvent`] at every statistics site. Loading is
-/// identical to the untraced path; with [`NoTrace`] this *is*
-/// [`load_image`].
-///
-/// # Errors
-///
-/// As [`load_image`].
-pub fn load_image_with_sink<S: TraceSink>(
-    image: &MemoryImage,
+pub fn load_verified<I: Borrow<MemoryImage>, S: TraceSink>(
+    image: &Verified<I>,
     config: SimConfig,
     sink: S,
-) -> Result<Machine<S>, ImageError> {
-    image.verify_integrity()?;
+) -> Machine<S> {
     let cfg = config.with_second_regfile(image.second_regfile);
     let mut m = Machine::with_sink(cfg, sink);
     for seg in &image.segments {
@@ -83,44 +68,63 @@ pub fn load_image_with_sink<S: TraceSink>(
     }
     m.set_pc(image.entry);
     m.set_reg(rtdc_isa::Reg::SP, image.initial_sp);
-    Ok(m)
+    m
 }
 
-/// Runs `image` to completion under `config`.
+/// Verifies `image` against its build-time integrity digests, then
+/// loads it untraced ([`load_verified`]).
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Sim`] on any simulator fault (including exceeding
-/// `max_insns`).
+/// [`ImageError`] if any segment fails its length or CRC32 check — a
+/// corrupt image is rejected before a single byte reaches simulated
+/// memory.
+pub fn load_image(image: &MemoryImage, config: SimConfig) -> Result<Machine, ImageError> {
+    Ok(load_verified(&image.verify_integrity()?, config, NoTrace))
+}
+
+/// Verifies `image`, then runs it to completion under `config`
+/// untraced ([`run_image_with_sink`] with [`NoTrace`]).
+///
+/// # Errors
+///
+/// Returns [`RunError::CorruptImage`] if the image fails its integrity
+/// check, or [`RunError::Sim`] on any simulator fault (including
+/// exceeding `max_insns`).
 pub fn run_image(
     image: &MemoryImage,
     config: SimConfig,
     max_insns: u64,
 ) -> Result<RunReport, RunError> {
-    run_loaded(load_image(image, config)?, max_insns).map(|(report, NoTrace)| report)
+    run_image_with_sink(&image.verify_integrity()?, config, max_insns, NoTrace)
+        .map(|(report, NoTrace)| report)
 }
 
-/// Runs `image` to completion with a trace sink attached, returning the
-/// report and the sink (e.g. a [`rtdc_sim::JsonlTracer`] to `finish()`, or
-/// a [`rtdc_sim::VecSink`] full of events). The sink is wrapped in a
-/// [`rtdc_sim::RegionProfiler`] over the image's procedure regions, so it
-/// also sees a [`rtdc_sim::TraceEvent::RegionEntry`] after every
-/// procedure-entering commit.
+/// Runs a verified image to completion with a trace sink attached,
+/// returning the report and the sink (e.g. a [`rtdc_sim::JsonlTracer`]
+/// to `finish()`, or a [`rtdc_sim::VecSink`] full of events). An enabled
+/// sink is wrapped in a [`rtdc_sim::RegionProfiler`] over the image's
+/// procedure regions, so it also sees a
+/// [`rtdc_sim::TraceEvent::RegionEntry`] after every procedure-entering
+/// commit. A disabled sink ([`NoTrace`]) would see nothing, so it runs
+/// bare and the machine keeps its block engine — the plain run
+/// [`run_image`] performs.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::CorruptImage`] if the image fails load-time
-/// integrity verification, or [`RunError::Sim`] on any simulator fault
-/// (including exceeding `max_insns`).
-pub fn run_image_with_sink<S: TraceSink>(
-    image: &MemoryImage,
+/// Returns [`RunError::Sim`] on any simulator fault (including
+/// exceeding `max_insns`).
+pub fn run_image_with_sink<I: Borrow<MemoryImage>, S: TraceSink>(
+    image: &Verified<I>,
     config: SimConfig,
     max_insns: u64,
     sink: S,
 ) -> Result<(RunReport, S), RunError> {
+    if !S::ENABLED {
+        return run_loaded(load_verified(image, config, sink), max_insns);
+    }
     let profiler = RegionProfiler::wrapping(image.proc_regions.clone(), image.proc_count(), sink);
-    let m = load_image_with_sink(image, config, profiler)?;
-    let (report, profiler) = run_loaded(m, max_insns)?;
+    let (report, profiler) = run_loaded(load_verified(image, config, profiler), max_insns)?;
     Ok((report, profiler.into_inner()))
 }
 
@@ -164,7 +168,7 @@ pub fn run_image_verified(
     config: SimConfig,
     max_insns: u64,
 ) -> Result<RunReport, RunError> {
-    let mut m = load_image(image, config)?;
+    let mut m = load_verified(&image.verify_integrity()?, config, NoTrace);
     let region = image
         .compressed_range
         .filter(|_| !image.line_crcs.is_empty());
@@ -269,9 +273,9 @@ pub fn profile_native(
     max_insns: u64,
 ) -> Result<(RunReport, ProcedureProfile), ProfileError> {
     let image = build_native(program).map_err(ProfileError::Build)?;
+    let image = Verified::new(image).map_err(|e| ProfileError::Run(RunError::CorruptImage(e)))?;
     let profiler = RegionProfiler::new(image.proc_regions.clone(), image.proc_count());
-    let m = load_image_with_sink(&image, config, profiler)
-        .map_err(|e| ProfileError::Run(RunError::CorruptImage(e)))?;
+    let m = load_verified(&image, config, profiler);
     let (report, profiler) = run_loaded(m, max_insns).map_err(ProfileError::Run)?;
     let profile = ProcedureProfile {
         names: image.proc_names.clone(),

@@ -14,7 +14,8 @@
 //!    headline metric is `build_speedup = warm_rps / cold_rps` — the
 //!    build-once/serve-many economics the daemon exists for.
 //! 3. **mixed runs** — `run` requests (cached builds + fresh
-//!    simulations), recording requests/sec and p50/p99 latency.
+//!    simulations), recording requests/sec and daemon-side p50/p99
+//!    latency.
 //! 4. **restart recovery** — a disk-backed server is populated, torn
 //!    down, and restarted on the same `--cache-dir`; `restart_hit_rate`
 //!    is the warm hit rate of the replay (the persistence rung of the
@@ -25,16 +26,12 @@
 //!    `overloaded`), gated at 1.0: overload may slow clients down, but
 //!    it must never hand them garbage.
 //!
-//! Latency is reported from **two vantage points**. The client-side
-//! columns (`run_p50_ms`/`run_p99_ms`) time the full round trip —
-//! socket, reader thread, pool queue wait, handler — as a client
-//! experiences it. The daemon-side columns (`build_p99_ms`,
-//! `run_p50_daemon_ms`/`run_p99_daemon_ms`) come from the daemon's own
-//! `serve.op.<op>.us` histograms via the `metrics` op: pure handler
+//! Latency is reported from the daemon's side: `build_p99_ms` and
+//! `run_p50_daemon_ms`/`run_p99_daemon_ms` come from the daemon's own
+//! `serve.op.<op>.us` histograms via the `metrics` op — pure handler
 //! service time, no queue wait, quantiles as log2-bucket upper bounds
-//! (conservative within 2x). The daemon-side numbers are what
-//! `benchguard` gates with `[serve_max]` ceilings; the client-side
-//! columns are kept for one release for cross-version comparison.
+//! (conservative within 2x). `benchguard` gates them with `[serve_max]`
+//! ceilings.
 //!
 //! Results land in `BENCH_serve.json` (schema: a flat `"serve"` array of
 //! `{"metric": ..., "value": ...}` rows), which `benchguard` gates via
@@ -123,30 +120,27 @@ fn build_stream(client_id: usize, reps: usize) -> Vec<String> {
     lines
 }
 
-/// Drives `clients` threads, each sending its stream and collecting
-/// per-request latencies. Returns (total requests, wall, latencies).
+/// Drives `clients` threads, each sending its stream. Returns (total
+/// requests, wall).
 fn drive(
     socket: &std::path::Path,
     clients: usize,
     streams: &[Vec<String>],
-) -> Result<(u64, Duration, Vec<Duration>), String> {
+) -> Result<(u64, Duration), String> {
     let started = Instant::now();
-    let results: Vec<Result<Vec<Duration>, String>> = std::thread::scope(|scope| {
+    let results: Vec<Result<u64, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|id| {
                 let stream = &streams[id];
                 scope.spawn(move || {
                     let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
-                    let mut lats = Vec::with_capacity(stream.len());
                     for line in stream {
-                        let t = Instant::now();
                         let resp = c.request_raw(line).map_err(|e| e.to_string())?;
-                        lats.push(t.elapsed());
                         if !resp.starts_with(r#"{"ok":true"#) {
                             return Err(format!("request `{line}` failed: {resp}"));
                         }
                     }
-                    Ok(lats)
+                    Ok(stream.len() as u64)
                 })
             })
             .collect();
@@ -156,19 +150,11 @@ fn drive(
             .collect()
     });
     let wall = started.elapsed();
-    let mut all = Vec::new();
+    let mut total = 0;
     for r in results {
-        all.extend(r?);
+        total += r?;
     }
-    Ok((all.len() as u64, wall, all))
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    Ok((total, wall))
 }
 
 fn cache_stats(socket: &std::path::Path) -> Result<(u64, u64, u64), String> {
@@ -224,7 +210,7 @@ fn run() -> Result<(), String> {
         },
     )
     .map_err(|e| format!("{}: {e}", cold_socket.display()))?;
-    let (cold_reqs, cold_wall, _) = drive(&cold_socket, args.clients, &streams)?;
+    let (cold_reqs, cold_wall) = drive(&cold_socket, args.clients, &streams)?;
     drop(cold_server);
     let cold_rps = cold_reqs as f64 / cold_wall.as_secs_f64();
 
@@ -254,7 +240,7 @@ fn run() -> Result<(), String> {
             }
         }
     }
-    let (warm_reqs, warm_wall, _) = drive(&warm_socket, args.clients, &streams)?;
+    let (warm_reqs, warm_wall) = drive(&warm_socket, args.clients, &streams)?;
     let (lookups, hits, _misses) = cache_stats(&warm_socket)?;
     let warm_rps = warm_reqs as f64 / warm_wall.as_secs_f64();
     let hit_rate = hits as f64 / lookups.max(1) as f64;
@@ -275,7 +261,7 @@ fn run() -> Result<(), String> {
             lines
         })
         .collect();
-    let (run_reqs, run_wall, mut run_lats) = drive(&warm_socket, args.clients, &run_streams)?;
+    let (run_reqs, run_wall) = drive(&warm_socket, args.clients, &run_streams)?;
     // Daemon-side service-time histograms for the same workload,
     // fetched over the same protocol everyone else uses.
     let (build_us, run_us) = {
@@ -403,10 +389,7 @@ fn run() -> Result<(), String> {
     };
     drop(shed_server);
 
-    run_lats.sort_unstable();
     let run_rps = run_reqs as f64 / run_wall.as_secs_f64();
-    let p50 = percentile(&run_lats, 0.50);
-    let p99 = percentile(&run_lats, 0.99);
     let q_ms = |h: &HistogramSnapshot, q: f64| h.quantile(q).unwrap_or(0) as f64 / 1e3;
 
     let rows = [
@@ -415,8 +398,6 @@ fn run() -> Result<(), String> {
         ("build_speedup", build_speedup),
         ("hit_rate", hit_rate),
         ("run_rps", run_rps),
-        ("run_p50_ms", p50.as_secs_f64() * 1e3),
-        ("run_p99_ms", p99.as_secs_f64() * 1e3),
         ("build_p99_ms", q_ms(&build_us, 0.99)),
         ("run_p50_daemon_ms", q_ms(&run_us, 0.50)),
         ("run_p99_daemon_ms", q_ms(&run_us, 0.99)),
@@ -426,7 +407,7 @@ fn run() -> Result<(), String> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"note\": \"rtdc-serve throughput; wall-clock dependent, gate on ratios + serve_min/serve_max. run_p50_ms/run_p99_ms are client-side round trips (include queue wait; kept one release for comparison); *_daemon_ms and build_p99_ms are daemon-side handler service time from log2 histograms (bucket upper bounds, within 2x)\",\n",
+        "  \"note\": \"rtdc-serve throughput; wall-clock dependent, gate on ratios + serve_min/serve_max. latencies (*_daemon_ms, build_p99_ms) are daemon-side handler service time from log2 histograms (bucket upper bounds, within 2x)\",\n",
     );
     out.push_str(&format!("  \"clients\": {},\n", args.clients));
     out.push_str(&format!("  \"server_threads\": {threads},\n"));

@@ -14,6 +14,8 @@
 //!   [`MemoryImage::verify_integrity`] before the image is served. A
 //!   poisoned entry (whatever corrupted it) is evicted and rebuilt, and
 //!   the rejection is counted; a corrupt image is *never* served.
+//!   Every lookup hands out a [`Verified`] token, so that one check is
+//!   the only one a warm run pays: the loader takes the token as proof.
 //! * **single-flight** — concurrent misses on one key build once;
 //!   late arrivals wait on a condvar and are served the insert (counted
 //!   as hits: they did not build). A builder that fails or panics
@@ -32,8 +34,10 @@
 //! an [`Outcome::StoreHit`] (counted in `hits` and `store_hits`) — and
 //! every fresh build is spilled so the next daemon on the same
 //! `--cache-dir` starts warm. Nothing a store yields has skipped
-//! verification: the load path re-runs `verify_integrity()` and
-//! quarantines failures.
+//! verification: [`DiskStore::load`] checks every file it decodes,
+//! quarantines failures, and returns the survivors as [`Verified`]
+//! tokens, which the cache serves without a second check. A fresh
+//! build is verified once before it is inserted.
 //!
 //! [`CompressionPlan::digest`]: rtdc::plan::CompressionPlan::digest
 //! [`MemoryImage::verify_integrity`]: rtdc::image::MemoryImage::verify_integrity
@@ -42,7 +46,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
-use rtdc::image::MemoryImage;
+use rtdc::image::{MemoryImage, Verified};
 
 use crate::protocol::ServeError;
 use crate::store::DiskStore;
@@ -200,19 +204,26 @@ impl ImageCache {
     }
 
     /// Serves `key` from cache, or builds it with `build` exactly once
-    /// per flight. Returns the image and how the lookup resolved.
+    /// per flight. Returns the image, as a [`Verified`] token the
+    /// loader accepts without a second check, and how the lookup
+    /// resolved. Every path verifies exactly once: a hit re-checks the
+    /// resident entry, a store hit arrives verified from
+    /// [`DiskStore::load`], and a fresh build is checked before it is
+    /// inserted.
     ///
     /// The cache lock is **not** held while building or while verifying
-    /// a hit's CRCs, so independent keys build and verify concurrently.
+    /// CRCs, so independent keys build and verify concurrently.
     ///
     /// # Errors
     ///
-    /// Whatever `build` returns; the flight is released either way.
+    /// Whatever `build` returns, or [`ServeError::BuildFailed`] if the
+    /// built image fails its own integrity check; the flight is released
+    /// either way.
     pub fn get_or_build(
         &self,
         key: &CacheKey,
         build: impl FnOnce() -> Result<MemoryImage, ServeError>,
-    ) -> Result<(Arc<MemoryImage>, Outcome), ServeError> {
+    ) -> Result<(Verified<Arc<MemoryImage>>, Outcome), ServeError> {
         let mut poisoned_here = false;
         let mut guard = self.inner.lock().expect("cache lock");
         guard.lookups += 1;
@@ -224,10 +235,10 @@ impl ImageCache {
                 entry.last_use = tick;
                 let image = Arc::clone(&entry.image);
                 drop(guard);
-                if image.verify_integrity().is_ok() {
+                if let Ok(verified) = Verified::new(Arc::clone(&image)) {
                     let mut g = self.inner.lock().expect("cache lock");
                     g.hits += 1;
-                    return Ok((image, Outcome::Hit));
+                    return Ok((verified, Outcome::Hit));
                 }
                 // Poisoned: evict exactly the entry we verified (another
                 // thread may have already replaced it) and rebuild.
@@ -282,11 +293,11 @@ impl ImageCache {
         if !poisoned_here {
             if let Some(store) = &self.store {
                 if let Ok(Some(image)) = store.load(key) {
-                    let image = Arc::new(image);
+                    let image = image.into_shared();
                     let mut g = self.inner.lock().expect("cache lock");
                     g.hits += 1;
                     g.store_hits += 1;
-                    self.insert_locked(&mut g, key, &image);
+                    self.insert_locked(&mut g, key, image.owner());
                     drop(g);
                     drop(flight);
                     return Ok((image, Outcome::StoreHit));
@@ -304,7 +315,11 @@ impl ImageCache {
             Outcome::Miss
         };
 
-        let built = build();
+        let built = build().and_then(|image| {
+            Verified::new(Arc::new(image)).map_err(|e| ServeError::BuildFailed {
+                detail: format!("built image failed its integrity check: {e}"),
+            })
+        });
         match built {
             Err(e) => {
                 let mut g = self.inner.lock().expect("cache lock");
@@ -314,9 +329,8 @@ impl ImageCache {
                 Err(e)
             }
             Ok(image) => {
-                let image = Arc::new(image);
                 let mut g = self.inner.lock().expect("cache lock");
-                self.insert_locked(&mut g, key, &image);
+                self.insert_locked(&mut g, key, image.owner());
                 drop(g);
                 drop(flight);
                 // Spill after waking waiters (they are served from the
@@ -361,7 +375,9 @@ impl ImageCache {
     /// Mutates the cached image under `key` in place, if present —
     /// the poisoning battery's fault-injection hook (there is no
     /// legitimate reason to mutate a cached image). Returns whether an
-    /// entry was found.
+    /// entry was found. `Arc::make_mut` copies an image that a handed-out
+    /// [`Verified`] token still shares, so a token never sees the
+    /// mutation; only the next lookup's check does.
     pub fn mutate_entry(&self, key: &CacheKey, f: impl FnOnce(&mut MemoryImage)) -> bool {
         let mut g = self.inner.lock().expect("cache lock");
         match g.map.get_mut(key) {

@@ -32,7 +32,7 @@ use rtdc_isa::program::ObjectProgram;
 use rtdc_obs::log::{self, Level};
 use rtdc_obs::{Counter, Histogram, MetricsRegistry};
 use rtdc_sim::trace::{TraceEvent, EVENT_KINDS};
-use rtdc_sim::TraceSink;
+use rtdc_sim::{NoTrace, TraceSink};
 use rtdc_workloads::{by_name, generate_cached, programs, spec, BenchmarkSpec};
 
 use crate::cache::{CacheKey, ImageCache};
@@ -404,12 +404,13 @@ fn resolve_build(
     }
 }
 
-/// Builds or fetches the image for `(bench, spec)` through the cache.
+/// Builds or fetches the image for `(bench, spec)` through the cache,
+/// verified exactly once on the way out.
 fn obtain_image(
     state: &ServeState,
     bench: &str,
     spec: &BuildSpec,
-) -> Result<(Arc<MemoryImage>, String, u32), ServeError> {
+) -> Result<(Verified<Arc<MemoryImage>>, String, u32), ServeError> {
     let program = resolve_program(bench)?;
     let (label, plan) = resolve_build(&program, spec)?;
     let plan_digest = plan.as_ref().map_or(0, CompressionPlan::digest);
@@ -503,9 +504,12 @@ fn handle_run(
     Deadline::check(deadline)?;
     let limit = max_insns.unwrap_or(state.max_insns);
     let sim_start = Instant::now();
-    let report = run_image(&image, state.sim, limit).map_err(|e| ServeError::RunFailed {
-        detail: e.to_string(),
-    })?;
+    let (report, NoTrace) =
+        run_image_with_sink(&image, state.sim, limit, NoTrace).map_err(|e| {
+            ServeError::RunFailed {
+                detail: e.to_string(),
+            }
+        })?;
     state
         .metrics
         .record_sim(&label, report.stats.cycles, sim_start.elapsed());
@@ -1306,8 +1310,8 @@ mod tests {
             PlanSource::Heuristic,
             &Selection::all_compressed(program.procedures.len()),
         );
-        let image = build_planned(&program, &plan).unwrap();
-        let want = run_image(&image, st.sim, st.max_insns).unwrap();
+        let image = Verified::new(build_planned(&program, &plan).unwrap()).unwrap();
+        let (want, NoTrace) = run_image_with_sink(&image, st.sim, st.max_insns, NoTrace).unwrap();
         assert_eq!(got, want.stats);
     }
 

@@ -21,7 +21,8 @@
 //! of* the per-segment seals inside the payload: the CRC catches torn
 //! or bit-rotted files cheaply at scan time, and
 //! [`MemoryImage::verify_integrity`] re-proves the segments on every
-//! load before an image is served.
+//! load: [`DiskStore::load`] hands out a [`Verified`] image, which the
+//! cache serves without checking it a second time.
 //!
 //! **Atomic writes**: spills go to a `tmp-`-prefixed sibling, are
 //! fsynced, then renamed over the final name, then the directory is
@@ -38,7 +39,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtdc::image::MemoryImage;
+use rtdc::image::{MemoryImage, Verified};
 use rtdc::imagefile::{decode_image, encode_image, ImageFileError};
 use rtdc::integrity::crc32;
 
@@ -266,17 +267,18 @@ pub fn check_envelope(bytes: &[u8]) -> Result<(CacheKey, &[u8]), StoreError> {
 }
 
 /// Fully decodes a store file: envelope + payload + integrity seals.
-/// The returned image has passed `verify_integrity`.
+/// The image comes back as a [`Verified`] token, so nothing downstream
+/// needs to check it again.
 ///
 /// # Errors
 ///
 /// A typed [`StoreError`] for any deviation; never panics on any input.
-pub fn decode_store_file(bytes: &[u8]) -> Result<(CacheKey, MemoryImage), StoreError> {
+pub fn decode_store_file(bytes: &[u8]) -> Result<(CacheKey, Verified<MemoryImage>), StoreError> {
     let (key, payload) = check_envelope(bytes)?;
     let image = decode_image(payload).map_err(|e: ImageFileError| StoreError::BadImage {
         detail: e.to_string(),
     })?;
-    image.verify_integrity().map_err(|e| StoreError::Poisoned {
+    let image = Verified::new(image).map_err(|e| StoreError::Poisoned {
         detail: e.to_string(),
     })?;
     Ok((key, image))
@@ -408,9 +410,10 @@ impl DiskStore {
 
     /// Loads `key` from disk. `Ok(None)` means no file exists for the
     /// key. The returned image has passed envelope validation, payload
-    /// decode, *and* [`MemoryImage::verify_integrity`] — a file failing
-    /// any of those is quarantined and reported as the error, so a
-    /// poisoned spill can be served at most zero times.
+    /// decode, *and* [`MemoryImage::verify_integrity`] — it is a
+    /// [`Verified`] token — and a file failing any of those is
+    /// quarantined and reported as the error, so a poisoned spill can
+    /// be served at most zero times.
     ///
     /// [`MemoryImage::verify_integrity`]: rtdc::image::MemoryImage::verify_integrity
     ///
@@ -418,7 +421,7 @@ impl DiskStore {
     ///
     /// A typed [`StoreError`]; callers treat any error as a miss and
     /// rebuild.
-    pub fn load(&self, key: &CacheKey) -> Result<Option<MemoryImage>, StoreError> {
+    pub fn load(&self, key: &CacheKey) -> Result<Option<Verified<MemoryImage>>, StoreError> {
         let path = self.dir.join(file_name(key));
         let bytes = match fs::read(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -592,7 +595,7 @@ mod tests {
         let img = image(128);
         store.spill(&k, &img).unwrap();
         let back = store.load(&k).unwrap().expect("present");
-        assert_eq!(back, img);
+        assert_eq!(*back, img);
         let s = store.stats();
         assert_eq!((s.spills, s.loads, s.entries), (1, 1, 1));
         // A key never spilled is a clean miss.

@@ -5,16 +5,20 @@
 //!
 //! The cache's verify-on-hit property is the load-bearing claim of the
 //! whole content-addressed design: a hit is only as trustworthy as the
-//! integrity seal it re-checks. These tests poison through every layer
+//! integrity seal it re-checks, and the `Verified` token a lookup hands
+//! out must keep the bytes that check measured. These tests poison through every layer
 //! (direct cache handle, dispatcher, live socket) and assert the
 //! response bytes after poisoning equal the clean bytes — proof the
 //! corruption never leaked into a reply.
 
 use rtdc::error::ImageError;
 use rtdc::fault::FaultPlan;
-use rtdc_serve::cache::CacheKey;
+use rtdc::runner::run_image_with_sink;
+use rtdc_serve::cache::{CacheKey, Outcome};
 use rtdc_serve::client::{request_line, Client};
+use rtdc_serve::protocol::parse_stats;
 use rtdc_serve::server::{handle_line, ServeConfig, ServeState, Server};
+use rtdc_sim::NoTrace;
 
 /// The segment to corrupt: the largest one, so offsets 0..=4 are always
 /// in range whatever the codec's layout looks like.
@@ -93,6 +97,49 @@ fn bit_flip_is_rejected_with_checksum_mismatch_and_rebuilt() {
     assert_eq!(again, clean);
     let s = st.cache.stats();
     assert_eq!((s.poisoned, s.hits), (1, 1), "{s:?}");
+}
+
+#[test]
+fn a_held_token_survives_poisoning_and_the_next_lookup_rejects() {
+    let st = state();
+    let req = request_line("run", "sort", "d", None);
+    let clean = handle_line(&st, &req, None);
+    assert!(clean.starts_with(r#"{"ok":true"#), "{clean}");
+    let key = key_from_response(&clean, "sort");
+
+    // A warm lookup hands out a verified token that shares the entry.
+    let (token, outcome) = st
+        .cache
+        .get_or_build(&key, || panic!("entry must be resident"))
+        .expect("hit");
+    assert_eq!(outcome, Outcome::Hit);
+    assert!(st.cache.mutate_entry(&key, |image| {
+        let plan = FaultPlan::parse("flip:.dictionary:0:3", image).expect("fault plan");
+        plan.apply(image).expect("apply fault");
+    }));
+
+    // Copy-on-write: the token still holds the bytes it was verified
+    // against, so running it reproduces the clean response.
+    let (report, NoTrace) =
+        run_image_with_sink(&token, st.sim, st.max_insns, NoTrace).expect("token runs");
+    let v = rtdc_serve::json::parse(&clean).expect("response is JSON");
+    let field = |k: &str| v.get(k).and_then(rtdc_serve::json::Json::as_u64);
+    assert_eq!(field("exit_code"), Some(u64::from(report.exit_code)));
+    assert_eq!(field("output_len"), Some(report.output.len() as u64));
+    assert_eq!(
+        field("output_crc32"),
+        Some(u64::from(rtdc::integrity::crc32(&report.output)))
+    );
+    assert_eq!(
+        v.get("stats").and_then(parse_stats),
+        Some(report.stats),
+        "the held token ran poisoned bytes"
+    );
+
+    // The resident entry is poisoned, and the next lookup rejects it.
+    let before = st.cache.stats().poisoned;
+    assert_eq!(handle_line(&st, &req, None), clean);
+    assert_eq!(st.cache.stats().poisoned, before + 1);
 }
 
 #[test]
