@@ -4,7 +4,10 @@
 //! benchguard <baseline.json> <current.json> [--config benchguard.toml]
 //! ```
 //!
-//! The guard understands two report shapes and picks per pair:
+//! The guard understands two report shapes and picks per pair. Each
+//! report is parsed once with the workspace's JSON codec
+//! (`rtdc_sim::json`), so its layout — spacing, rows per line — does
+//! not matter:
 //!
 //! * **simperf** reports (`BENCH_sim.json`): compares the **serial**
 //!   per-scheme aggregate rows (the `"schemes"` array) and fails if any
@@ -55,6 +58,8 @@
 //! yet in the baseline) are reported but never fail the guard.
 
 use std::process::ExitCode;
+
+use rtdc_sim::json::{self, Json};
 
 /// The guard's thresholds, from `benchguard.toml` (or defaults).
 #[derive(Debug, Clone)]
@@ -170,7 +175,7 @@ struct RowMetrics {
     stalls: [(&'static str, u64); 8],
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SchemeRow {
     scheme: String,
     mips: f64,
@@ -188,98 +193,81 @@ const STALL_KEYS: [&str; 8] = [
     "stall_exception",
 ];
 
+/// The non-empty rows of the array named `key` in a parsed report.
+fn rows<'a>(report: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match report.get(key) {
+        Some(Json::Arr(rows)) if !rows.is_empty() => Ok(rows),
+        Some(Json::Arr(_)) => Err(format!("\"{key}\" array has no rows")),
+        _ => Err(format!("no \"{key}\" array")),
+    }
+}
+
 /// Extracts the scheme rows from the `"schemes"` array of a simperf
-/// report. The format is simperf's own hand-rolled JSON (one row per
-/// line), so a line scanner is all the parsing this needs.
-fn scheme_rows(report: &str) -> Result<Vec<SchemeRow>, String> {
-    let start = report
-        .find("\"schemes\": [")
-        .ok_or("no \"schemes\" array")?;
-    let body = &report[start..];
-    let end = body.find(']').ok_or("unterminated \"schemes\" array")?;
-    let mut rows = Vec::new();
-    for line in body[..end].lines().filter(|l| l.contains("\"scheme\":")) {
-        let field = |key: &str| -> Option<&str> {
-            let pat = format!("\"{key}\": ");
-            let at = line.find(&pat)? + pat.len();
-            let rest = &line[at..];
-            Some(rest[..rest.find([',', '}'])?].trim())
-        };
-        let scheme = field("scheme")
-            .ok_or("row missing scheme")?
-            .trim_matches('"')
-            .to_string();
-        let mips: f64 = field("sim_mips")
-            .ok_or("row missing sim_mips")?
-            .parse()
-            .map_err(|e| format!("bad sim_mips: {e}"))?;
-        // The phase metrics arrived later; a row without them is an old
-        // baseline, not an error.
-        let metrics = (|| -> Option<RowMetrics> {
-            let mut stalls = [("", 0u64); 8];
-            for (slot, key) in stalls.iter_mut().zip(STALL_KEYS) {
-                *slot = (
-                    key.strip_prefix("stall_").expect("key shape"),
-                    field(key)?.parse().ok()?,
-                );
-            }
-            Some(RowMetrics {
-                cycles: field("cycles")?.parse().ok()?,
-                handler_share: field("handler_share")?.parse().ok()?,
-                exc_per_kinsn: field("exc_per_kinsn")?.parse().ok()?,
-                stalls,
+/// report.
+fn scheme_rows(report: &Json) -> Result<Vec<SchemeRow>, String> {
+    rows(report, "schemes")?
+        .iter()
+        .map(|row| {
+            let num = |key: &str| row.get(key).and_then(Json::as_f64);
+            let int = |key: &str| row.get(key).and_then(Json::as_u64);
+            let scheme = row
+                .get("scheme")
+                .and_then(Json::as_str)
+                .ok_or("row missing scheme")?
+                .to_string();
+            let mips = num("sim_mips").ok_or(format!("{scheme}: row missing sim_mips"))?;
+            // The phase metrics arrived later; a row without them is an
+            // old baseline, not an error.
+            let metrics = (|| -> Option<RowMetrics> {
+                let mut stalls = [("", 0u64); 8];
+                for (slot, key) in stalls.iter_mut().zip(STALL_KEYS) {
+                    *slot = (key.strip_prefix("stall_").expect("key shape"), int(key)?);
+                }
+                Some(RowMetrics {
+                    cycles: int("cycles")?,
+                    handler_share: num("handler_share")?,
+                    exc_per_kinsn: num("exc_per_kinsn")?,
+                    stalls,
+                })
+            })();
+            Ok(SchemeRow {
+                scheme,
+                mips,
+                metrics,
             })
-        })();
-        rows.push(SchemeRow {
-            scheme,
-            mips,
-            metrics,
-        });
-    }
-    if rows.is_empty() {
-        return Err("\"schemes\" array has no rows".into());
-    }
-    Ok(rows)
+        })
+        .collect()
 }
 
 /// One servebench metric row: `{"metric": "warm_build_rps", "value": ...}`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ServeRow {
     metric: String,
     value: f64,
 }
 
 /// Extracts the metric rows from the `"serve"` array of a servebench
-/// report — same one-row-per-line scanner as [`scheme_rows`].
-fn serve_rows(report: &str) -> Result<Vec<ServeRow>, String> {
-    let start = report.find("\"serve\": [").ok_or("no \"serve\" array")?;
-    let body = &report[start..];
-    let end = body.find(']').ok_or("unterminated \"serve\" array")?;
-    let mut rows = Vec::new();
-    for line in body[..end].lines().filter(|l| l.contains("\"metric\":")) {
-        let field = |key: &str| -> Option<&str> {
-            let pat = format!("\"{key}\": ");
-            let at = line.find(&pat)? + pat.len();
-            let rest = &line[at..];
-            Some(rest[..rest.find([',', '}'])?].trim())
-        };
-        let metric = field("metric")
-            .ok_or("row missing metric")?
-            .trim_matches('"')
-            .to_string();
-        let value: f64 = field("value")
-            .ok_or("row missing value")?
-            .parse()
-            .map_err(|e| format!("bad value for {metric}: {e}"))?;
-        rows.push(ServeRow { metric, value });
-    }
-    if rows.is_empty() {
-        return Err("\"serve\" array has no rows".into());
-    }
-    Ok(rows)
+/// report.
+fn serve_rows(report: &Json) -> Result<Vec<ServeRow>, String> {
+    rows(report, "serve")?
+        .iter()
+        .map(|row| {
+            let metric = row
+                .get("metric")
+                .and_then(Json::as_str)
+                .ok_or("row missing metric")?
+                .to_string();
+            let value = row
+                .get("value")
+                .and_then(Json::as_f64)
+                .ok_or(format!("row missing value for {metric}"))?;
+            Ok(ServeRow { metric, value })
+        })
+        .collect()
 }
 
 /// A parsed report of either shape.
+#[derive(Debug, PartialEq)]
 enum Report {
     /// A simperf report (`"schemes"` array).
     Schemes(Vec<SchemeRow>),
@@ -290,11 +278,12 @@ enum Report {
 /// Parses a report by shape: simperf's `"schemes"` array wins, then
 /// servebench's `"serve"` array.
 fn parse_report(text: &str) -> Result<Report, String> {
-    if text.contains("\"schemes\": [") {
-        return scheme_rows(text).map(Report::Schemes);
+    let report = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    if report.get("schemes").is_some() {
+        return scheme_rows(&report).map(Report::Schemes);
     }
-    if text.contains("\"serve\": [") {
-        return serve_rows(text).map(Report::Serve);
+    if report.get("serve").is_some() {
+        return serve_rows(&report).map(Report::Serve);
     }
     Err("neither a \"schemes\" nor a \"serve\" array — not a benchmark report".into())
 }
@@ -582,6 +571,63 @@ mod tests {
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[2].metric, "build_speedup");
         assert_eq!(rows[2].value, 8.0);
+    }
+
+    /// `v` re-rendered compactly: no whitespace, every row on one line,
+    /// object keys in sorted order.
+    fn compact(v: &Json) -> String {
+        match v {
+            Json::Obj(m) => {
+                let mut w = json::ObjWriter::new();
+                for (k, v) in m {
+                    w.raw(k, &compact(v));
+                }
+                w.finish()
+            }
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(compact).collect();
+                format!("[{}]", items.join(","))
+            }
+            Json::Str(s) => json::escape(s),
+            Json::Num(n) => n.to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Null => "null".into(),
+        }
+    }
+
+    #[test]
+    fn checked_in_reports_parse_the_same_in_any_layout() {
+        for text in [
+            include_str!("../../../../BENCH_sim.json"),
+            include_str!("../../../../BENCH_serve.json"),
+        ] {
+            let pretty = parse_report(text).expect("checked-in report parses");
+            let squeezed = compact(&json::parse(text).unwrap());
+            assert!(!squeezed.contains(": ") && !squeezed.contains('\n'));
+            assert_eq!(
+                parse_report(&squeezed).expect("compact form parses"),
+                pretty
+            );
+            if let Report::Schemes(rows) = pretty {
+                assert!(rows.iter().all(|row| row.metrics.is_some()));
+            }
+        }
+    }
+
+    #[test]
+    fn rows_without_phase_metrics_are_old_baselines() {
+        let old = r#"{"schemes": [{"name": "all", "scheme": "d", "sim_mips": 12.5}]}"#;
+        assert_eq!(
+            parse_report(old).unwrap(),
+            Report::Schemes(vec![SchemeRow {
+                scheme: "d".into(),
+                mips: 12.5,
+                metrics: None,
+            }])
+        );
+        assert!(parse_report(r#"{"schemes": []}"#).is_err());
+        assert!(parse_report(r#"{"schemes": [{"scheme": "d"}]}"#).is_err());
+        assert!(parse_report(r#"{"other": []}"#).is_err());
     }
 
     #[test]

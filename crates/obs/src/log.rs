@@ -116,7 +116,9 @@ pub fn enabled(level: Level) -> bool {
     level as u8 <= cur && level != Level::Off
 }
 
-fn esc_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal. The crate's one
+/// escaper: log lines and metrics snapshots both render through it.
+pub(crate) fn esc_into(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

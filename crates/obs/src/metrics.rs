@@ -25,6 +25,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::log::esc_into;
+
 /// Number of histogram buckets: one for zero plus one per bit width.
 pub const HIST_BUCKETS: usize = 65;
 
@@ -328,23 +330,6 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Escapes a metric name into a JSON string literal. Names are
-/// ASCII-dotted by convention, but escaping is total anyway.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl Snapshot {
     /// The counter or gauge named `name`.
     pub fn value(&self, name: &str) -> Option<u64> {
@@ -373,25 +358,26 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{v}", esc(k)));
+            esc_into(&mut out, k);
+            out.push_str(&format!(":{v}"));
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{v}", esc(k)));
+            esc_into(&mut out, k);
+            out.push_str(&format!(":{v}"));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            esc_into(&mut out, k);
             out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-                esc(k),
-                h.count,
-                h.sum
+                ":{{\"count\":{},\"sum\":{},\"buckets\":[",
+                h.count, h.sum
             ));
             for (j, (b, n)) in h.buckets.iter().enumerate() {
                 if j > 0 {
@@ -536,10 +522,11 @@ mod tests {
         r.counter("a.count").add(2);
         r.gauge("c.level").set(9);
         r.histogram("d.us").observe(3);
+        r.counter("a\"q\n").inc();
         let j = r.snapshot().to_json();
         assert_eq!(
             j,
-            "{\"counters\":{\"a.count\":2,\"b.count\":1},\
+            "{\"counters\":{\"a\\\"q\\n\":1,\"a.count\":2,\"b.count\":1},\
              \"gauges\":{\"c.level\":9},\
              \"histograms\":{\"d.us\":{\"count\":1,\"sum\":3,\"buckets\":[[2,1]]}}}"
         );

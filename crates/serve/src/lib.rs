@@ -36,8 +36,11 @@
 
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod store;
+
+/// The workspace's JSON codec, shared with the trace reader and
+/// `benchguard`; the protocol parses and renders every line through it.
+pub use rtdc_sim::json;

@@ -45,6 +45,7 @@ mod cache;
 mod config;
 mod cpu;
 mod error;
+pub mod json;
 mod mem;
 mod profile;
 mod stats;

@@ -13,8 +13,9 @@
 //!
 //! The on-disk format is JSON Lines, one object per line, owned end to
 //! end by this module: [`JsonlTracer`] writes it and [`parse_line`]
-//! reads it back. `rtdc_bench::analyze` builds histograms and
-//! attribution reports on top.
+//! reads it back through the shared [`crate::json`] codec.
+//! `rtdc_bench::analyze` builds histograms and attribution reports on
+//! top.
 //!
 //! # Event taxonomy
 //!
@@ -34,6 +35,8 @@
 //! | `region`  | [`TraceEvent::RegionEntry`]   | region entry trace           |
 
 use std::io::Write;
+
+use crate::json::{self, Json};
 
 /// Which stall bucket a [`TraceEvent::Stall`] charges; mirrors the fields
 /// of [`crate::StallBreakdown`] one for one.
@@ -393,46 +396,33 @@ pub enum TraceLine {
     },
 }
 
-/// Extracts the raw text of `"key": value` from a flat one-line JSON
-/// object (the only shape this format emits).
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
+/// Typed access to the fields of one parsed trace line.
+struct Fields(Json);
 
-fn u32_field(line: &str, key: &str) -> Result<u32, String> {
-    raw_field(line, key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .parse()
-        .map_err(|_| format!("bad u32 field `{key}`"))
-}
-
-fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    raw_field(line, key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .parse()
-        .map_err(|_| format!("bad u64 field `{key}`"))
-}
-
-fn bool_field(line: &str, key: &str) -> Result<bool, String> {
-    match raw_field(line, key) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        Some(other) => Err(format!("bad bool field `{key}`: {other}")),
-        None => Err(format!("missing field `{key}`")),
+impl Fields {
+    fn get<'a, T>(&'a self, key: &str, conv: impl Fn(&'a Json) -> Option<T>) -> Result<T, String> {
+        let v = self
+            .0
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        conv(v).ok_or_else(|| format!("bad field `{key}`"))
     }
-}
 
-fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let raw = raw_field(line, key).ok_or_else(|| format!("missing field `{key}`"))?;
-    let inner = raw
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("field `{key}` is not a string"))?;
-    Ok(inner.to_string())
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        self.get(key, |v| v.as_u64()?.try_into().ok())
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key, Json::as_u64)
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key, Json::as_bool)
+    }
+
+    fn str(&self, key: &str) -> Result<&str, String> {
+        self.get(key, Json::as_str)
+    }
 }
 
 /// Parses one JSONL trace line (event, region definition, or metadata).
@@ -441,89 +431,87 @@ fn str_field(line: &str, key: &str) -> Result<String, String> {
 ///
 /// A description of the malformed line.
 pub fn parse_line(line: &str) -> Result<TraceLine, String> {
-    let ev = str_field(line, "ev")?;
-    let event = match ev.as_str() {
+    let f = Fields(json::parse(line).map_err(|e| e.to_string())?);
+    let event = match f.str("ev")? {
         "meta" => {
             return Ok(TraceLine::Meta {
-                bench: str_field(line, "bench")?,
-                scheme: str_field(line, "scheme")?,
+                bench: f.str("bench")?.to_string(),
+                scheme: f.str("scheme")?.to_string(),
             })
         }
         "region_def" => {
             return Ok(TraceLine::RegionDef(RegionDef {
-                id: u32_field(line, "id")?,
-                name: str_field(line, "name")?,
-                start: u32_field(line, "start")?,
-                end: u32_field(line, "end")?,
+                id: f.u32("id")?,
+                name: f.str("name")?.to_string(),
+                start: f.u32("start")?,
+                end: f.u32("end")?,
             }))
         }
-        "fetch" => TraceEvent::Fetch {
-            pc: u32_field(line, "pc")?,
-        },
+        "fetch" => TraceEvent::Fetch { pc: f.u32("pc")? },
         "imiss" => TraceEvent::FetchMiss {
-            pc: u32_field(line, "pc")?,
-            cycle: u64_field(line, "cycle")?,
-            kind: match str_field(line, "kind")?.as_str() {
+            pc: f.u32("pc")?,
+            cycle: f.u64("cycle")?,
+            kind: match f.str("kind")? {
                 "native" => MissKind::Native,
                 "compressed" => MissKind::Compressed,
                 other => return Err(format!("bad miss kind `{other}`")),
             },
         },
         "ifill" => TraceEvent::IFill {
-            base: u32_field(line, "base")?,
-            cycle: u64_field(line, "cycle")?,
-            evicted: bool_field(line, "evicted")?,
+            base: f.u32("base")?,
+            cycle: f.u64("cycle")?,
+            evicted: f.bool("evicted")?,
         },
         "daccess" => TraceEvent::DAccess {
-            addr: u32_field(line, "addr")?,
-            store: bool_field(line, "store")?,
-            hit: bool_field(line, "hit")?,
+            addr: f.u32("addr")?,
+            store: f.bool("store")?,
+            hit: f.bool("hit")?,
         },
         "dfill" => TraceEvent::DFill {
-            base: u32_field(line, "base")?,
-            cycle: u64_field(line, "cycle")?,
-            evicted: bool_field(line, "evicted")?,
-            dirty: bool_field(line, "dirty")?,
+            base: f.u32("base")?,
+            cycle: f.u64("cycle")?,
+            evicted: f.bool("evicted")?,
+            dirty: f.bool("dirty")?,
         },
         "exc_entry" => TraceEvent::ExcEntry {
-            pc: u32_field(line, "pc")?,
-            cycle: u64_field(line, "cycle")?,
+            pc: f.u32("pc")?,
+            cycle: f.u64("cycle")?,
         },
         "exc_exit" => TraceEvent::ExcExit {
-            epc: u32_field(line, "epc")?,
-            cycle: u64_field(line, "cycle")?,
-            insns: u64_field(line, "insns")?,
-            cycles: u64_field(line, "cycles")?,
+            epc: f.u32("epc")?,
+            cycle: f.u64("cycle")?,
+            insns: f.u64("insns")?,
+            cycles: f.u64("cycles")?,
         },
         "swic" => TraceEvent::Swic {
-            addr: u32_field(line, "addr")?,
-            pc: u32_field(line, "pc")?,
-            evicted: bool_field(line, "evicted")?,
+            addr: f.u32("addr")?,
+            pc: f.u32("pc")?,
+            evicted: f.bool("evicted")?,
         },
         "branch" => TraceEvent::Branch {
-            pc: u32_field(line, "pc")?,
-            taken: bool_field(line, "taken")?,
-            mispredict: bool_field(line, "mispredict")?,
+            pc: f.u32("pc")?,
+            taken: f.bool("taken")?,
+            mispredict: f.bool("mispredict")?,
         },
         "regjump" => TraceEvent::RegJump {
-            pc: u32_field(line, "pc")?,
-            target: u32_field(line, "target")?,
-            ras_miss: bool_field(line, "ras_miss")?,
+            pc: f.u32("pc")?,
+            target: f.u32("target")?,
+            ras_miss: f.bool("ras_miss")?,
         },
         "stall" => TraceEvent::Stall {
-            cause: StallCause::by_name(&str_field(line, "cause")?)
+            cause: StallCause::by_name(f.str("cause")?)
                 .ok_or_else(|| format!("bad stall cause in `{line}`"))?,
-            cycles: u64_field(line, "cycles")?,
-            handler: bool_field(line, "handler")?,
+            cycles: f.u64("cycles")?,
+            handler: f.bool("handler")?,
         },
         "commit" => TraceEvent::Commit {
-            pc: u32_field(line, "pc")?,
-            handler: bool_field(line, "handler")?,
+            pc: f.u32("pc")?,
+            handler: f.bool("handler")?,
         },
         "region" => TraceEvent::RegionEntry {
-            region: u32_field(line, "region")?,
-            pc: u32_field(line, "pc")?,
-            cycle: u64_field(line, "cycle")?,
+            region: f.u32("region")?,
+            pc: f.u32("pc")?,
+            cycle: f.u64("cycle")?,
         },
         other => return Err(format!("unknown event `{other}`")),
     };
@@ -665,15 +653,20 @@ impl<W: Write> JsonlTracer<W> {
     /// Writes a metadata preamble line.
     pub fn write_meta(&mut self, bench: &str, scheme: &str) {
         self.write_line(&format!(
-            "{{\"ev\":\"meta\",\"bench\":\"{bench}\",\"scheme\":\"{scheme}\"}}"
+            "{{\"ev\":\"meta\",\"bench\":{},\"scheme\":{}}}",
+            json::escape(bench),
+            json::escape(scheme)
         ));
     }
 
     /// Writes one region-definition preamble line.
     pub fn write_region_def(&mut self, def: &RegionDef) {
         self.write_line(&format!(
-            "{{\"ev\":\"region_def\",\"id\":{},\"name\":\"{}\",\"start\":{},\"end\":{}}}",
-            def.id, def.name, def.start, def.end
+            "{{\"ev\":\"region_def\",\"id\":{},\"name\":{},\"start\":{},\"end\":{}}}",
+            def.id,
+            json::escape(&def.name),
+            def.start,
+            def.end
         ));
     }
 
@@ -786,33 +779,42 @@ mod tests {
 
     #[test]
     fn preamble_lines_roundtrip() {
-        let mut t = JsonlTracer::new(Vec::new());
-        t.write_meta("go", "d+rf");
-        t.write_region_def(&RegionDef {
-            id: 7,
-            name: "p7".into(),
-            start: 0x1200,
-            end: 0x1300,
-        });
-        let bytes = t.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(
-            parse_line(lines.next().unwrap()),
-            Ok(TraceLine::Meta {
-                bench: "go".into(),
-                scheme: "d+rf".into()
-            })
-        );
-        assert_eq!(
-            parse_line(lines.next().unwrap()),
-            Ok(TraceLine::RegionDef(RegionDef {
+        // Plain names keep the exact bytes the format has always had; a
+        // name with JSON metacharacters and a control byte still reads
+        // back whole.
+        let hostile = "a\"b\\c,d}\u{1}";
+        for (bench, name) in [("go", "p7"), (hostile, hostile)] {
+            let mut t = JsonlTracer::new(Vec::new());
+            t.write_meta(bench, "d+rf");
+            let def = RegionDef {
                 id: 7,
-                name: "p7".into(),
+                name: name.into(),
                 start: 0x1200,
                 end: 0x1300,
-            }))
-        );
+            };
+            t.write_region_def(&def);
+            let text = String::from_utf8(t.finish().unwrap()).unwrap();
+            if bench == "go" {
+                assert_eq!(
+                    text,
+                    "{\"ev\":\"meta\",\"bench\":\"go\",\"scheme\":\"d+rf\"}\n\
+                     {\"ev\":\"region_def\",\"id\":7,\"name\":\"p7\",\"start\":4608,\"end\":4864}\n"
+                );
+            }
+            let mut lines = text.lines();
+            assert_eq!(
+                parse_line(lines.next().unwrap()),
+                Ok(TraceLine::Meta {
+                    bench: bench.into(),
+                    scheme: "d+rf".into()
+                })
+            );
+            assert_eq!(
+                parse_line(lines.next().unwrap()),
+                Ok(TraceLine::RegionDef(def))
+            );
+            assert_eq!(lines.next(), None);
+        }
     }
 
     #[test]
@@ -855,5 +857,12 @@ mod tests {
             parse_line("{\"ev\":\"stall\",\"cause\":\"x\",\"cycles\":1,\"handler\":false}")
                 .is_err()
         );
+        // Out-of-range numbers are refused, never truncated: a u32
+        // field above u32::MAX, and a u64 field above 2^53 (the codec
+        // keeps numbers as f64, which cannot tell 2^53 + 1 from 2^53).
+        assert!(parse_line("{\"ev\":\"fetch\",\"pc\":4294967296}").is_err());
+        assert!(parse_line("{\"ev\":\"exc_entry\",\"pc\":4,\"cycle\":9007199254740993}").is_err());
+        assert!(parse_line("{\"ev\":\"fetch\",\"pc\":1.5}").is_err());
+        assert!(parse_line("{\"ev\":\"fetch\",\"pc\":4} x").is_err());
     }
 }
