@@ -25,9 +25,12 @@
 /// configuration, the unit the paper's handlers fill.
 pub const LINE_BYTES: usize = 32;
 
-/// IEEE 802.3 CRC32 lookup table (reflected, polynomial `0xEDB88320`).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE 802.3 CRC32 slicing-by-8 tables (reflected, polynomial
+/// `0xEDB88320`). `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes,
+/// so eight lookups advance the CRC over eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -40,17 +43,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC32 of `bytes` (the ubiquitous zlib/PNG/802.3 variant).
+/// IEEE CRC32 of `bytes` (the ubiquitous zlib/PNG/802.3 variant):
+/// eight bytes per step, then the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -70,13 +97,71 @@ pub struct SegmentDigest {
 /// the [`LINE_BYTES`]-byte line starting `i * LINE_BYTES` bytes into the
 /// region.
 pub fn line_crcs(words: &[u32]) -> Vec<u32> {
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    bytes.chunks(LINE_BYTES).map(crc32).collect()
+    words
+        .chunks(LINE_BYTES / 4)
+        .map(|line| {
+            let mut bytes = [0u8; LINE_BYTES];
+            for (dst, w) in bytes.chunks_exact_mut(4).zip(line) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            crc32(&bytes[..line.len() * 4])
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise table loop `crc32` replaced: the oracle the sliced
+    /// version must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    /// `n` bytes of a fixed xorshift stream.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_bytewise_oracle_at_every_length_and_offset() {
+        let buf = seeded_bytes(64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = seeded_bytes(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn line_crcs_handle_a_partial_last_line() {
+        let words: Vec<u32> = (0..11).map(|i| i * 0x0101_0101).collect(); // 1 line + 12 bytes
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            line_crcs(&words),
+            vec![crc32(&bytes[..32]), crc32(&bytes[32..])]
+        );
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

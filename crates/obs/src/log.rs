@@ -215,8 +215,13 @@ mod tests {
         assert!(Level::Error < Level::Trace);
     }
 
+    /// The level is process-global and the test harness runs tests on
+    /// parallel threads: every test that sets it holds this lock.
+    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn filtered_events_build_nothing() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_level(Level::Warn);
         let ev = event(Level::Debug, "x").str("k", "v").u64("n", 1);
         assert!(ev.buf.is_none());
@@ -228,6 +233,7 @@ mod tests {
 
     #[test]
     fn events_render_as_json_lines() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_level(Level::Info);
         let ev = event(Level::Info, "conn_open")
             .u64("conn", 3)

@@ -1009,11 +1009,17 @@ impl<S: TraceSink> Machine<S> {
     fn run_translated(&mut self, max_insns: u64) -> Result<RunOutcome, SimError> {
         // New run: callers may have edited memory since the last run
         // (fault injection, reloaded images) without the simulator
-        // observing it, so no earlier block can be trusted.
-        self.blocks
+        // observing it, so no earlier block can be trusted — and a line
+        // still resident may hold bytes its memory no longer has, which
+        // its next refill must make observable like a store's.
+        let bc = self
+            .blocks
             .as_deref_mut()
-            .expect("translated loop has blocks")
-            .reset();
+            .expect("translated loop has blocks");
+        bc.reset();
+        for base in self.icache.resident_bases() {
+            bc.note_written_range(base, self.cfg.icache.line_bytes);
+        }
         loop {
             match self.block_step(max_insns) {
                 Ok(Step::Exited(code)) => break Ok(RunOutcome { exit_code: code }),
@@ -1056,6 +1062,9 @@ impl<S: TraceSink> Machine<S> {
             let table = if handler { &bc.hblocks } else { &bc.blocks };
             let blk = &table[slot];
             if blk.pc != pc || gen != blk.gen {
+                // Everything below may write `blocks`, `hblocks` or
+                // `seen`; the next run's entry must wipe them.
+                bc.touched = true;
                 // Program blocks build on the *second* sighting: a
                 // first-time PC is noted in the `seen` side table and
                 // single-stepped. Cold code (most of a large text) then

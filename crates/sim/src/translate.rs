@@ -67,11 +67,28 @@
 //! size): aliasing can only over-invalidate, never miss an
 //! invalidation. The stored-to bitmap is exact (one bit per 32-byte
 //! granule of the 4GB space), so data stores never invalidate code
-//! they did not touch. Each run of the translated loop starts by
-//! wiping both block tables — they are sized to stay cache-resident,
-//! so the wipe costs microseconds — which means harness-side memory
-//! edits between runs (fault injection, reloaded images) can never be
-//! served stale blocks.
+//! they did not touch. It is two-level, like [`MainMemory`]'s page
+//! table: a 64K-entry top level indexed by `addr >> 16` whose 2048-bit
+//! pages are allocated at the first store into their 64KB, so a
+//! machine pays for the pages its program writes, not for a flat 16MB
+//! bitmap. (A flat `vec![0; ..]` would be lazily paged zero memory only
+//! while glibc serves it by `mmap`; once one is freed, glibc's dynamic
+//! mmap threshold rises above it, and every later machine's bitmap
+//! would come from the heap and be `memset`, about a millisecond each.)
+//!
+//! Each run of the translated loop starts by making harness-side
+//! memory edits since the last run (fault injection, reloaded images),
+//! which the simulator never observed, safe in two ways. It wipes both
+//! block tables and the build filter, so no block built before the
+//! edit survives. And it marks every granule of every line still
+//! resident in the I-cache as stored-to, so the refill that first
+//! fetches edited memory behind such a line invalidates blocks built
+//! from the line's old bytes. The wipe is 2.6MB of strided stores, so
+//! it is skipped when nothing was installed since the last one:
+//! [`BlockCache::reset`] is a no-op until a dispatch miss sets
+//! `touched`, and a fresh machine's tables (and I-cache) are empty.
+//!
+//! [`MainMemory`]: crate::MainMemory
 //!
 //! # Table sizing
 //!
@@ -119,11 +136,19 @@ const HBLOCK_SLOTS: usize = 1 << 10;
 /// Entries in the granule generation table.
 const GEN_SLOTS: usize = 1 << 16;
 
-/// Words in the exact stored-to bitmap: one bit per 32-byte granule of
-/// the whole 4GB address space (2^27 granules / 64 bits per word; the
-/// 16MB allocation is lazily paged zero memory, and only granules near
-/// actual store targets are ever touched).
-const SMC_WORDS: usize = 1 << 21;
+/// log2 of the stored-to bitmap's page size (64KB, like
+/// [`MainMemory`](crate::MainMemory)'s pages).
+const SMC_PAGE_SHIFT: u32 = 16;
+
+/// Pages in the 4GB address space: the bitmap's top level, indexed by
+/// `addr >> SMC_PAGE_SHIFT`.
+const SMC_PAGES: usize = 1 << (32 - SMC_PAGE_SHIFT);
+
+/// Bitmap words per page: 2048 granules / 64 bits per word.
+const SMC_PAGE_WORDS: usize = 1 << (SMC_PAGE_SHIFT - GRAN_SHIFT - 6);
+
+/// One allocated page of the stored-to bitmap.
+type SmcPage = Box<[u64; SMC_PAGE_WORDS]>;
 
 /// Sentinel filler for unused instruction slots (never executed: `len`
 /// bounds the loop).
@@ -201,8 +226,9 @@ pub(crate) struct BlockCache {
     /// Exact stored-to bitmap (one bit per 32-byte granule): set by
     /// stores and `swic` writes, consumed by the native fill path to
     /// invalidate only granules whose memory actually changed since
-    /// they were last filled.
-    pub smc: Box<[u64]>,
+    /// they were last filled. Two-level: a page's bits exist only once
+    /// something in its 64KB was written.
+    smc: Box<[Option<SmcPage>]>,
     /// Build-on-second-touch filter for program blocks, parallel to
     /// `blocks`: the last PC dispatched to each slot without a valid
     /// block. A PC only gets built when it was already the noted
@@ -210,6 +236,10 @@ pub(crate) struct BlockCache {
     /// the note being *beside* the slot keeps a cold aliasing PC from
     /// evicting a hot built block.
     pub seen: Box<[u32]>,
+    /// Some dispatch miss may have written `blocks`, `hblocks` or
+    /// `seen` since they were last wiped; [`BlockCache::reset`] is a
+    /// no-op while clear.
+    pub touched: bool,
 }
 
 impl BlockCache {
@@ -218,16 +248,21 @@ impl BlockCache {
             blocks: vec![EMPTY; BLOCK_SLOTS].into_boxed_slice(),
             hblocks: vec![EMPTY; HBLOCK_SLOTS].into_boxed_slice(),
             gens: vec![0; GEN_SLOTS].into_boxed_slice(),
-            smc: vec![0; SMC_WORDS].into_boxed_slice(),
+            smc: vec![None; SMC_PAGES].into_boxed_slice(),
             seen: vec![u32::MAX; BLOCK_SLOTS].into_boxed_slice(),
+            touched: false,
         }
     }
 
     /// Forgets every block (both tables). Called at each `run()` entry:
     /// the harness may have edited memory since the last run (fault
     /// injection, reloaded images) without the simulator observing it,
-    /// so no earlier block can be trusted.
+    /// so no earlier block can be trusted. Tables nothing was written
+    /// to since the last wipe (a fresh machine's) are left as they are.
     pub fn reset(&mut self) {
+        if !std::mem::take(&mut self.touched) {
+            return;
+        }
         for b in self.blocks.iter_mut() {
             b.pc = u32::MAX;
         }
@@ -283,8 +318,30 @@ impl BlockCache {
     /// generation.
     #[inline]
     pub fn note_written(&mut self, addr: u32) {
-        let g = (addr >> GRAN_SHIFT) as usize;
-        self.smc[g >> 6] |= 1 << (g & 63);
+        let g = Self::smc_bit(addr);
+        let page = self.smc[(addr >> SMC_PAGE_SHIFT) as usize]
+            .get_or_insert_with(|| Box::new([0; SMC_PAGE_WORDS]));
+        page[g >> 6] |= 1 << (g & 63);
+    }
+
+    /// Clears `addr`'s stored-to bit, returning whether it was set (a
+    /// page never written to has no bits to clear).
+    #[inline]
+    fn take_written(&mut self, addr: u32) -> bool {
+        let Some(page) = self.smc[(addr >> SMC_PAGE_SHIFT) as usize].as_deref_mut() else {
+            return false;
+        };
+        let g = Self::smc_bit(addr);
+        let mask = 1u64 << (g & 63);
+        let set = page[g >> 6] & mask != 0;
+        page[g >> 6] &= !mask;
+        set
+    }
+
+    /// Bit index of `addr`'s granule within its 64KB bitmap page.
+    #[inline]
+    fn smc_bit(addr: u32) -> usize {
+        ((addr & ((1 << SMC_PAGE_SHIFT) - 1)) >> GRAN_SHIFT) as usize
     }
 
     /// Marks every granule overlapping `[base, base + bytes)` as
@@ -309,10 +366,7 @@ impl BlockCache {
         let mut addr = base & !(GRAN_BYTES - 1);
         let end = base.saturating_add(bytes.max(1));
         while addr < end {
-            let g = (addr >> GRAN_SHIFT) as usize;
-            let mask = 1u64 << (g & 63);
-            if self.smc[g >> 6] & mask != 0 {
-                self.smc[g >> 6] &= !mask;
+            if self.take_written(addr) {
                 self.bump(addr);
             }
             match addr.checked_add(GRAN_BYTES) {
@@ -466,6 +520,75 @@ mod tests {
             assert_eq!(bc.gens[BlockCache::gen_index(base)], 1, "{base:#x}");
         }
         assert_eq!(bc.gens[BlockCache::gen_index(0x1060)], 0);
+    }
+
+    fn gen(bc: &BlockCache, addr: u32) -> u64 {
+        bc.gens[BlockCache::gen_index(addr)]
+    }
+
+    fn smc_pages(bc: &BlockCache) -> usize {
+        bc.smc.iter().filter(|p| p.is_some()).count()
+    }
+
+    #[test]
+    fn stored_to_bits_bump_once_at_every_edge() {
+        // Granule 0, both sides of a 64KB page edge, and the top granule
+        // of the address space (where the stack lives).
+        for addr in [0u32, 0xFFE0, 0x1_0000, 0xFFFF_FFE0] {
+            let mut bc = BlockCache::new();
+            bc.note_written(addr + 4);
+            assert_eq!(smc_pages(&bc), 1, "{addr:#x}");
+            // Fill the granule and its neighbours on both sides.
+            let lo = addr.saturating_sub(GRAN_BYTES);
+            bc.note_fill(lo, 3 * GRAN_BYTES);
+            assert_eq!(gen(&bc, addr), 1, "{addr:#x} bumps on its fill");
+            for n in [addr.checked_sub(GRAN_BYTES), addr.checked_add(GRAN_BYTES)]
+                .into_iter()
+                .flatten()
+            {
+                assert_eq!(gen(&bc, n), 0, "{addr:#x}: neighbour {n:#x} untouched");
+            }
+            // The bit was consumed: the next fill bumps nothing.
+            bc.note_fill(lo, 3 * GRAN_BYTES);
+            assert_eq!(gen(&bc, addr), 1, "{addr:#x} bumps exactly once");
+        }
+    }
+
+    #[test]
+    fn a_fill_across_a_page_edge_consumes_both_pages_bits() {
+        let mut bc = BlockCache::new();
+        bc.note_written_range(0xFFF0, 0x20); // granules 0xFFE0 and 0x10000
+        assert_eq!(smc_pages(&bc), 2);
+        bc.note_fill(0xFFE0, 2 * GRAN_BYTES);
+        assert_eq!((gen(&bc, 0xFFE0), gen(&bc, 0x1_0000)), (1, 1));
+        bc.note_fill(0xFFE0, 2 * GRAN_BYTES);
+        assert_eq!((gen(&bc, 0xFFE0), gen(&bc, 0x1_0000)), (1, 1));
+    }
+
+    #[test]
+    fn fills_of_never_written_pages_allocate_nothing() {
+        let mut bc = BlockCache::new();
+        bc.note_fill(0, 0x4_0000);
+        bc.note_fill(0xFFFF_0000, 0x1_0000);
+        assert_eq!(smc_pages(&bc), 0);
+        assert!(bc.gens.iter().all(|&g| g == 0));
+    }
+
+    #[test]
+    fn reset_skips_untouched_tables_and_wipes_touched_ones() {
+        let mut bc = BlockCache::new();
+        bc.reset();
+        assert!(!bc.touched);
+        bc.touched = true;
+        bc.blocks[3].pc = 12;
+        bc.hblocks[1].pc = 4;
+        bc.seen[5] = 20;
+        bc.reset();
+        assert!(!bc.touched);
+        assert_eq!(
+            (bc.blocks[3].pc, bc.hblocks[1].pc, bc.seen[5]),
+            (u32::MAX, u32::MAX, u32::MAX)
+        );
     }
 
     #[test]

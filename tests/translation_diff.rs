@@ -23,6 +23,9 @@
 //! * **injected faults** — a corrupted image must be detected, halted
 //!   on, or survived *identically* whether the simulator single-steps
 //!   or runs translated blocks.
+//! * **harness edits between runs** — memory rewritten through
+//!   `mem_mut()` behind the simulator's back must never be served from
+//!   a block built in an earlier run of the same machine.
 
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::{encode, Instruction, Reg};
@@ -207,6 +210,104 @@ flood:
     // The patch must actually have been observed: with every iteration
     // running the original `addiu $t0, $t0, 1` the sum would be 24.
     assert_ne!(sum_on, 24, "stores into text were never fetched");
+}
+
+/// A harness edit between two runs of one machine: the first run builds
+/// blocks for a hot leaf and stops at its instruction budget, the
+/// harness rewrites the leaf through `mem_mut()` (unobserved by the
+/// simulator), and a second run from the entry point must fetch the new
+/// bytes exactly when the interpreter does. Each iteration calls the
+/// leaf twice and floods the 1KB I-cache, so the leaf's line is refilled
+/// from the edited memory and then hit by a second call, which would
+/// execute a block built from the old bytes had the engine kept one:
+///
+/// * **flood first** — the leaf is evicted before the second run calls
+///   it, so only the run-entry wipe stands between the refill and a
+///   block surviving from the first run;
+/// * **leaf first** — the leaf is still resident when the second run
+///   starts, so the second run builds from the old resident bytes (as
+///   the interpreter fetches them), and the later refill must
+///   invalidate that block.
+#[test]
+fn harness_edit_between_runs_identical_with_translation() {
+    const TEXT_BASE: u32 = 0x1000;
+    const DATA_BASE: u32 = 0x1000_0000;
+    const STACK_TOP: u32 = 0x7fff_f000;
+    let flood = "        addu $zero, $zero, $zero\n".repeat(300);
+    let calls = "        jal  leaf\n        jal  leaf\n";
+    let flood_call = "        jal  flood\n";
+    // (order, loop body, first-run budget, leaf resident at its end)
+    for (order, body, budget, resident) in [
+        ("flood first", format!("{flood_call}{calls}"), 900, false),
+        ("leaf first", format!("{calls}{flood_call}"), 1_000, true),
+    ] {
+        let src = format!(
+            "
+        li   $s0, 24
+        li   $t0, 0
+loop:
+{body}
+        addiu $s0, $s0, -1
+        bnez $s0, loop
+        move $a0, $t0
+        li   $v0, 1
+        syscall
+        andi $a0, $t0, 255
+        li   $v0, 10
+        syscall
+leaf:
+        addiu $t0, $t0, 1
+        jr   $ra
+flood:
+{flood}
+        jr   $ra
+"
+        );
+        let out = rtdc_isa::asm::assemble(&src, TEXT_BASE, DATA_BASE).expect("assembles");
+        let text = out.encoded_text();
+        let bump = encode(Instruction::Addiu {
+            rt: Reg::T0,
+            rs: Reg::T0,
+            imm: 1,
+        });
+        let leaf = TEXT_BASE + 4 * text.iter().position(|&w| w == bump).expect("leaf") as u32;
+        let edited = encode(Instruction::Addiu {
+            rt: Reg::T0,
+            rs: Reg::T0,
+            imm: 7,
+        });
+
+        let run = |translate: bool| {
+            let cfg = SimConfig::hpca2000_baseline()
+                .with_icache_size(1024)
+                .with_translation(translate);
+            let mut m = Machine::new(cfg);
+            for (i, w) in text.iter().enumerate() {
+                m.mem_mut().write_u32(TEXT_BASE + 4 * i as u32, *w);
+            }
+            m.set_pc(TEXT_BASE);
+            m.set_reg(Reg::SP, STACK_TOP);
+            // A few iterations (the leaf's block gets built), stopping
+            // in a flood.
+            let first = m.run(budget);
+            assert!(first.is_err(), "{order}: first run stops at its budget");
+            assert_eq!(m.icache().probe(leaf), resident, "{order}: leaf residency");
+            m.mem_mut().write_u32(leaf, edited);
+            m.set_pc(TEXT_BASE);
+            m.set_reg(Reg::SP, STACK_TOP);
+            let outcome = m.run(MAX_INSNS).expect("second run exits");
+            (outcome.exit_code, m.output().to_vec(), *m.stats())
+        };
+
+        let (exit_on, out_on, stats_on) = run(true);
+        let (exit_off, out_off, stats_off) = run(false);
+        assert_eq!(exit_on, exit_off, "{order}: exit code");
+        assert_eq!(out_on, out_off, "{order}: output bytes");
+        assert_eq!(stats_on, stats_off, "{order}: stats diverged");
+        // The edit must actually have been fetched: unedited, the second
+        // run would count exactly 48.
+        assert_ne!(out_on, b"48", "{order}: the edited leaf was never fetched");
+    }
 }
 
 /// Where an injected fault surfaced, in comparable form.
