@@ -68,7 +68,7 @@ use std::process::ExitCode;
 
 use rtdc::prelude::*;
 use rtdc_bench::jobs::parallel_map;
-use rtdc_cli::{format_metrics, format_stats, Args};
+use rtdc_cli::{format_engine, format_metrics, format_stats, Args};
 use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::trace::RegionDef;
 use rtdc_sim::{JsonlTracer, SimConfig, TraceFilter};
@@ -244,10 +244,11 @@ fn run_one(name: &str, args: &Args, cfg: SimConfig, with_layout: bool) -> Result
         write!(out, "{}", format_metrics(&report.stats)).expect("write to string");
     }
     eprintln!(
-        "{name} [{label}]: {:.1} sim-MIPS ({} insns in {:.3}s)",
+        "{name} [{label}]: {:.1} sim-MIPS ({} insns in {:.3}s){}",
         report.sim_mips(),
         report.stats.insns,
-        report.wall.as_secs_f64()
+        report.wall.as_secs_f64(),
+        format_engine(&report.engine)
     );
     Ok(out)
 }

@@ -125,6 +125,28 @@ pub fn format_stats(stats: &rtdc_sim::Stats) -> String {
     s
 }
 
+/// Formats the engine part of `rtdc-run`'s stderr sim-MIPS line: ops
+/// per program-block and per handler-trace dispatch, and the share of
+/// dispatches that single-stepped, by reason. Empty for a single-stepped
+/// run, which has no dispatches to describe.
+pub fn format_engine(e: &rtdc_sim::EngineCounters) -> String {
+    if e.dispatches() == 0 {
+        return String::new();
+    }
+    let pct = |n: u64| 100.0 * e.share(n);
+    format!(
+        "; {:.2} ops/block, {:.2} ops/trace; fallbacks {:.1}% (first sighting {:.1}%, \
+         no block {:.1}%, not resident {:.1}%, budget {:.1}%)",
+        e.ops_per_block(),
+        e.ops_per_trace(),
+        pct(e.fallbacks()),
+        pct(e.fallback_first_sighting),
+        pct(e.fallback_no_block),
+        pct(e.fallback_not_resident),
+        pct(e.fallback_budget),
+    )
+}
+
 /// Formats the derived metrics block printed by `rtdc-run --metrics`:
 /// where the cycles went (per stall cause and in the handler) and the
 /// exception rate, all derived from [`rtdc_sim::Stats`] alone.

@@ -4,7 +4,9 @@ use std::borrow::Borrow;
 
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::C0Reg;
-use rtdc_sim::{Machine, Mode, NoTrace, RegionProfiler, SimConfig, Stats, Step, TraceSink};
+use rtdc_sim::{
+    EngineCounters, Machine, Mode, NoTrace, RegionProfiler, SimConfig, Stats, Step, TraceSink,
+};
 
 use crate::builder::build_native;
 use crate::error::{BuildError, ImageError, RunError};
@@ -25,6 +27,10 @@ pub struct RunReport {
     /// and image construction excluded). Host-side only: never feeds back
     /// into `stats`, which stay exactly comparable across hosts.
     pub wall: std::time::Duration,
+    /// How the simulator's translated loop split the run between
+    /// program blocks, handler traces and single steps. Host-side like
+    /// `wall`, and all zero for a single-stepped run.
+    pub engine: EngineCounters,
 }
 
 impl RunReport {
@@ -138,6 +144,7 @@ fn run_loaded<S: TraceSink>(mut m: Machine<S>, max_insns: u64) -> Result<(RunRep
         stats: *m.stats(),
         output: m.output().to_vec(),
         wall,
+        engine: m.engine(),
     };
     Ok((report, m.into_sink()))
 }
@@ -212,6 +219,7 @@ pub fn run_image_verified(
         stats: *m.stats(),
         output: m.output().to_vec(),
         wall,
+        engine: m.engine(),
     })
 }
 

@@ -35,7 +35,10 @@ use crate::error::SimError;
 use crate::mem::MainMemory;
 use crate::stats::Stats;
 use crate::trace::{MissKind, NoTrace, StallCause, TraceEvent, TraceSink};
-use crate::translate::{build_ops, granule_end, Block, BlockCache, BLOCK_OPS, FILLER};
+use crate::translate::{
+    build_block_ops, build_trace, granule_end, Block, BlockCache, EngineCounters, Fallback, Unit,
+    BLOCK_OPS, FILLER,
+};
 
 /// Processor privilege/context mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +124,9 @@ pub struct Machine<S: TraceSink = NoTrace> {
     /// when the feature is disabled or a trace sink is attached (traced
     /// runs must see every per-instruction event, so they single-step).
     blocks: Option<Box<BlockCache>>,
+    /// How the translated loop split its work (host-side; see
+    /// [`Machine::engine`]).
+    engine: EngineCounters,
     sink: S,
     /// `(handler_insns, handler_cycles)` at the last exception entry, so
     /// `iret` can emit per-exception deltas. Only written when tracing.
@@ -150,7 +156,7 @@ impl<S: TraceSink> Machine<S> {
             bank: 0,
             mem: MainMemory::new(),
             icache: Cache::new(cfg.icache),
-            dcache: Cache::new(cfg.dcache),
+            dcache: Cache::tags_only(cfg.dcache),
             bpred: Bimode::new(cfg.bpred_entries),
             ras: ReturnStack::new(cfg.ras_depth),
             handler_range: None,
@@ -170,6 +176,7 @@ impl<S: TraceSink> Machine<S> {
                 .into_boxed_slice()
             }),
             blocks: (cfg.translate && !S::ENABLED).then(|| Box::new(BlockCache::new())),
+            engine: EngineCounters::default(),
             sink,
             exc_snapshot: (0, 0),
         }
@@ -209,6 +216,14 @@ impl<S: TraceSink> Machine<S> {
     /// Accumulated statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
+    }
+
+    /// Host-side counters of the translated run loop: dispatches, ops
+    /// and fallback steps (all zero when the machine single-steps).
+    /// Never part of [`Machine::stats`], which is identical whichever
+    /// engine ran.
+    pub fn engine(&self) -> EngineCounters {
+        self.engine
     }
 
     /// Bytes written by the program via output syscalls.
@@ -267,7 +282,9 @@ impl<S: TraceSink> Machine<S> {
         decode(self.resolve_word(addr)?).ok()
     }
 
-    /// Read access to the data cache (diagnostics).
+    /// Read access to the data cache (diagnostics). It models tags,
+    /// LRU and dirty bits only: data lives in main memory, so the cache
+    /// keeps no line contents and [`Cache::read_word`] on it is `None`.
     pub fn dcache(&self) -> &Cache {
         &self.dcache
     }
@@ -401,8 +418,10 @@ impl<S: TraceSink> Machine<S> {
         self.stats.imisses_native += 1;
         let line_bytes = self.cfg.icache.line_bytes;
         let base = self.cfg.icache.line_base(pc);
-        let data = self.mem.read_bytes(base, line_bytes as usize);
-        let ev = self.icache.fill(base, &data);
+        let mem = &self.mem;
+        let ev = self
+            .icache
+            .fill_with(base, |line| mem.read_into(base, line));
         if let Some(bc) = self.blocks.as_deref_mut() {
             // The refill makes any store since the last fill observable
             // to fetch; untouched granules keep their blocks (the
@@ -450,17 +469,17 @@ impl<S: TraceSink> Machine<S> {
     }
 
     /// A store landed at `addr`. Handler-RAM bytes are fetched straight
-    /// from main memory, so a store there rewrites code under any
-    /// handler block built from it — invalidate immediately. A store
-    /// anywhere else changes memory but not the resident I-cache line
-    /// the interpreter keeps fetching from, so it only becomes
-    /// observable at the next refill: record the granule in the
-    /// stored-to bitmap and let the fill path invalidate then.
+    /// from main memory, so a store there may rewrite code under any
+    /// handler trace — bump the handler generation, invalidating them
+    /// all at once. A store anywhere else changes memory but not the
+    /// resident I-cache line the interpreter keeps fetching from, so it
+    /// only becomes observable at the next refill: record the granule
+    /// in the stored-to bitmap and let the fill path invalidate then.
     #[inline]
     fn note_store(&mut self, addr: u32) {
         if let Some(bc) = self.blocks.as_deref_mut() {
             if Self::in_range(self.handler_range, addr) {
-                bc.bump(addr);
+                bc.hgen += 1;
             } else {
                 bc.note_written(addr);
             }
@@ -489,8 +508,7 @@ impl<S: TraceSink> Machine<S> {
         self.stats.dmisses += 1;
         let line_bytes = self.cfg.dcache.line_bytes;
         let base = self.cfg.dcache.line_base(addr);
-        let data = self.mem.read_bytes(base, line_bytes as usize);
-        let ev = self.dcache.fill(base, &data);
+        let ev = self.dcache.fill_with(base, |_| {});
         if S::ENABLED {
             self.sink.event(&TraceEvent::DFill {
                 base,
@@ -1004,12 +1022,13 @@ impl<S: TraceSink> Machine<S> {
         }
     }
 
-    /// The translated run loop: execute a whole superblock per dispatch
-    /// where one is valid (or can be built), single-step otherwise.
+    /// The translated run loop: execute a whole program block or
+    /// handler trace per dispatch where one is valid (or can be built),
+    /// single-step otherwise.
     fn run_translated(&mut self, max_insns: u64) -> Result<RunOutcome, SimError> {
         // New run: callers may have edited memory since the last run
         // (fault injection, reloaded images) without the simulator
-        // observing it, so no earlier block can be trusted — and a line
+        // observing it, so no earlier unit can be trusted — and a line
         // still resident may hold bytes its memory no longer has, which
         // its next refill must make observable like a store's.
         let bc = self
@@ -1033,11 +1052,17 @@ impl<S: TraceSink> Machine<S> {
         }
     }
 
-    /// One translated dispatch: probe the block cache at the current PC,
-    /// rebuild on miss or staleness, execute the block — or fall back to
-    /// exactly one interpreter step when no block applies (miss paths,
-    /// undecodable words, unaligned PCs, mode mismatches, or a block
-    /// that would overshoot the instruction budget).
+    /// The block cache (present whenever the translated loop runs).
+    #[inline]
+    fn block_cache(&mut self) -> &mut BlockCache {
+        self.blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks")
+    }
+
+    /// One translated dispatch: a handler trace in exception mode, a
+    /// program block otherwise — or exactly one interpreter step when
+    /// neither applies.
     fn block_step(&mut self, max_insns: u64) -> Result<Step, SimError> {
         if let Some(code) = self.exited {
             return Ok(Step::Exited(code));
@@ -1046,164 +1071,168 @@ impl<S: TraceSink> Machine<S> {
         if !pc.is_multiple_of(4) {
             return Err(SimError::UnalignedFetch { pc });
         }
-        let handler = self.mode == Mode::Exception;
-        let slot = if handler {
-            BlockCache::hslot_index(pc)
+        if self.mode == Mode::Exception {
+            self.trace_step(pc, max_insns)
         } else {
-            BlockCache::slot_index(pc)
-        };
-        let line = BlockCache::gen_index(pc);
-        {
-            let bc = self
-                .blocks
-                .as_deref_mut()
-                .expect("translated loop has blocks");
-            let gen = bc.gens[line];
-            let table = if handler { &bc.hblocks } else { &bc.blocks };
-            let blk = &table[slot];
-            if blk.pc != pc || gen != blk.gen {
-                // Everything below may write `blocks`, `hblocks` or
-                // `seen`; the next run's entry must wipe them.
-                bc.touched = true;
-                // Program blocks build on the *second* sighting: a
-                // first-time PC is noted in the `seen` side table and
-                // single-stepped. Cold code (most of a large text) then
-                // never pays decode-and-install for a block that would
-                // execute once — which made translation a net loss on
-                // I-miss-dominated benchmarks. The note lives beside
-                // the block slot, not in it, so a cold PC aliasing a
-                // hot block's slot cannot destroy the built block.
-                // (Handler PCs skip the filter: handler RAM is small
-                // enough that its table never aliases, and its code —
-                // the decompression loop — is hot by definition.)
-                if !handler && bc.seen[slot] != pc {
-                    bc.seen[slot] = pc;
-                    return self.step();
-                }
-                if !self.build_block(pc, handler, slot) {
-                    return self.step();
-                }
+            self.program_step(pc, max_insns)
+        }
+    }
+
+    /// Single-steps once for `why`, counting the step and the
+    /// instruction it committed (none when it took an exception).
+    fn fallback(&mut self, why: Fallback) -> Result<Step, SimError> {
+        self.engine.count_fallback(why);
+        let before = self.stats.insns;
+        let step = self.step();
+        self.engine.fallback_insns += self.stats.insns - before;
+        step
+    }
+
+    /// Dispatches the program block at `pc`: probe its slot, rebuild on
+    /// miss or staleness, check the budget and the backing line's
+    /// residency, then run it in place.
+    fn program_step(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
+        let slot = BlockCache::slot_index(pc);
+        let bc = self.block_cache();
+        let blk = &bc.blocks[slot];
+        if blk.pc != pc || blk.gen != bc.gens[BlockCache::gen_index(pc)] {
+            // Everything below may write `blocks` or `seen`; the next
+            // run's entry must wipe them.
+            bc.touched = true;
+            // Blocks build on the *second* sighting: a first-time PC is
+            // noted in the `seen` side table and single-stepped. Cold
+            // code (most of a large text) then never pays
+            // decode-and-install for a block that would execute once —
+            // which made translation a net loss on I-miss-dominated
+            // benchmarks. The note lives beside the block slot, not in
+            // it, so a cold PC aliasing a hot block's slot cannot
+            // destroy the built block.
+            if bc.seen[slot] != pc {
+                bc.seen[slot] = pc;
+                return self.fallback(Fallback::FirstSighting);
+            }
+            if !self.build_block(pc, slot) {
+                return self.fallback(Fallback::NoBlock);
             }
         }
-        let bc = self.blocks.as_deref().expect("translated loop has blocks");
-        let blk = if handler {
-            &bc.hblocks[slot]
-        } else {
-            &bc.blocks[slot]
-        };
-        let len = blk.len as usize;
+        let len = self.block_cache().blocks[slot].len;
         if self.stats.insns + len as u64 > max_insns {
             // Executing the whole block could overshoot the budget;
             // single-step so `InsnLimitExceeded` fires at the exact
             // instruction the interpreter would stop at.
-            return self.step();
+            return self.fallback(Fallback::Budget);
         }
-        let blk = *blk;
-        self.exec_block(pc, handler, &blk, line)
+        // One LRU touch stands in for the block's N same-line touches:
+        // no other I-line is referenced in between, so relative recency
+        // — all LRU ever compares — is identical. A byte-valid block's
+        // line may still have been evicted: the touch misses
+        // (disturbing nothing), and one interpreter step performs the
+        // fill — or raises the decompression exception — exactly as
+        // always.
+        if !self.icache.touch(pc) {
+            return self.fallback(Fallback::NotResident);
+        }
+        // Run the block where it lies: the table is moved out for the
+        // call (a pointer swap) and back after. `execute` never reads
+        // or writes the block tables, so nothing can observe the gap.
+        let table = std::mem::take(&mut self.block_cache().blocks);
+        let step = self.exec_ops(&table[slot]);
+        self.block_cache().blocks = table;
+        step
     }
 
-    /// Builds and installs a block starting at `pc` into `slot`.
-    /// Returns `false` when no block can be built (first word missing,
-    /// undecodable, or outside the flavor's fetchable region) — the
-    /// caller single-steps instead.
-    fn build_block(&mut self, pc: u32, handler: bool, slot: usize) -> bool {
-        let mut insns = [FILLER; BLOCK_OPS];
-        let built = if handler {
-            // Handler blocks: words straight from handler RAM, clamped
-            // to the RAM's end (the interpreter errors past it — let
-            // single-stepping raise that).
-            let Some((hs, he)) = self.handler_range else {
-                return false;
-            };
-            if pc < hs || pc >= he {
-                return false;
-            }
-            let end = granule_end(pc).min(he);
-            let mem = &self.mem;
-            build_ops(pc, end, |a| Some(mem.read_u32(a)), &mut insns)
-        } else {
-            // Program blocks: only resident I-cache words (residency is
-            // what a matching generation re-proves at dispatch), never
-            // crossing into handler RAM (those fetches take the
-            // RAM path) or out of the backing line.
-            let line_end = self
-                .cfg
-                .icache
-                .line_base(pc)
-                .saturating_add(self.cfg.icache.line_bytes);
-            let end = granule_end(pc).min(line_end);
-            let handler_range = self.handler_range;
-            let icache = &self.icache;
-            build_ops(
-                pc,
-                end,
-                |a| {
-                    if Self::in_range(handler_range, a) {
-                        return None;
-                    }
-                    icache.read_word(a)
-                },
-                &mut insns,
-            )
+    /// Dispatches the handler trace entered at `pc`: look it up,
+    /// rebuild it when missing or stale, check the budget, then run it
+    /// in place.
+    fn trace_step(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
+        let Some(i) = self
+            .block_cache()
+            .trace_at(pc)
+            .or_else(|| self.build_trace(pc))
+        else {
+            return self.fallback(Fallback::NoBlock);
         };
+        let len = self.block_cache().traces[i].len;
+        if self.stats.insns + len as u64 > max_insns {
+            return self.fallback(Fallback::Budget);
+        }
+        let traces = std::mem::take(&mut self.block_cache().traces);
+        let step = self.exec_ops(&traces[i]);
+        self.block_cache().traces = traces;
+        step
+    }
+
+    /// Builds and installs a program block starting at `pc` into
+    /// `slot` from resident I-cache words. Returns `false` when no
+    /// block can be built (first word not resident, undecodable, or in
+    /// handler RAM) — the caller single-steps instead.
+    fn build_block(&mut self, pc: u32, slot: usize) -> bool {
+        // Only resident I-cache words (residency is what a matching
+        // generation re-proves at dispatch), never crossing into
+        // handler RAM (those fetches take the RAM path) or out of the
+        // backing line.
+        let line_end = self
+            .cfg
+            .icache
+            .line_base(pc)
+            .saturating_add(self.cfg.icache.line_bytes);
+        let end = granule_end(pc).min(line_end);
+        let handler_range = self.handler_range;
+        let icache = &self.icache;
+        let mut insns = [FILLER; BLOCK_OPS];
+        let built = build_block_ops(
+            pc,
+            end,
+            |a| {
+                if Self::in_range(handler_range, a) {
+                    return None;
+                }
+                icache.read_word(a)
+            },
+            &mut insns,
+        );
         if built.len == 0 {
             return false;
         }
-        let bc = self
-            .blocks
-            .as_deref_mut()
-            .expect("translated loop has blocks");
-        let gen = bc.gens[BlockCache::gen_index(pc)];
-        let table = if handler {
-            &mut bc.hblocks
-        } else {
-            &mut bc.blocks
-        };
-        table[slot] = Block {
+        self.engine.block_builds += 1;
+        let bc = self.block_cache();
+        bc.blocks[slot] = Block {
             pc,
-            gen,
+            gen: bc.gens[BlockCache::gen_index(pc)],
             len: built.len as u8,
             hilo: built.hilo,
             ends_load: built.ends_load,
-            interlocks: built.interlocks,
-            stores: built.stores,
+            interlocks: built.interlocks as u8,
             insns,
         };
         true
     }
 
-    /// Executes one valid block. Per-op work mirrors `step`
-    /// exactly — same statistics in the same order, the same interlock
-    /// rule, the same `execute` — minus the per-op fetch resolution,
-    /// set scan, and decode the block already paid for at build time.
-    fn exec_block(
-        &mut self,
-        pc: u32,
-        handler: bool,
-        blk: &Block,
-        line: usize,
-    ) -> Result<Step, SimError> {
-        if !handler {
-            // One LRU touch stands in for the block's N same-line
-            // touches: no other I-line is referenced in between, so
-            // relative recency — all LRU ever compares — is identical.
-            // A byte-valid block's line may still have been evicted:
-            // the touch misses (disturbing nothing), and one
-            // interpreter step performs the fill — or raises the
-            // decompression exception — exactly as always.
-            if !self.icache.touch(pc) {
-                return self.step();
-            }
+    /// Builds the handler trace entered at `pc` from handler RAM and
+    /// returns its position, or `None` when no trace can be built (`pc`
+    /// outside handler RAM, or its word undecodable) — the caller
+    /// single-steps, which raises the interpreter's error.
+    fn build_trace(&mut self, pc: u32) -> Option<usize> {
+        let range = self.handler_range?;
+        let mem = &self.mem;
+        let bc = self
+            .blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks");
+        // Everything below writes `traces`; the next run's entry must
+        // wipe them.
+        bc.touched = true;
+        let gen = bc.hgen;
+        if build_trace(pc, range, |a| mem.read_u32(a), gen, bc.trace_entry(pc)) == 0 {
+            return None;
         }
-        if blk.hilo {
-            self.exec_ops::<false>(pc, handler, blk, line)
-        } else {
-            self.exec_ops::<true>(pc, handler, blk, line)
-        }
+        self.engine.trace_builds += 1;
+        self.block_cache().trace_at(pc)
     }
 
     /// Charges the base per-instruction counters for `n` instructions
-    /// in one go (the `BATCHED` fast path of [`Machine::exec_ops`]).
+    /// of handler or program code in one go (the `BATCHED` fast path of
+    /// [`Machine::exec_ops`]).
     #[inline]
     fn charge_insns(&mut self, handler: bool, n: u64) {
         self.stats.insns += n;
@@ -1218,8 +1247,8 @@ impl<S: TraceSink> Machine<S> {
     }
 
     /// Reverses [`Machine::charge_insns`] for `n` instructions that a
-    /// batched block charged up front but never executed (an error or a
-    /// mid-block handler invalidation cut the block short).
+    /// batched unit charged up front but never executed (an error or a
+    /// side exit cut the unit short).
     fn uncharge_insns(&mut self, handler: bool, n: u64) {
         self.stats.insns -= n;
         self.stats.cycles -= n;
@@ -1232,96 +1261,127 @@ impl<S: TraceSink> Machine<S> {
         }
     }
 
-    /// The block op loop. `BATCHED` (every block without hi/lo-latency
-    /// ops) charges the base per-instruction counters for the whole
-    /// block up front — exact because every other stats update only
-    /// adds, and the rare early exit uncharges the unexecuted tail.
-    /// Non-batched blocks charge op by op so `mult`/`mfhi` observe the
-    /// same intermediate `Stats::cycles` the interpreter produces.
-    fn exec_ops<const BATCHED: bool>(
-        &mut self,
-        pc: u32,
-        handler: bool,
-        blk: &Block,
-        line: usize,
-    ) -> Result<Step, SimError> {
-        let len = blk.len as usize;
-        if BATCHED {
-            self.charge_insns(handler, len as u64);
+    /// Executes one valid program block or handler trace. Units without
+    /// hi/lo-latency ops charge the base per-instruction counters for
+    /// the whole unit up front — exact because every other stats update
+    /// only adds, and an early exit uncharges the unexecuted tail. The
+    /// others charge op by op so `mult`/`mfhi` observe the same
+    /// intermediate `Stats::cycles` the interpreter produces.
+    fn exec_ops<U: Unit>(&mut self, unit: &U) -> Result<Step, SimError> {
+        if unit.hilo() {
+            self.exec_unit::<U, false>(unit)
+        } else {
+            self.exec_unit::<U, true>(unit)
         }
-        // Entry op: the previous block's trailing load is in
+    }
+
+    /// The op loop. Per-op work mirrors `step` exactly — same
+    /// statistics in the same order, the same interlock rule, the same
+    /// `execute` — minus the per-op fetch resolution, set scan, and
+    /// decode the unit already paid for at build time.
+    fn exec_unit<U: Unit, const BATCHED: bool>(&mut self, unit: &U) -> Result<Step, SimError> {
+        let len = unit.len();
+        if BATCHED {
+            self.charge_insns(U::HANDLER, len as u64);
+        }
+        // Entry op: the previous unit's trailing load is in
         // `last_load_dest`, same as the interpreter. `take` clears it;
-        // mid-block ops then rely on the build-time interlock mask
-        // instead of re-deriving it per op, and only the exit paths
-        // restore the "cleared unless the op was a load" invariant the
-        // interpreter maintains (execute's load arms set it; everything
-        // else leaves it alone here).
+        // later ops then rely on the build-time interlock mask instead
+        // of re-deriving it per op, and only the exit paths restore the
+        // "cleared unless the op was a load" invariant the interpreter
+        // maintains (execute's load arms set it; everything else leaves
+        // it alone here).
         if let Some(dest) = self.last_load_dest.take() {
-            let (a, b) = blk.insns[0].src_regs();
+            let (a, b) = unit.insn(0).src_regs();
             if a == Some(dest) || b == Some(dest) {
                 self.stall(StallCause::LoadUse, 1);
             }
         }
         for i in 0..len {
-            let insn = blk.insns[i];
             if !BATCHED {
-                self.charge_insns(handler, 1);
+                self.charge_insns(U::HANDLER, 1);
             }
-            if i != 0 && blk.interlocks & (1 << i) != 0 {
+            if i != 0 && unit.interlocked(i) {
                 self.stall(StallCause::LoadUse, 1);
             }
-            match self.execute(pc + 4 * i as u32, insn) {
-                // Ops before the last are straight-line by construction
-                // (the block ends at the first terminator), so their
-                // next PC is statically `pc + 4(i+1)`: skip the per-op
-                // `pc` store and commit only the final op's target.
-                Ok(next) => {
-                    if i == len - 1 {
-                        self.pc = next;
-                    }
-                }
+            let next = match self.execute(unit.op_pc(i), unit.insn(i)) {
+                Ok(next) => next,
                 Err(e) => {
                     // The interpreter leaves `pc` at the faulting
                     // instruction (it commits the next PC only on
                     // success) and has cleared `last_load_dest` at that
                     // step's entry — restore both exactly.
-                    self.pc = pc + 4 * i as u32;
+                    self.pc = unit.op_pc(i);
                     self.last_load_dest = None;
-                    if BATCHED {
-                        self.uncharge_insns(handler, (len - 1 - i) as u64);
-                    }
-                    return Err(e);
+                    return Err(self.leave_unit::<U, BATCHED, _>(i + 1, len, e));
                 }
+            };
+            if i == len - 1 {
+                // Commit only the final op's target: every earlier op's
+                // next PC is the unit's next op (program blocks are
+                // straight-line by construction; traces check it below).
+                self.pc = next;
+                break;
             }
-            if handler && blk.stores & (1 << i) != 0 {
-                // A handler store may have rewritten (or alias-bumped)
-                // our own backing granule — handler fetches read main
-                // memory, so the change is observable immediately: stop
-                // before running stale ops. (Program blocks need no
-                // check: a program store never changes the resident
-                // I-cache bytes the remaining ops came from.)
-                let bc = self.blocks.as_deref().expect("translated loop has blocks");
-                if bc.gens[line] != blk.gen && i != len - 1 {
-                    self.pc = pc + 4 * (i + 1) as u32;
+            if U::HANDLER {
+                // A trace continues only along its own path, and only
+                // while handler RAM is as it was built from: a store
+                // there may have rewritten the ops ahead (handler
+                // fetches read main memory, so the interpreter would
+                // fetch the new bytes). Otherwise leave here: the
+                // interpreter commits `next` — a branch, never a load,
+                // so `last_load_dest` is clear, and a store clears it
+                // too.
+                let stale = unit.stores(i) && self.block_cache().hgen != unit.gen();
+                if next != unit.op_pc(i + 1) || stale {
+                    self.pc = next;
                     self.last_load_dest = None;
-                    if BATCHED {
-                        self.uncharge_insns(handler, (len - 1 - i) as u64);
-                    }
-                    return Ok(Step::Continue);
+                    self.engine.side_exits += 1;
+                    return Ok(self.leave_unit::<U, BATCHED, _>(i + 1, len, Step::Continue));
                 }
             }
         }
-        // Block boundary: restore the interpreter's "clear unless the
+        self.count_unit::<U>(len);
+        // Unit boundary: restore the interpreter's "clear unless the
         // previous step was a load" invariant in one shot (execute's
         // load arms are the only setters on this path, so a non-load
         // final op may have left an earlier load's stale destination).
-        if !blk.ends_load {
+        if !unit.ends_load() {
             self.last_load_dest = None;
         }
         Ok(match self.exited {
             Some(code) => Step::Exited(code),
             None => Step::Continue,
         })
+    }
+
+    /// Leaves a unit after `done` of its `len` ops: counts the dispatch,
+    /// uncharges the ops a batched unit charged but never ran, and
+    /// passes `out` through.
+    #[inline]
+    fn leave_unit<U: Unit, const BATCHED: bool, T>(
+        &mut self,
+        done: usize,
+        len: usize,
+        out: T,
+    ) -> T {
+        self.count_unit::<U>(done);
+        if BATCHED {
+            self.uncharge_insns(U::HANDLER, (len - done) as u64);
+        }
+        out
+    }
+
+    /// Counts one dispatch of a unit that ran `ops` ops.
+    #[inline]
+    fn count_unit<U: Unit>(&mut self, ops: usize) {
+        if U::HANDLER {
+            self.engine.trace_dispatches += 1;
+            self.engine.trace_ops += ops as u64;
+        } else {
+            self.engine.block_dispatches += 1;
+            self.engine.block_ops += ops as u64;
+        }
     }
 }
 

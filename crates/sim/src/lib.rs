@@ -61,6 +61,7 @@ pub use mem::MainMemory;
 pub use profile::RegionProfiler;
 pub use stats::{StallBreakdown, Stats};
 pub use trace::{JsonlTracer, NoTrace, TraceEvent, TraceFilter, TraceSink, VecSink};
+pub use translate::EngineCounters;
 
 /// Conventional memory map shared by the image builder and the workload
 /// generators. Addresses are virtual; see DESIGN.md for how they relate to

@@ -136,17 +136,26 @@ impl MainMemory {
     /// unmapped pages read as zero).
     pub fn read_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Fills `out` with the bytes starting at `addr`, without allocating
+    /// (cache fills go through here every miss; unmapped pages read as
+    /// zero).
+    pub(crate) fn read_into(&self, addr: u32, out: &mut [u8]) {
         let mut done = 0usize;
-        while done < len {
+        while done < out.len() {
             let a = addr.wrapping_add(done as u32);
             let off = (a as usize) & (PAGE_BYTES - 1);
-            let chunk = (PAGE_BYTES - off).min(len - done);
-            if let Some(p) = self.page(a) {
-                out[done..done + chunk].copy_from_slice(&p[off..off + chunk]);
+            let chunk = (PAGE_BYTES - off).min(out.len() - done);
+            let dst = &mut out[done..done + chunk];
+            match self.page(a) {
+                Some(p) => dst.copy_from_slice(&p[off..off + chunk]),
+                None => dst.fill(0),
             }
             done += chunk;
         }
-        out
     }
 
     /// Number of 64KB pages materialized (for footprint diagnostics).
@@ -193,5 +202,14 @@ mod tests {
         let data: Vec<u8> = (0..100).collect();
         m.write_bytes(0x8000, &data);
         assert_eq!(m.read_bytes(0x8000, 100), data);
+    }
+
+    #[test]
+    fn read_into_overwrites_and_zeroes_unmapped_pages() {
+        let mut m = MainMemory::new();
+        m.write_u32(0xFFFC, 0x0403_0201); // last word of a mapped page
+        let mut buf = [0xAA; 8];
+        m.read_into(0xFFFC, &mut buf); // runs into the unmapped next page
+        assert_eq!(buf, [1, 2, 3, 4, 0, 0, 0, 0]);
     }
 }

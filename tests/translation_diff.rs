@@ -26,25 +26,37 @@
 //! * **harness edits between runs** — memory rewritten through
 //!   `mem_mut()` behind the simulator's back must never be served from
 //!   a block built in an earlier run of the same machine.
+//! * **handler traces** — a trace follows the handler's static path and
+//!   must leave it at exactly the op the interpreter would: a branch
+//!   going the other way (both directions, forward and backward), a
+//!   store rewriting handler RAM ahead of the running trace, a jump out
+//!   of handler RAM, and an instruction budget running out mid-trace.
 
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::{encode, Instruction, Reg};
 use rtdc_repro::core::fault::FaultPlan;
 use rtdc_repro::core::prelude::*;
-use rtdc_repro::sim::{Machine, Stats};
+use rtdc_repro::sim::{map, EngineCounters, Machine, SimError, Stats};
 use rtdc_repro::workloads::{generate, programs, spec::tiny};
 
 const MAX_INSNS: u64 = 50_000_000;
 
-/// All scheme variants a program can run under: native plus the four
-/// paper configurations (D, D+RF, CP, CP+RF).
-const VARIANTS: [(Option<Scheme>, bool); 5] = [
-    (None, false),
-    (Some(Scheme::Dictionary), false),
-    (Some(Scheme::Dictionary), true),
-    (Some(Scheme::CodePack), false),
-    (Some(Scheme::CodePack), true),
-];
+/// All scheme variants a program can run under: native, then every
+/// registered codec with and without the second register file.
+fn variants() -> Vec<(Option<Scheme>, bool)> {
+    let compressed = Scheme::all().flat_map(|s| [(Some(s), false), (Some(s), true)]);
+    std::iter::once((None, false)).chain(compressed).collect()
+}
+
+/// The translated engine's accounting: every committed instruction ran
+/// in exactly one program block, handler trace or fallback step.
+fn assert_engine_accounts_for(e: &EngineCounters, stats: &Stats, label: &str) {
+    assert_eq!(
+        e.block_ops + e.trace_ops + e.fallback_insns,
+        stats.insns,
+        "{label}: engine counters {e:?}"
+    );
+}
 
 /// Runs `program` under one scheme variant with translation on and off
 /// and asserts architecturally identical results *and* identical
@@ -68,6 +80,18 @@ fn assert_translation_transparent(
     assert_eq!(on.exit_code, off.exit_code, "{label}: exit code");
     assert_eq!(on.output, off.output, "{label}: output bytes");
     assert_eq!(on.stats, off.stats, "{label}: stats diverged");
+    assert_engine_accounts_for(&on.engine, &on.stats, &label);
+    assert_eq!(
+        off.engine,
+        EngineCounters::default(),
+        "{label}: interpreter"
+    );
+    if scheme.is_some() {
+        assert!(
+            on.engine.trace_ops > 0,
+            "{label}: the handler ran as traces"
+        );
+    }
     on.stats
 }
 
@@ -76,7 +100,7 @@ fn assert_translation_transparent(
 fn known_answer_programs_identical_with_translation() {
     let cfg = SimConfig::hpca2000_baseline();
     for program in programs::all_programs() {
-        for (scheme, rf) in VARIANTS {
+        for (scheme, rf) in variants() {
             let stats = assert_translation_transparent(&program, scheme, rf, cfg);
             if scheme.is_some() {
                 assert!(
@@ -99,7 +123,7 @@ fn known_answer_programs_identical_with_translation() {
 fn known_answer_programs_identical_under_swic_thrash() {
     let cfg = SimConfig::hpca2000_baseline().with_icache_size(1024);
     for program in programs::all_programs() {
-        for (scheme, rf) in VARIANTS {
+        for (scheme, rf) in variants() {
             let stats = assert_translation_transparent(&program, scheme, rf, cfg);
             if scheme.is_some() {
                 assert!(
@@ -122,7 +146,7 @@ fn randomized_workload_identical_with_translation() {
         SimConfig::hpca2000_baseline(),
         SimConfig::hpca2000_baseline().with_icache_size(2048),
     ] {
-        for (scheme, rf) in VARIANTS {
+        for (scheme, rf) in variants() {
             assert_translation_transparent(&program, scheme, rf, cfg);
         }
     }
@@ -377,5 +401,205 @@ fn injected_faults_classified_identically_with_translation() {
                 1000 + i
             );
         }
+    }
+}
+
+/// Base of the compressed region the hand-written handlers serve.
+const HANDLER_CASE_REGION: u32 = 0x8000;
+
+/// Lines in that region: the program calls each once, so each call
+/// misses and runs the handler.
+const HANDLER_CASE_LINES: u32 = 16;
+
+/// Where the handlers find the template line they copy into each
+/// missed line: `addiu $s2,$s2,1; jr $ra`, then six `nop`s.
+const HANDLER_CASE_TEMPLATE: u32 = 0x1000_0000;
+
+/// The program: call every line of the compressed region once, then
+/// exit with `$s1` (which the handlers accumulate into).
+const HANDLER_CASE_PROGRAM: &str = "
+        li   $s3, 0x8000
+        li   $s4, 16
+loop:
+        jalr $s3
+        addiu $s3, $s3, 32
+        addiu $s4, $s4, -1
+        bnez $s4, loop
+        move $a0, $s1
+        li   $v0, 10
+        syscall
+";
+
+/// Handler tail: copy the template into the missed line with `swic`
+/// (a backward loop of 8 trips) and return.
+const HANDLER_CASE_FILL: &str = "
+        mfc0 $27, c0[BADVA]
+        srl  $27, $27, 5
+        sll  $27, $27, 5
+        li   $26, 0x10000000
+        addiu $12, $27, 32
+copy:
+        lw   $9, 0($26)
+        swic $9, 0($27)
+        addiu $26, $26, 4
+        addiu $27, $27, 4
+        bne  $27, $12, copy
+        iret
+";
+
+/// What one run of a hand-written handler case ended with.
+#[derive(Debug, PartialEq)]
+struct CaseEnd {
+    result: Result<u32, SimError>,
+    pc: u32,
+    regs: Vec<u32>,
+    stats: Stats,
+}
+
+/// Runs [`HANDLER_CASE_PROGRAM`] with `handler` (words for handler RAM)
+/// under an instruction budget, single-stepped or translated.
+fn run_handler_case(handler: &[u32], budget: u64, translate: bool) -> (CaseEnd, EngineCounters) {
+    const TEXT: u32 = 0x1000;
+    let cfg = SimConfig::hpca2000_baseline().with_translation(translate);
+    let mut m = Machine::new(cfg);
+    let program = rtdc_isa::asm::assemble(HANDLER_CASE_PROGRAM, TEXT, HANDLER_CASE_TEMPLATE)
+        .expect("program assembles");
+    for (i, w) in program.encoded_text().iter().enumerate() {
+        m.mem_mut().write_u32(TEXT + 4 * i as u32, *w);
+    }
+    let template = [
+        encode(Instruction::Addiu {
+            rt: Reg::S2,
+            rs: Reg::S2,
+            imm: 1,
+        }),
+        encode(Instruction::Jr { rs: Reg::RA }),
+    ];
+    for (i, w) in template.iter().enumerate() {
+        m.mem_mut()
+            .write_u32(HANDLER_CASE_TEMPLATE + 4 * i as u32, *w);
+    }
+    for (i, w) in handler.iter().enumerate() {
+        m.mem_mut().write_u32(map::HANDLER_BASE + 4 * i as u32, *w);
+    }
+    m.set_handler_range(map::HANDLER_BASE, map::HANDLER_BASE + map::HANDLER_BYTES);
+    m.set_compressed_range(
+        HANDLER_CASE_REGION,
+        HANDLER_CASE_REGION + 32 * HANDLER_CASE_LINES,
+    );
+    m.set_reg(Reg::SP, map::STACK_TOP);
+    m.set_pc(TEXT);
+    let result = m.run(budget).map(|o| o.exit_code);
+    let regs = (0..32).map(|r| m.reg(Reg::new(r))).collect();
+    let end = CaseEnd {
+        result,
+        pc: m.pc(),
+        regs,
+        stats: *m.stats(),
+    };
+    (end, m.engine())
+}
+
+/// Assembles handler source at the handler RAM base.
+fn handler_words(src: &str) -> Vec<u32> {
+    rtdc_isa::asm::assemble(src, map::HANDLER_BASE, HANDLER_CASE_TEMPLATE)
+        .expect("handler assembles")
+        .encoded_text()
+}
+
+/// Runs a handler case on both engines, asserts they end identically,
+/// and returns the (shared) end plus the translated engine's counters.
+fn assert_handler_case_identical(
+    handler: &[u32],
+    budget: u64,
+    label: &str,
+) -> (CaseEnd, EngineCounters) {
+    let (on, engine) = run_handler_case(handler, budget, true);
+    let (off, _) = run_handler_case(handler, budget, false);
+    assert_eq!(on, off, "{label} (budget {budget}): engines disagree");
+    assert_engine_accounts_for(&engine, &on.stats, label);
+    (on, engine)
+}
+
+/// A handler whose forward branch and backward loop change direction
+/// from one exception to the next: traces follow one direction of each
+/// and must side-exit on the other, at exactly the interpreter's PC.
+const BRANCHY_HANDLER: &str = "
+        andi $8, $s1, 1
+        beq  $8, $0, even     # forward: falls through on odd $s1 only
+        addiu $s5, $s5, 3
+even:
+        addiu $s1, $s1, 1
+        andi $9, $s1, 3
+        addiu $9, $9, 1       # 1..4 trips
+spin:
+        addiu $s6, $s6, 1
+        addiu $9, $9, -1
+        bgtz $9, spin         # backward: taken until the last trip
+";
+
+#[test]
+fn handler_trace_side_exits_match_the_interpreter() {
+    let handler = handler_words(&format!("{BRANCHY_HANDLER}{HANDLER_CASE_FILL}"));
+    let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "branchy");
+    assert_eq!(end.result, Ok(HANDLER_CASE_LINES), "one exception per line");
+    assert_eq!(end.regs[Reg::S2.number() as usize], HANDLER_CASE_LINES);
+    assert!(engine.side_exits > 0, "{engine:?}");
+    // Every trace ends at `iret` or leaves early, never stalls at a
+    // fallback: each dispatch in the handler is a trace.
+    assert_eq!(engine.fallback_no_block, 0, "{engine:?}");
+}
+
+#[test]
+fn handler_store_ahead_of_its_trace_is_fetched() {
+    // Each exception bumps the immediate of the `addiu` right after the
+    // store before running it: a trace built from the old word must
+    // leave right after the store.
+    let handler = handler_words(&format!(
+        "
+        la   $8, patch
+        lw   $9, 0($8)
+        addiu $9, $9, 1
+        sw   $9, 0($8)
+patch:
+        addiu $s1, $s1, 1
+{HANDLER_CASE_FILL}"
+    ));
+    let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "self-patching");
+    // Exception k adds k + 1 (stale words would add k).
+    let lines = HANDLER_CASE_LINES;
+    assert_eq!(
+        end.result,
+        Ok(lines * (lines + 1) / 2 + lines),
+        "patched words ran"
+    );
+    assert!(engine.side_exits >= 16, "{engine:?}");
+    assert!(
+        engine.trace_builds >= 16,
+        "every store invalidates: {engine:?}"
+    );
+}
+
+#[test]
+fn handler_jump_out_of_its_ram_escapes_identically() {
+    let handler = handler_words("addiu $s1, $s1, 1\naddiu $s1, $s1, 2\nj 0x2000\n");
+    let (end, _) = assert_handler_case_identical(&handler, MAX_INSNS, "escaping");
+    assert_eq!(end.result, Err(SimError::HandlerEscaped { pc: 0x2000 }));
+    assert_eq!(end.regs[Reg::S1.number() as usize], 3);
+}
+
+#[test]
+fn budget_running_out_inside_a_trace_stops_identically() {
+    let handler = handler_words(&format!("{BRANCHY_HANDLER}{HANDLER_CASE_FILL}"));
+    let (full, _) = run_handler_case(&handler, MAX_INSNS, false);
+    let total = full.stats.insns;
+    for budget in 1..total {
+        let (end, _) = assert_handler_case_identical(&handler, budget, "budget");
+        assert_eq!(
+            end.result,
+            Err(SimError::InsnLimitExceeded { limit: budget }),
+            "budget {budget} of {total}"
+        );
+        assert_eq!(end.stats.insns, budget);
     }
 }
