@@ -7,8 +7,10 @@
 //! Polls the daemon's `metrics` op and renders, per interval: requests
 //! per second and p50/p90/p99 service time per op (computed from the
 //! daemon-side histogram *deltas*, so each frame shows that interval,
-//! not the lifetime), the cache hit rate and occupancy, and pool
-//! saturation. Everything on screen comes from the one `metrics`
+//! not the lifetime), the cache hit rate and occupancy, pool
+//! saturation, and how the simulator ran the interval's runs: mean
+//! instructions per dispatch, the share of handler-trace dispatches
+//! that side-exited, and the share of dispatches that single-stepped. Everything on screen comes from the one `metrics`
 //! response — the dashboard holds no privileged view of the daemon.
 //!
 //! `--once` prints a single frame from the lifetime totals and exits
@@ -26,6 +28,7 @@ use std::time::{Duration, Instant};
 use rtdc_obs::HistogramSnapshot;
 use rtdc_serve::client::{parse_histogram, Client};
 use rtdc_serve::json::Json;
+use rtdc_sim::EngineCounters;
 
 const USAGE: &str = "usage: rtdc-top <socket-path> [--interval-ms N] [--iters N] [--once]";
 
@@ -50,6 +53,8 @@ struct Sample {
     threads: u64,
     in_flight: u64,
     queue_depth: u64,
+    /// The `serve.sim.engine.<field>` totals.
+    engine: EngineCounters,
 }
 
 fn counter(m: &Json, name: &str) -> u64 {
@@ -102,6 +107,9 @@ fn sample(client: &mut Client) -> Result<Sample, String> {
         threads: gauge(m, "serve.pool.threads"),
         in_flight: gauge(m, "serve.pool.in_flight"),
         queue_depth: gauge(m, "serve.pool.queue_depth"),
+        engine: EngineCounters::from_array(
+            EngineCounters::FIELDS.map(|f| counter(m, &format!("serve.sim.engine.{f}"))),
+        ),
     })
 }
 
@@ -178,7 +186,40 @@ fn render(path: &Path, cur: &Sample, prev: Option<&Sample>) -> String {
         "pool   threads {}  in-flight {}  queue depth {}  saturation {saturation}  errors {}\n",
         cur.threads, cur.in_flight, cur.queue_depth, cur.errors,
     ));
+    out.push_str(&render_engine(&match prev {
+        Some(p) => engine_since(&cur.engine, &p.engine),
+        None => cur.engine,
+    }));
     out
+}
+
+/// The engine counters accumulated between `earlier` and `cur`.
+fn engine_since(cur: &EngineCounters, earlier: &EngineCounters) -> EngineCounters {
+    let (mut d, e) = (cur.to_array(), earlier.to_array());
+    for (d, e) in d.iter_mut().zip(e) {
+        *d = d.saturating_sub(e);
+    }
+    EngineCounters::from_array(d)
+}
+
+/// The simulator line: ops per dispatch, the side-exit share of trace
+/// dispatches, and the fallback share of all dispatches.
+fn render_engine(e: &EngineCounters) -> String {
+    if e.dispatches() == 0 {
+        return "sim    no translated runs\n".to_string();
+    }
+    let side_exits = if e.trace_dispatches > 0 {
+        100.0 * e.side_exits as f64 / e.trace_dispatches as f64
+    } else {
+        0.0
+    };
+    format!(
+        "sim    {:.2} ops/dispatch ({:.2} per block, {:.2} per trace)  side exits {side_exits:.1}% of traces  fallbacks {:.1}% of dispatches\n",
+        e.ops_per_dispatch(),
+        e.ops_per_block(),
+        e.ops_per_trace(),
+        100.0 * e.share(e.fallbacks()),
+    )
 }
 
 fn run() -> Result<(), String> {

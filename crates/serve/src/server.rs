@@ -32,7 +32,7 @@ use rtdc_isa::program::ObjectProgram;
 use rtdc_obs::log::{self, Level};
 use rtdc_obs::{Counter, Histogram, MetricsRegistry};
 use rtdc_sim::trace::{TraceEvent, EVENT_KINDS};
-use rtdc_sim::{NoTrace, TraceSink};
+use rtdc_sim::{EngineCounters, NoTrace, TraceSink};
 use rtdc_workloads::{by_name, generate_cached, programs, spec, BenchmarkSpec};
 
 use crate::cache::{CacheKey, ImageCache};
@@ -144,6 +144,11 @@ pub struct ServeMetrics {
     pub deadline_exceeded: Arc<Counter>,
     /// `serve.op.<op>.us` service-time histograms, one per [`OPS`] entry.
     op_us: Vec<(&'static str, Arc<Histogram>)>,
+    /// `serve.sim.engine.<field>` counters, one per
+    /// [`EngineCounters::FIELDS`] entry: how the simulator's translated
+    /// loop split every run (block and trace ops, side exits, fallback
+    /// steps by reason).
+    sim_engine: [Arc<Counter>; EngineCounters::FIELDS.len()],
 }
 
 impl ServeMetrics {
@@ -160,6 +165,8 @@ impl ServeMetrics {
             shed: registry.counter("serve.shed"),
             deadline_exceeded: registry.counter("serve.deadline_exceeded"),
             op_us,
+            sim_engine: EngineCounters::FIELDS
+                .map(|field| registry.counter(&format!("serve.sim.engine.{field}"))),
             registry,
         }
     }
@@ -180,15 +187,20 @@ impl ServeMetrics {
     }
 
     /// Records one simulator run for the image label: the
-    /// `serve.sim.{runs,cycles}.<label>` counters and the
-    /// `serve.sim.wall_us.<label>` histogram.
-    fn record_sim(&self, label: &str, cycles: u64, wall: Duration) {
+    /// `serve.sim.{runs,cycles}.<label>` counters, the
+    /// `serve.sim.wall_us.<label>` histogram, and the run's engine
+    /// counters into the pre-registered `serve.sim.engine.<field>`
+    /// totals.
+    fn record_sim(&self, label: &str, report: &RunReport, wall: Duration) {
+        for (counter, n) in self.sim_engine.iter().zip(report.engine.to_array()) {
+            counter.add(n);
+        }
         self.registry
             .counter(&format!("serve.sim.runs.{label}"))
             .inc();
         self.registry
             .counter(&format!("serve.sim.cycles.{label}"))
-            .add(cycles);
+            .add(report.stats.cycles);
         self.registry
             .histogram(&format!("serve.sim.wall_us.{label}"))
             .observe_micros(wall);
@@ -512,7 +524,7 @@ fn handle_run(
         })?;
     state
         .metrics
-        .record_sim(&label, report.stats.cycles, sim_start.elapsed());
+        .record_sim(&label, &report, sim_start.elapsed());
     let mut w = ObjWriter::new();
     identity_fields(&mut w, "run", bench, &label, digest)
         .u64("exit_code", u64::from(report.exit_code))
@@ -562,7 +574,7 @@ fn handle_trace(
         })?;
     state
         .metrics
-        .record_sim(&label, report.stats.cycles, sim_start.elapsed());
+        .record_sim(&label, &report, sim_start.elapsed());
     let mut events = ObjWriter::new();
     let mut total = 0u64;
     for (i, (_, name)) in EVENT_KINDS.iter().enumerate() {

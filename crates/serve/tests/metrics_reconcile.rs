@@ -210,3 +210,43 @@ fn metrics_text_format_and_stats_uptime_agree() {
     assert_eq!(again, first, "telemetry must not leak into responses");
     drop(server);
 }
+
+#[test]
+fn engine_counters_account_for_every_instruction_of_a_run() {
+    let path = std::env::temp_dir().join(format!("rtdc-serve-meng-{}.sock", std::process::id()));
+    let server = Server::start(&path, ServeConfig::default()).expect("start server");
+    let mut c = Client::connect(&path).expect("connect");
+    // Every engine counter is registered before the first run.
+    let before = c.metrics().expect("metrics");
+    let m = before.get("metrics").expect("metrics payload");
+    for field in rtdc_sim::EngineCounters::FIELDS {
+        assert_eq!(counter(m, &format!("serve.sim.engine.{field}")), 0);
+    }
+    let resp = c
+        .request(&request_line("run", "crc32", "d", None))
+        .expect("run");
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+    let insns = resp
+        .get("stats")
+        .and_then(|s| s.get("insns"))
+        .and_then(Json::as_u64)
+        .expect("stats.insns");
+    let after = c.metrics().expect("metrics");
+    let m = after.get("metrics").expect("metrics payload");
+    let engine = |field: &str| counter(m, &format!("serve.sim.engine.{field}"));
+    assert_eq!(
+        engine("block_ops") + engine("trace_ops") + engine("fallback_insns"),
+        insns,
+        "one run's engine counters commit exactly its instructions"
+    );
+    assert!(
+        engine("trace_ops") > 0,
+        "a compressed run executes handler traces"
+    );
+    assert!(engine("block_dispatches") > 0);
+    drop(server);
+}

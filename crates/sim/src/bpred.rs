@@ -7,7 +7,8 @@
 //! not updated when it mispredicted the bank but the selected bank was
 //! right, which is what removes destructive aliasing.
 
-/// Two-bit saturating counter helpers.
+/// Two-bit saturating counter helpers (the reference [`Bimode::update`]
+/// path; [`Bimode::predict_update`] steps counters through [`STEP`]).
 fn bump(counter: &mut u8, up: bool) {
     if up {
         if *counter < 3 {
@@ -22,6 +23,10 @@ fn taken(counter: u8) -> bool {
     counter >= 2
 }
 
+/// Next state of a two-bit saturating counter, indexed by
+/// `counter << 1 | outcome`.
+const STEP: [u8; 8] = [0, 1, 0, 2, 1, 3, 2, 3];
+
 /// A bimode conditional-branch direction predictor.
 ///
 /// # Examples
@@ -34,12 +39,15 @@ fn taken(counter: u8) -> bool {
 ///     p.update(0x1000, true); // train a loop branch
 /// }
 /// assert!(p.predict(0x1000));
+/// // The fused step predicts with the pre-update state, then trains.
+/// assert!(p.predict_update(0x1000, false));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bimode {
     choice: Vec<u8>,
-    bank_taken: Vec<u8>,
-    bank_not_taken: Vec<u8>,
+    /// Both direction banks, paired per index: `[not_taken, taken]`,
+    /// so the choice counter's high bit selects the bank by indexing.
+    banks: Vec<[u8; 2]>,
     history: u32,
     mask: u32,
 }
@@ -53,9 +61,9 @@ impl Bimode {
     pub fn new(entries: u32) -> Bimode {
         assert!(entries.is_power_of_two(), "entries must be a power of two");
         Bimode {
-            choice: vec![1; entries as usize],     // weakly not-taken
-            bank_taken: vec![2; entries as usize], // weakly taken
-            bank_not_taken: vec![1; entries as usize],
+            choice: vec![1; entries as usize], // weakly not-taken
+            // Not-taken bank weakly not-taken, taken bank weakly taken.
+            banks: vec![[1, 2]; entries as usize],
             history: 0,
             mask: entries - 1,
         }
@@ -69,15 +77,16 @@ impl Bimode {
         (((pc >> 2) ^ self.history) & self.mask) as usize
     }
 
+    /// The bank a choice counter selects: 1 (taken bank) when it
+    /// predicts taken.
+    fn bank_of(choice: u8) -> usize {
+        usize::from(choice >> 1 & 1)
+    }
+
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict(&self, pc: u32) -> bool {
-        let use_taken_bank = taken(self.choice[self.choice_index(pc)]);
-        let bank = if use_taken_bank {
-            &self.bank_taken
-        } else {
-            &self.bank_not_taken
-        };
-        taken(bank[self.bank_index(pc)])
+        let bank = Self::bank_of(self.choice[self.choice_index(pc)]);
+        taken(self.banks[self.bank_index(pc)][bank])
     }
 
     /// Trains the predictor with the branch's `outcome`.
@@ -85,13 +94,9 @@ impl Bimode {
         let ci = self.choice_index(pc);
         let bi = self.bank_index(pc);
         let use_taken_bank = taken(self.choice[ci]);
-        let bank = if use_taken_bank {
-            &mut self.bank_taken
-        } else {
-            &mut self.bank_not_taken
-        };
-        let bank_correct = taken(bank[bi]) == outcome;
-        bump(&mut bank[bi], outcome);
+        let counter = &mut self.banks[bi][usize::from(use_taken_bank)];
+        let bank_correct = taken(*counter) == outcome;
+        bump(counter, outcome);
         // Bimode rule: skip the choice update when the selected bank was
         // correct despite disagreeing with the choice direction.
         let choice_agrees = use_taken_bank == outcome;
@@ -99,6 +104,34 @@ impl Bimode {
             bump(&mut self.choice[ci], outcome);
         }
         self.history = (self.history << 1) | outcome as u32;
+    }
+
+    /// [`Bimode::predict`] then [`Bimode::update`] in one step: returns
+    /// the prediction made before training on `outcome`.
+    ///
+    /// This is the simulator's per-branch path, so it computes both
+    /// indices once and takes no host branch on the predictor's own
+    /// state: the bank is selected by indexing with the choice
+    /// counter's high bit, both counters step through an 8-entry
+    /// next-state table, and the bimode rule picks the new choice
+    /// counter with a select.
+    #[inline]
+    pub fn predict_update(&mut self, pc: u32, outcome: bool) -> bool {
+        let ci = self.choice_index(pc);
+        let bi = self.bank_index(pc);
+        let o = usize::from(outcome);
+        let choice = self.choice[ci];
+        let bank = Self::bank_of(choice);
+        let counter = &mut self.banks[bi][bank];
+        let predicted = taken(*counter);
+        *counter = STEP[usize::from(*counter & 3) << 1 | o];
+        // Bimode rule, as in `update`: the choice trains unless the
+        // selected bank was right while the choice pointed the other way.
+        let stepped = STEP[usize::from(choice & 3) << 1 | o];
+        let train = predicted != outcome || bank == o;
+        self.choice[ci] = if train { stepped } else { choice };
+        self.history = (self.history << 1) | outcome as u32;
+        predicted
     }
 }
 
@@ -181,6 +214,45 @@ mod tests {
             p.update(pc, false);
         }
         assert!(p.predict(pc));
+    }
+
+    #[test]
+    fn fused_step_equals_predict_then_update() {
+        use rtdc_rng::Rng64;
+        // 16 entries against 64 PCs: every choice slot and bank slot is
+        // shared by several branches, and 20k outcomes fill the history
+        // many times over.
+        let mut fused = Bimode::new(16);
+        let mut reference = Bimode::new(16);
+        let mut rng = Rng64::seed_from_u64(0xb1_70de);
+        // Per-branch taken bias, so counters saturate both ways and the
+        // choice disagrees with the bank often enough to exercise the
+        // bimode rule.
+        let bias: Vec<f64> = (0..64).map(|_| rng.gen_f64()).collect();
+        let (mut mispredicts, mut rule_skips) = (0, 0);
+        for step in 0..20_000 {
+            let b = rng.gen_range(0..64usize);
+            let pc = 0x40_0000 + 4 * b as u32;
+            let outcome = rng.gen_bool_p(bias[b]);
+            let expect = reference.predict(pc);
+            let choice_before = reference.choice[reference.choice_index(pc)];
+            reference.update(pc, outcome);
+            let got = fused.predict_update(pc, outcome);
+            assert_eq!(got, expect, "step {step}: pc {pc:#x} outcome {outcome}");
+            assert_eq!(fused.choice, reference.choice, "step {step}: choice");
+            assert_eq!(fused.banks, reference.banks, "step {step}: banks");
+            assert_eq!(fused.history, reference.history, "step {step}");
+            mispredicts += usize::from(expect != outcome);
+            let bank_used = taken(choice_before);
+            rule_skips += usize::from(expect == outcome && bank_used != outcome);
+        }
+        assert!(mispredicts > 1000, "the stream must mispredict often");
+        assert!(rule_skips > 100, "the choice-skip rule must fire");
+        // Every slot of the final state predicts the same.
+        for slot in 0..16u32 {
+            let pc = 0x40_0000 + 4 * slot;
+            assert_eq!(fused.predict(pc), reference.predict(pc), "slot {slot}");
+        }
     }
 
     #[test]

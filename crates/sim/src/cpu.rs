@@ -93,18 +93,20 @@ struct DecodeEntry {
 #[derive(Debug)]
 pub struct Machine<S: TraceSink = NoTrace> {
     cfg: SimConfig,
-    regs: [[u32; 32]; 2],
+    /// The active register bank: what every register read and write
+    /// touches, whichever bank that is.
+    regs: [u32; 32],
+    /// The inactive bank. Only a machine with
+    /// [`SimConfig::second_regfile`] ever swaps it in: on exception
+    /// entry (the handler's bank becomes active) and at `iret` (the
+    /// program's bank comes back), see [`Machine::set_mode`].
+    shadow: [u32; 32],
     hi: u32,
     lo: u32,
     hilo_ready: u64,
     c0: [u32; 16],
     pc: u32,
     mode: Mode,
-    /// Active register bank, cached from `mode` + `cfg.second_regfile`
-    /// on every mode change: `reg`/`set_reg` run a few times per
-    /// simulated instruction, so they index directly instead of
-    /// re-deriving the bank each time.
-    bank: usize,
     mem: MainMemory,
     icache: Cache,
     dcache: Cache,
@@ -146,14 +148,14 @@ impl<S: TraceSink> Machine<S> {
     pub fn with_sink(cfg: SimConfig, sink: S) -> Machine<S> {
         Machine {
             cfg,
-            regs: [[0; 32]; 2],
+            regs: [0; 32],
+            shadow: [0; 32],
             hi: 0,
             lo: 0,
             hilo_ready: 0,
             c0: [0; 16],
             pc: 0,
             mode: Mode::Normal,
-            bank: 0,
             mem: MainMemory::new(),
             icache: Cache::new(cfg.icache),
             dcache: Cache::tags_only(cfg.dcache),
@@ -289,20 +291,24 @@ impl<S: TraceSink> Machine<S> {
         &self.dcache
     }
 
-    /// Switches privilege mode, keeping the cached register-bank index
-    /// in step (the single place `bank` is derived).
+    /// Switches privilege mode. With [`SimConfig::second_regfile`], a
+    /// switch into or out of exception mode also switches register
+    /// banks by swapping `regs` with `shadow`: the swap happens only at
+    /// exception entry and `iret`, so `reg`/`set_reg` — a few times per
+    /// simulated instruction — index one flat bank and never ask which
+    /// bank is active. Without a second file the handler shares the
+    /// program's registers and nothing is ever swapped.
     fn set_mode(&mut self, mode: Mode) {
+        if self.cfg.second_regfile && mode != self.mode {
+            std::mem::swap(&mut self.regs, &mut self.shadow);
+        }
         self.mode = mode;
-        self.bank = match mode {
-            Mode::Exception if self.cfg.second_regfile => 1,
-            _ => 0,
-        };
     }
 
     /// Reads a general-purpose register in the active bank.
     #[inline]
     pub fn reg(&self, r: Reg) -> u32 {
-        self.regs[self.bank][r.number() as usize]
+        self.regs[r.number() as usize & 31]
     }
 
     /// Writes a general-purpose register in the active bank
@@ -310,7 +316,7 @@ impl<S: TraceSink> Machine<S> {
     #[inline]
     pub fn set_reg(&mut self, r: Reg, value: u32) {
         if r != Reg::ZERO {
-            self.regs[self.bank][r.number() as usize] = value;
+            self.regs[r.number() as usize & 31] = value;
         }
     }
 
@@ -487,7 +493,10 @@ impl<S: TraceSink> Machine<S> {
     }
 
     /// Models one D-cache access for timing (functional data lives in main
-    /// memory; the D-cache tracks tags, LRU, and dirty bits).
+    /// memory; the D-cache tracks tags, LRU, and dirty bits). Inlined
+    /// into every load and store arm: a hit is a count and an LRU touch,
+    /// and the miss path stays out of line.
+    #[inline(always)]
     fn daccess(&mut self, addr: u32, is_store: bool) {
         self.stats.daccesses += 1;
         let hit = if is_store {
@@ -502,9 +511,17 @@ impl<S: TraceSink> Machine<S> {
                 hit,
             });
         }
-        if hit {
-            return;
+        if !hit {
+            self.dmiss(addr, is_store);
         }
+    }
+
+    /// The D-cache miss path of [`Machine::daccess`]: fill (with a
+    /// writeback if the victim was dirty), the stalls, and the fill
+    /// event.
+    #[cold]
+    #[inline(never)]
+    fn dmiss(&mut self, addr: u32, is_store: bool) {
         self.stats.dmisses += 1;
         let line_bytes = self.cfg.dcache.line_bytes;
         let base = self.cfg.dcache.line_base(addr);
@@ -575,11 +592,10 @@ impl<S: TraceSink> Machine<S> {
         })
     }
 
+    #[inline(always)]
     fn branch(&mut self, pc: u32, taken: bool, offset: i16) -> u32 {
         self.stats.branches += 1;
-        let predicted = self.bpred.predict(pc);
-        self.bpred.update(pc, taken);
-        let mispredict = predicted != taken;
+        let mispredict = self.bpred.predict_update(pc, taken) != taken;
         if S::ENABLED {
             self.sink.event(&TraceEvent::Branch {
                 pc,
@@ -1323,22 +1339,23 @@ impl<S: TraceSink> Machine<S> {
                 self.pc = next;
                 break;
             }
-            if U::HANDLER {
-                // A trace continues only along its own path, and only
-                // while handler RAM is as it was built from: a store
-                // there may have rewritten the ops ahead (handler
-                // fetches read main memory, so the interpreter would
-                // fetch the new bytes). Otherwise leave here: the
-                // interpreter commits `next` — a branch, never a load,
-                // so `last_load_dest` is clear, and a store clears it
-                // too.
-                let stale = unit.stores(i) && self.block_cache().hgen != unit.gen();
-                if next != unit.op_pc(i + 1) || stale {
-                    self.pc = next;
-                    self.last_load_dest = None;
-                    self.engine.side_exits += 1;
-                    return Ok(self.leave_unit::<U, BATCHED, _>(i + 1, len, Step::Continue));
-                }
+            // A trace continues only along its own path, and only while
+            // handler RAM is as it was built from: a store there may
+            // have rewritten the ops ahead (handler fetches read main
+            // memory, so the interpreter would fetch the new bytes).
+            // Only a conditional branch can leave the path and only a
+            // store can change the generation, so only those ops are
+            // checked. Otherwise leave here: the interpreter commits
+            // `next` — a branch or a store, never a load, so
+            // `last_load_dest` is clear.
+            if U::HANDLER
+                && unit.checked(i)
+                && (next != unit.op_pc(i + 1) || self.block_cache().hgen != unit.gen())
+            {
+                self.pc = next;
+                self.last_load_dest = None;
+                self.engine.side_exits += 1;
+                return Ok(self.leave_unit::<U, BATCHED, _>(i + 1, len, Step::Continue));
             }
         }
         self.count_unit::<U>(len);
@@ -1598,7 +1615,7 @@ mod tests {
     fn second_regfile_isolates_handler_registers() {
         let cfg = SimConfig::hpca2000_baseline().with_second_regfile(true);
         let mut m = Machine::new(cfg);
-        m.set_reg(Reg::T0, 1111); // bank 0
+        m.set_reg(Reg::T0, 1111); // program bank
         assert_eq!(m.reg(Reg::T0), 1111);
         // Flip into exception mode manually and check banking.
         m.set_mode(Mode::Exception);
@@ -1606,6 +1623,35 @@ mod tests {
         m.set_reg(Reg::T0, 2222);
         m.set_mode(Mode::Normal);
         assert_eq!(m.reg(Reg::T0), 1111);
+        // The handler bank keeps its value across leaving and
+        // re-entering exception mode, and re-setting the current mode
+        // swaps nothing.
+        m.set_mode(Mode::Normal);
+        assert_eq!(m.reg(Reg::T0), 1111);
+        m.set_mode(Mode::Exception);
+        assert_eq!(m.reg(Reg::T0), 2222);
+        m.set_mode(Mode::Exception);
+        assert_eq!(m.reg(Reg::T0), 2222);
+        // `$0` reads 0 in both banks after a write to it.
+        m.set_reg(Reg::ZERO, 7);
+        assert_eq!(m.reg(Reg::ZERO), 0);
+        m.set_mode(Mode::Normal);
+        m.set_reg(Reg::ZERO, 9);
+        assert_eq!(m.reg(Reg::ZERO), 0);
+        m.set_mode(Mode::Exception);
+        assert_eq!(m.reg(Reg::ZERO), 0);
+    }
+
+    #[test]
+    fn without_second_regfile_the_handler_shares_the_bank() {
+        let mut m = Machine::new(SimConfig::hpca2000_baseline());
+        m.set_reg(Reg::T0, 1111);
+        m.set_mode(Mode::Exception);
+        assert_eq!(m.reg(Reg::T0), 1111, "no swap on entry");
+        m.set_reg(Reg::T0, 2222);
+        m.set_mode(Mode::Normal);
+        assert_eq!(m.reg(Reg::T0), 2222, "no swap on exit");
+        assert_eq!(m.shadow, [0; 32], "the second bank is never used");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! decode-store probe, and full dispatch for every simulated
 //! instruction. The translation layer amortizes all of that across a
 //! unit of pre-decoded ops, with the per-instruction facts the hot loop
-//! needs (load-use interlock slots, store membership) computed at build
+//! needs (load-use interlock slots, trace exit checks) computed at build
 //! time. Executing a unit costs one table probe and one validity check,
 //! then runs the ops back to back.
 //!
@@ -40,14 +40,26 @@
 //! handler RAM the trace was read from). A trace ends after
 //! `jr`/`jalr`/`iret`/`syscall`/`break`, at [`TRACE_OPS`] ops, at the end
 //! of handler RAM, or before an undecodable word. Every op records its
-//! own PC, and the interlock, store and hi/lo facts are computed in trace
+//! own PC, and the interlock, check and hi/lo facts are computed in trace
 //! order, which is execution order for as long as the trace is followed.
 //!
-//! At run time, each op's next PC (what `execute` returned) is compared
-//! with the trace's next PC. A branch that goes the other way is a *side
-//! exit*: the machine commits the PC it really went to, uncharges the
-//! ops it did not execute, and returns to the dispatch loop, which looks
-//! up (or builds) the trace starting there.
+//! Only a conditional branch can leave the path, so a build-time *check
+//! mask* ([`Trace::checks`]) marks the conditional branches and the
+//! plain stores. After a marked op, and only then, the op's next PC
+//! (what `execute` returned) is compared with the trace's next PC, and
+//! the handler generation is re-checked. Every other op's next PC is
+//! the trace's by construction: `j`/`jal` targets are followed, and
+//! register jumps, `iret`, `syscall` and `break` are always a trace's
+//! last op, whose next PC is committed as is. A branch that goes the
+//! other way is a *side exit*: the machine commits the PC it really
+//! went to, uncharges the ops it did not execute, and returns to the
+//! dispatch loop, which looks up (or builds) the trace starting there.
+//!
+//! Every unit, trace or block, returns to the dispatch loop when it
+//! ends. Looping from one handler trace straight into the next was
+//! measured and did not pay (the loop re-checks what the dispatch loop
+//! checks, and the op loop is an out-of-line call either way), and a
+//! prototype that ran program blocks back to back was 5.4% slower.
 //!
 //! # Invalidation contract
 //!
@@ -66,8 +78,9 @@
 //! single counter bumped by every store into handler RAM (handler
 //! fetches read main memory, so the next handler fetch observes the
 //! store). A trace is valid while the generation it was built at is
-//! current; after each of its own stores the running trace re-checks it
-//! and leaves before any op it may have rewritten. Nothing else can
+//! current; after each of its own stores (marked in the check mask) the
+//! running trace re-checks it and leaves before any op it may have
+//! rewritten. Nothing else can
 //! change handler RAM during a run: `swic` writes only the I-cache.
 //!
 //! Every program block records the generation of its backing 32-byte
@@ -254,9 +267,13 @@ pub(crate) struct Trace {
     pub ends_load: bool,
     /// See [`Block::interlocks`], in trace order.
     pub interlocks: u32,
-    /// Bit `i` set: op `i` is a plain store (`sb`/`sh`/`sw`), after
-    /// which the trace re-checks the handler generation.
-    pub stores: u32,
+    /// The check mask. Bit `i` set: op `i` is one where the trace can
+    /// leave early — a conditional branch (it may go the other way) or
+    /// a plain store (`sb`/`sh`/`sw`: it may rewrite handler RAM) — so
+    /// the op loop compares its next PC and the handler generation
+    /// after it. See "Handler traces" above for why no other op needs
+    /// either check.
+    pub checks: u32,
     /// `pcs[i]` is op `i`'s PC; `pcs[i + 1]` is the next PC op `i`
     /// must produce for the trace to continue.
     pub pcs: [u32; TRACE_OPS],
@@ -267,9 +284,8 @@ pub(crate) struct Trace {
 /// A translated unit as the op loop sees it: a program block or a
 /// handler trace.
 pub(crate) trait Unit {
-    /// Handler code: charged to the handler counters, fetch-free, with
-    /// a next-PC check after every op and a generation check after
-    /// every store.
+    /// Handler code: charged to the handler counters, fetch-free, and
+    /// able to leave early after its checked ops.
     const HANDLER: bool;
     /// Number of valid ops.
     fn len(&self) -> usize;
@@ -279,8 +295,9 @@ pub(crate) trait Unit {
     fn op_pc(&self, i: usize) -> u32;
     /// Op `i` charges the in-unit load-use interlock.
     fn interlocked(&self, i: usize) -> bool;
-    /// Op `i` is a plain store.
-    fn stores(&self, i: usize) -> bool;
+    /// After op `i`, check whether the unit must leave (see
+    /// [`Trace::checks`]).
+    fn checked(&self, i: usize) -> bool;
     /// The generation this unit is valid at.
     fn gen(&self) -> u64;
     /// See [`Block::hilo`].
@@ -308,8 +325,9 @@ impl Unit for Block {
         self.interlocks & (1 << i) != 0
     }
     #[inline(always)]
-    fn stores(&self, _: usize) -> bool {
-        // A program store never changes the resident I-cache bytes the
+    fn checked(&self, _: usize) -> bool {
+        // Straight-line by construction (a branch ends the block), and
+        // a program store never changes the resident I-cache bytes the
         // remaining ops came from.
         false
     }
@@ -346,8 +364,8 @@ impl Unit for Trace {
         self.interlocks & (1 << i) != 0
     }
     #[inline(always)]
-    fn stores(&self, i: usize) -> bool {
-        self.stores & (1 << i) != 0
+    fn checked(&self, i: usize) -> bool {
+        self.checks & (1 << i) != 0
     }
     #[inline(always)]
     fn gen(&self) -> u64 {
@@ -411,6 +429,68 @@ pub struct EngineCounters {
 }
 
 impl EngineCounters {
+    /// The field names, in declaration order: what exporters name each
+    /// counter after (see [`EngineCounters::to_array`]).
+    pub const FIELDS: [&'static str; 12] = [
+        "block_dispatches",
+        "block_ops",
+        "trace_dispatches",
+        "trace_ops",
+        "side_exits",
+        "block_builds",
+        "trace_builds",
+        "fallback_first_sighting",
+        "fallback_no_block",
+        "fallback_not_resident",
+        "fallback_budget",
+        "fallback_insns",
+    ];
+
+    /// The counters in [`EngineCounters::FIELDS`] order.
+    pub fn to_array(&self) -> [u64; 12] {
+        [
+            self.block_dispatches,
+            self.block_ops,
+            self.trace_dispatches,
+            self.trace_ops,
+            self.side_exits,
+            self.block_builds,
+            self.trace_builds,
+            self.fallback_first_sighting,
+            self.fallback_no_block,
+            self.fallback_not_resident,
+            self.fallback_budget,
+            self.fallback_insns,
+        ]
+    }
+
+    /// The inverse of [`EngineCounters::to_array`].
+    pub fn from_array(v: [u64; 12]) -> EngineCounters {
+        let [block_dispatches, block_ops, trace_dispatches, trace_ops, side_exits, block_builds, trace_builds, fallback_first_sighting, fallback_no_block, fallback_not_resident, fallback_budget, fallback_insns] =
+            v;
+        EngineCounters {
+            block_dispatches,
+            block_ops,
+            trace_dispatches,
+            trace_ops,
+            side_exits,
+            block_builds,
+            trace_builds,
+            fallback_first_sighting,
+            fallback_no_block,
+            fallback_not_resident,
+            fallback_budget,
+            fallback_insns,
+        }
+    }
+
+    /// Mean instructions committed per dispatch of any kind (0.0 when
+    /// there were none).
+    pub fn ops_per_dispatch(&self) -> f64 {
+        let insns = self.block_ops + self.trace_ops + self.fallback_insns;
+        ratio(insns, self.dispatches())
+    }
+
     /// All fallback steps, whatever the reason.
     pub fn fallbacks(&self) -> u64 {
         self.fallback_first_sighting
@@ -566,7 +646,7 @@ impl BlockCache {
                     hilo: false,
                     ends_load: false,
                     interlocks: 0,
-                    stores: 0,
+                    checks: 0,
                     pcs: [0; TRACE_OPS],
                     insns: [FILLER; TRACE_OPS],
                 });
@@ -737,11 +817,25 @@ pub(crate) fn load_dest(insn: &Instruction) -> Option<Reg> {
     }
 }
 
-/// Is `insn` a plain store (`sb`/`sh`/`sw`)? `swic` writes the I-cache,
-/// never memory, and is handled on its own.
-pub(crate) fn is_store(insn: &Instruction) -> bool {
+/// Can a handler trace leave right after `insn`? A conditional branch
+/// may go the other way than the trace followed, and a plain store
+/// (`sb`/`sh`/`sw`) may rewrite the handler RAM the trace was built
+/// from. `swic` writes the I-cache, never memory, and every other op's
+/// next PC is the trace's by construction. See [`Trace::checks`].
+pub(crate) fn is_checked(insn: &Instruction) -> bool {
     use Instruction::*;
-    matches!(insn, Sb { .. } | Sh { .. } | Sw { .. })
+    matches!(
+        insn,
+        Beq { .. }
+            | Bne { .. }
+            | Blez { .. }
+            | Bgtz { .. }
+            | Bltz { .. }
+            | Bgez { .. }
+            | Sb { .. }
+            | Sh { .. }
+            | Sw { .. }
+    )
 }
 
 /// Does `insn` read `Stats::cycles` mid-execution (multiplier latency
@@ -762,8 +856,8 @@ pub(crate) struct BuiltOps {
     pub len: usize,
     /// See [`Block::interlocks`].
     pub interlocks: u32,
-    /// See [`Trace::stores`].
-    pub stores: u32,
+    /// See [`Trace::checks`].
+    pub checks: u32,
     /// See [`Block::hilo`].
     pub hilo: bool,
     /// See [`Block::ends_load`].
@@ -794,8 +888,8 @@ fn build<const N: usize>(
         if prev_load.is_some() && (a == prev_load || b == prev_load) {
             built.interlocks |= 1 << built.len;
         }
-        if is_store(&insn) {
-            built.stores |= 1 << built.len;
+        if is_checked(&insn) {
+            built.checks |= 1 << built.len;
         }
         built.hilo |= is_hilo(&insn);
         insns[built.len] = insn;
@@ -861,7 +955,7 @@ pub(crate) fn build_trace(
     t.hilo = built.hilo;
     t.ends_load = built.ends_load;
     t.interlocks = built.interlocks;
-    t.stores = built.stores;
+    t.checks = built.checks;
     built.len
 }
 
@@ -880,6 +974,24 @@ mod tests {
 
     fn word(insn: Instruction) -> u32 {
         encode(insn)
+    }
+
+    #[test]
+    fn engine_counter_fields_round_trip_in_declaration_order() {
+        let v: [u64; 12] = std::array::from_fn(|i| i as u64 + 1);
+        let e = EngineCounters::from_array(v);
+        assert_eq!(e.to_array(), v);
+        // Each name is its field's, in declaration order: the derived
+        // Debug rendering lists exactly these names with these values.
+        let fields: Vec<String> = EngineCounters::FIELDS
+            .iter()
+            .zip(v)
+            .map(|(name, x)| format!("{name}: {x}"))
+            .collect();
+        assert_eq!(
+            format!("{e:?}"),
+            format!("EngineCounters {{ {} }}", fields.join(", "))
+        );
     }
 
     #[test]
@@ -1053,8 +1165,8 @@ mod tests {
             &mut insns,
         );
         assert_eq!(built.len, 2, "swic ends the block");
-        assert_ne!(built.stores & 1, 0);
-        assert_eq!(built.stores & 2, 0, "swic writes the I-cache, not memory");
+        assert_ne!(built.checks & 1, 0);
+        assert_eq!(built.checks & 2, 0, "swic writes the I-cache, not memory");
     }
 
     /// Handler RAM for the trace-builder tests.
@@ -1158,7 +1270,130 @@ mod tests {
         let words = [sw, swic, sw, Iret];
         let t = trace(&words, H);
         assert_eq!(pcs(&t), [0, 1, 2, 3], "swic does not end a trace");
-        assert_eq!(t.stores, 0b101, "plain stores only");
+        assert_eq!(t.checks, 0b101, "plain stores, not swic");
+    }
+
+    #[test]
+    fn check_mask_marks_exactly_conditional_branches_and_plain_stores() {
+        use Instruction::*;
+        let (rs, rt, base) = (Reg::T0, Reg::T1, Reg::SP);
+        let marked = [
+            Beq { rs, rt, offset: 1 },
+            Bne { rs, rt, offset: -1 },
+            Blez { rs, offset: 1 },
+            Bgtz { rs, offset: 1 },
+            Bltz { rs, offset: 1 },
+            Bgez { rs, offset: 1 },
+            Sb {
+                rt,
+                base,
+                offset: 0,
+            },
+            Sh {
+                rt,
+                base,
+                offset: 2,
+            },
+            Sw {
+                rt,
+                base,
+                offset: 4,
+            },
+        ];
+        let unmarked = [
+            J { target: 4 },
+            Jal { target: 4 },
+            Swic {
+                rt,
+                base,
+                offset: 0,
+            },
+            Jr { rs: Reg::RA },
+            Jalr { rd: Reg::RA, rs },
+            Iret,
+            Syscall,
+            Break { code: 1 },
+            add(),
+            Addiu { rt, rs, imm: 1 },
+            Lui { rt, imm: 1 },
+            Sll {
+                rd: rt,
+                rt: rs,
+                shamt: 2,
+            },
+            Lw {
+                rt,
+                base,
+                offset: 0,
+            },
+            Lbux {
+                rd: rt,
+                base,
+                index: rs,
+            },
+            Mult { rs, rt },
+            Mflo { rd: rt },
+            Mfc0 {
+                rt,
+                c0: rtdc_isa::C0Reg::BADVA,
+            },
+        ];
+        for insn in marked {
+            assert!(is_checked(&insn), "{insn:?} must be checked");
+        }
+        for insn in unmarked {
+            assert!(!is_checked(&insn), "{insn:?} must not be checked");
+        }
+    }
+
+    #[test]
+    fn trace_check_mask_follows_trace_order() {
+        use Instruction::*;
+        let (rs, rt, base) = (Reg::T0, Reg::T1, Reg::SP);
+        // 0: add; 1: sw; 2: j 5; 3: sb (skipped); 4: add (skipped);
+        // 5: swic; 6: beq +1 (falls through); 7: jal 9; 8: iret;
+        // 9: sh; 10: lw; 11: bne -3 (taken, back to 9) …
+        let words = [
+            add(),
+            Sw {
+                rt,
+                base,
+                offset: 0,
+            },
+            J { target: to(5) },
+            Sb {
+                rt,
+                base,
+                offset: 0,
+            },
+            add(),
+            Swic {
+                rt,
+                base,
+                offset: 0,
+            },
+            Beq { rs, rt, offset: 1 },
+            Jal { target: to(9) },
+            Iret,
+            Sh {
+                rt,
+                base,
+                offset: 0,
+            },
+            Lw {
+                rt,
+                base,
+                offset: 0,
+            },
+            Bne { rs, rt, offset: -3 },
+        ];
+        let t = trace(&words, H);
+        let path = pcs(&t);
+        assert_eq!(path[..9], [0, 1, 2, 5, 6, 7, 9, 10, 11]);
+        for (i, &w) in path.iter().enumerate() {
+            let want = matches!(w, 1 | 6 | 9 | 11);
+            assert_eq!(t.checks & (1 << i) != 0, want, "op {i} (word {w})");
+        }
     }
 
     #[test]
