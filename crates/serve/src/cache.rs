@@ -122,6 +122,29 @@ pub struct CacheStats {
     pub budget_bytes: u64,
 }
 
+impl CacheStats {
+    /// Every counter as `(name, value)`, in the `stats` op's order: the
+    /// one field list behind both the `stats` op's `cache` object and the
+    /// `serve.cache.<name>` gauges.
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("lookups", self.lookups),
+            ("hits", self.hits),
+            ("store_hits", self.store_hits),
+            ("misses", self.misses),
+            ("poisoned", self.poisoned),
+            ("inserts", self.inserts),
+            ("evictions", self.evictions),
+            ("uncached", self.uncached),
+            ("build_failures", self.build_failures),
+            ("flight_waits", self.flight_waits),
+            ("entries", self.entries),
+            ("resident_bytes", self.resident_bytes),
+            ("budget_bytes", self.budget_bytes),
+        ]
+    }
+}
+
 struct Entry {
     image: Arc<MemoryImage>,
     bytes: u64,

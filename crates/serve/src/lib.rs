@@ -2,11 +2,11 @@
 //!
 //! The batch CLI rebuilds every image it touches. This crate turns the
 //! toolchain into a *service*: a daemon that accepts newline-delimited
-//! JSON requests (`build` / `run` / `trace` / `plan` / `stats`) over a
-//! Unix domain socket, multiplexes independent [`rtdc_sim::Machine`]
-//! instances across a worker pool, and serves repeated builds from a
-//! **content-addressed image cache** keyed by
-//! `(benchmark, scheme label, plan digest)`.
+//! JSON requests (`build` / `run` / `trace` / `plan` / `stats` /
+//! `metrics` / `shutdown`) over a Unix domain socket, multiplexes
+//! independent [`rtdc_sim::Machine`] instances across a worker pool, and
+//! serves repeated builds from a **content-addressed image cache** keyed
+//! by `(benchmark, scheme label, plan digest)`.
 //!
 //! The cache leans on two invariants the rest of the workspace already
 //! maintains:

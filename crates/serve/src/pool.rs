@@ -132,6 +132,20 @@ impl WorkerPool {
             + self.stats.in_flight.load(Ordering::Relaxed);
         queued.saturating_sub(started)
     }
+
+    /// Every counter as `(name, value)`, in the `stats` op's order: the
+    /// one field list behind both the `stats` op's `pool` object and the
+    /// `serve.pool.<name>` gauges.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("threads", self.threads() as u64),
+            ("queued", self.queued()),
+            ("executed", self.executed()),
+            ("in_flight", self.in_flight()),
+            ("queue_depth", self.queue_depth()),
+            ("panics", self.panics()),
+        ]
+    }
 }
 
 fn worker_loop(rx: &Mutex<Receiver<Job>>, stats: &PoolStats) {

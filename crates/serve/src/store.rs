@@ -160,6 +160,24 @@ pub struct StoreStats {
     pub spill_failures: u64,
 }
 
+impl StoreStats {
+    /// Every counter as `(name, value)`, in the `stats` op's order: the
+    /// one field list behind both the `stats` op's `store` object and the
+    /// `serve.store.<name>` gauges.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("entries", self.entries),
+            ("scanned", self.scanned),
+            ("quarantined", self.quarantined),
+            ("tmp_cleaned", self.tmp_cleaned),
+            ("loads", self.loads),
+            ("load_failures", self.load_failures),
+            ("spills", self.spills),
+            ("spill_failures", self.spill_failures),
+        ]
+    }
+}
+
 /// The on-disk image store. All operations are concurrency-safe: spills
 /// are atomic renames, loads read whole files, and the counters are
 /// atomics.

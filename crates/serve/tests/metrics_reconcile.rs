@@ -250,3 +250,60 @@ fn engine_counters_account_for_every_instruction_of_a_run() {
     assert!(engine("block_dispatches") > 0);
     drop(server);
 }
+
+#[test]
+fn stats_op_and_metrics_gauges_agree_field_by_field() {
+    let tag = std::process::id();
+    let path = std::env::temp_dir().join(format!("rtdc-serve-mfld-{tag}.sock"));
+    let dir = std::env::temp_dir().join(format!("rtdc-serve-mfld-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One worker: the `metrics` job cannot start before the `stats` job
+    // has retired, so the daemon is quiescent between the two views
+    // except for those two jobs.
+    let server = Server::start(
+        &path,
+        ServeConfig {
+            threads: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut c = Client::connect(&path).expect("connect");
+    for (bench, label) in [("sort", "d"), ("crc32", "cp"), ("sort", "d")] {
+        let resp = c
+            .request_raw(&request_line("build", bench, label, None))
+            .expect("build");
+        assert!(resp.starts_with(r#"{"ok":true"#), "{resp}");
+    }
+    let stats = c.request(r#"{"op":"stats"}"#).expect("stats");
+    let metrics = c.metrics().expect("metrics");
+    let m = metrics.get("metrics").expect("metrics payload");
+    for (group, n_fields) in [("cache", 13), ("store", 8), ("pool", 6)] {
+        let Some(Json::Obj(fields)) = stats.get(group) else {
+            panic!("stats has no `{group}` object: {stats:?}");
+        };
+        assert_eq!(fields.len(), n_fields, "stats `{group}`: {fields:?}");
+        for (name, v) in fields {
+            let seen = v.as_u64().expect("numeric field");
+            // The pool view moved by exactly the two jobs: `stats` retired
+            // and `metrics` queued in between.
+            let want = match (group, name.as_str()) {
+                ("pool", "queued" | "executed") => seen + 1,
+                _ => seen,
+            };
+            assert_eq!(
+                gauge(m, &format!("serve.{group}.{name}")),
+                want,
+                "stats `{group}.{name}` vs its gauge"
+            );
+        }
+    }
+    assert!(
+        gauge(m, "serve.store.spills") > 0,
+        "the builds were spilled"
+    );
+    assert!(gauge(m, "serve.cache.hits") > 0, "the repeat build hit");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
