@@ -1,13 +1,61 @@
-//! Calibration tool: prints measured vs paper Table 2 statistics for each
-//! benchmark so generator parameters can be tuned.
+//! Calibration tool: for each benchmark, the filler vocabulary fit and
+//! the measured vs paper Table 2 statistics, so generator parameters can
+//! be tuned.
+//!
+//! The fit table recomputes each spec's vocabulary size with the
+//! bisection and prints it beside the pinned `vocab_size`, with the
+//! filler's target and achieved unique-word counts and the master size
+//! the bisection is bounded by.
+//!
+//! ```sh
+//! cargo run --release -p rtdc-bench --bin calibrate [bench]
+//! ```
 
 use rtdc_bench::experiments::{pct, table2_row};
 use rtdc_sim::SimConfig;
-use rtdc_workloads::all_benchmarks;
+use rtdc_workloads::idioms::{calibrate_vocab_size, CodeSampler};
+use rtdc_workloads::vocab::Vocabulary;
+use rtdc_workloads::{all_benchmarks, filler_target, BenchmarkSpec};
+
+/// Prints one spec's fit row.
+fn fit_row(spec: &BenchmarkSpec) {
+    let target = filler_target(spec);
+    let master_size = target.master_size();
+    let recomputed = calibrate_vocab_size(spec.seed, target);
+    let master = Vocabulary::generate(spec.seed, master_size);
+    let achieved =
+        CodeSampler::count_uniques(spec.seed, master.prefix(spec.vocab_size), target.emissions);
+    println!(
+        "{:<12} {:>9} {:>8} {:>8} {:>6} | {:>8} {:>8} {:>6} {:>10}",
+        spec.name,
+        target.emissions,
+        target.uniques,
+        achieved,
+        pct(achieved as f64 / target.uniques as f64),
+        master_size,
+        spec.vocab_size,
+        pct(spec.vocab_size as f64 / master_size as f64),
+        recomputed,
+    );
+}
 
 fn main() {
     let cfg = SimConfig::hpca2000_baseline();
     let only: Option<String> = std::env::args().nth(1);
+    let specs: Vec<BenchmarkSpec> = all_benchmarks()
+        .into_iter()
+        .filter(|s| only.as_deref().is_none_or(|f| s.name == f))
+        .collect();
+
+    println!(
+        "{:<12} {:>9} {:>8} {:>8} {:>6} | {:>8} {:>8} {:>6} {:>10}",
+        "bench", "filler", "target", "achieved", "ach%", "master", "pinned", "pin%", "recomputed"
+    );
+    for spec in &specs {
+        fit_row(spec);
+    }
+    println!();
+
     println!(
         "{:<12} {:>9} {:>9} | {:>7} {:>7} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}",
         "bench",
@@ -22,14 +70,9 @@ fn main() {
         "lz%",
         "paper"
     );
-    for spec in all_benchmarks() {
-        if let Some(f) = &only {
-            if spec.name != f {
-                continue;
-            }
-        }
+    for spec in &specs {
         let t0 = std::time::Instant::now();
-        let row = table2_row(&spec, cfg);
+        let row = table2_row(spec, cfg);
         println!(
             "{:<12} {:>9} {:>9} | {:>7} {:>7} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}   ({:.1}s)",
             row.name,

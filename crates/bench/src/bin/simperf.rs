@@ -29,7 +29,7 @@ use rtdc_bench::experiments::{run_native, run_scheme, run_scheme_verified};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_bench::planopt::optimized_plan_cached;
 use rtdc_sim::{SimConfig, StallBreakdown, Stats};
-use rtdc_workloads::{all_benchmarks, generate_cached, idioms, BenchmarkSpec};
+use rtdc_workloads::{all_benchmarks, generate_cached, BenchmarkSpec};
 
 struct Cell {
     name: &'static str,
@@ -310,16 +310,4 @@ fn main() {
     println!("{}", rows.join(",\n"));
     println!("  ]");
     println!("}}");
-
-    // Workload-generation observability: how much repeated generation the
-    // calibration cache absorbed across both passes (stderr only — the
-    // numbers depend on run order, unlike the JSON above).
-    let (hits, misses) = idioms::calibration_cache_stats();
-    let total = hits + misses;
-    if total > 0 {
-        eprintln!(
-            "calibration cache: {hits} hits / {misses} misses ({:.1}% hit rate)",
-            100.0 * hits as f64 / total as f64
-        );
-    }
 }

@@ -20,6 +20,7 @@
 //! and the structured log (`rtdc_obs::log`) carries connection and
 //! request events on stderr.
 
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,9 +231,10 @@ pub struct ServeState {
     started: Instant,
     started_at: u64,
     shutdown: AtomicBool,
-    /// The socket a [`Server`] listens on, dialed once to wake its
-    /// accept loop at shutdown (`None` for a state with no server).
-    wake: Option<PathBuf>,
+    /// A dup of the [`Server`]'s listening socket, held as a stream only
+    /// to be shut down: that fails the accept loop's blocked `accept`
+    /// at once (`None` for a state with no server).
+    listener: Option<UnixStream>,
 }
 
 impl ServeState {
@@ -278,7 +280,7 @@ impl ServeState {
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
             shutdown: AtomicBool::new(false),
-            wake: None,
+            listener: None,
         })
     }
 
@@ -300,12 +302,13 @@ impl ServeState {
 
     /// Requests shutdown: the one teardown path, behind the `shutdown`
     /// op, [`Server::shutdown`] and dropping a [`Server`]. Sets the flag
-    /// and, the first time only, dials the server's socket so its accept
-    /// loop wakes, sees the flag and tears the connections down.
+    /// and, the first time only, shuts the server's listening socket, so
+    /// its accept loop wakes, sees the flag and tears the connections
+    /// down.
     pub fn request_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            if let Some(path) = &self.wake {
-                let _ = UnixStream::connect(path);
+            if let Some(listener) = &self.listener {
+                let _ = listener.shutdown(Shutdown::Both);
             }
         }
     }

@@ -8,7 +8,8 @@
 //! [`handle_line_at`].
 //!
 //! Teardown has one path, [`ServeState::request_shutdown`]: it sets the
-//! flag and dials the socket once, which wakes the accept loop. The
+//! flag and shuts down the listening socket through a dup of its fd, so
+//! the accept loop's blocked `accept` fails at once (`EINVAL`). The
 //! loop keeps a clone of every live connection; it shuts each one's
 //! read half, so a reader blocked in `read` sees end-of-stream at once,
 //! then joins the readers and drains the pool. A reply already being
@@ -18,6 +19,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
+use std::os::fd::OwnedFd;
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use rtdc_obs::log::{self, Level};
 
+use crate::client::Client;
 use crate::pool::WorkerPool;
 use crate::protocol::{ServeError, MAX_LINE_BYTES};
 
@@ -254,24 +258,55 @@ fn accept_loop(listener: &UnixListener, state: &Arc<ServeState>, pool: WorkerPoo
         .emit();
 }
 
+/// Clears the way to bind `path`. A server already listening there is
+/// an [`std::io::ErrorKind::AddrInUse`] error; a socket file nobody
+/// listens on is stale and is removed. Anything else is left for `bind`
+/// to reject.
+fn remove_stale_socket(path: &Path) -> std::io::Result<()> {
+    let Ok(meta) = std::fs::symlink_metadata(path) else {
+        return Ok(());
+    };
+    if !meta.file_type().is_socket() {
+        return Ok(());
+    }
+    if Client::connect(path).is_ok() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::AddrInUse,
+            "a server is already listening on this socket",
+        ));
+    }
+    let _ = std::fs::remove_file(path);
+    Ok(())
+}
+
+/// The `(device, inode)` of the file at `path`.
+fn file_id(path: &Path) -> std::io::Result<(u64, u64)> {
+    std::fs::symlink_metadata(path).map(|m| (m.dev(), m.ino()))
+}
+
 /// A running daemon bound to a Unix socket.
 pub struct Server {
     path: PathBuf,
+    /// The socket file `bind` created; teardown unlinks `path` only while
+    /// it is still this file.
+    bound: (u64, u64),
     state: Arc<ServeState>,
     accept: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `path` (removing any stale socket file) and starts serving.
+    /// Binds `path` (replacing a stale socket file) and starts serving.
     ///
     /// # Errors
     ///
-    /// I/O errors binding the socket.
+    /// `AddrInUse` if a server is already listening on `path`; other I/O
+    /// errors binding the socket.
     pub fn start(path: &Path, config: ServeConfig) -> std::io::Result<Server> {
-        let _ = std::fs::remove_file(path);
+        remove_stale_socket(path)?;
         let listener = UnixListener::bind(path)?;
+        let bound = file_id(path)?;
         let state = Arc::new(ServeState {
-            wake: Some(path.to_path_buf()),
+            listener: Some(UnixStream::from(OwnedFd::from(listener.try_clone()?))),
             ..ServeState::try_new(&config)?
         });
         let pool =
@@ -294,6 +329,7 @@ impl Server {
             .expect("spawn accept loop");
         Ok(Server {
             path: path.to_path_buf(),
+            bound,
             state,
             accept: Some(accept),
         })
@@ -325,7 +361,9 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let _ = std::fs::remove_file(&self.path);
+        if file_id(&self.path).is_ok_and(|id| id == self.bound) {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -19,20 +19,27 @@ use rtdc_serve::server::{ServeConfig, Server};
 
 const WATCHDOG: Duration = Duration::from_secs(5);
 
-fn start(name: &str) -> (Server, PathBuf) {
-    let path = std::env::temp_dir().join(format!(
+fn socket_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
         "rtdc-serve-teardown-{name}-{}.sock",
         std::process::id()
-    ));
-    let server = Server::start(
-        &path,
+    ))
+}
+
+fn start_at(path: &Path) -> std::io::Result<Server> {
+    Server::start(
+        path,
         ServeConfig {
             threads: 2,
             cache_bytes: 16 << 20,
             ..ServeConfig::default()
         },
     )
-    .expect("start server");
+}
+
+fn start(name: &str) -> (Server, PathBuf) {
+    let path = socket_path(name);
+    let server = start_at(&path).expect("start server");
     (server, path)
 }
 
@@ -60,7 +67,7 @@ fn shutdown_and_join(server: Server, what: &str) {
     assert_joins(&join_in_background(server), what);
 }
 
-fn connect(path: &PathBuf) -> UnixStream {
+fn connect(path: &Path) -> UnixStream {
     let s = UnixStream::connect(path).expect("connect");
     s.set_read_timeout(Some(WATCHDOG)).expect("read timeout");
     s
@@ -182,4 +189,43 @@ fn client_that_half_closes_sees_end_of_stream_after_its_replies() {
     assert_eq!(text.lines().count(), 1, "{text}");
     assert!(text.starts_with(r#"{"ok":true,"op":"stats""#), "{text}");
     shutdown_and_join(server, "after a half-closed client");
+}
+
+#[test]
+fn second_start_on_a_live_path_fails_and_the_first_still_joins() {
+    let (server, path) = start("live");
+    let err = start_at(&path).err().expect("second start on a live path");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    // The failed start left the first server's socket in place.
+    let mut s = connect(&path);
+    assert!(round_trip(&mut s, r#"{"op":"stats"}"#).starts_with(r#"{"ok":true"#));
+    drop(s);
+    shutdown_and_join(server, "after a rejected second start");
+    assert!(!path.exists(), "join unlinks its own socket file");
+}
+
+#[test]
+fn stale_socket_file_is_replaced() {
+    let path = socket_path("stale");
+    let _ = std::fs::remove_file(&path);
+    // A socket file nobody listens on, as a killed daemon leaves behind.
+    drop(UnixListener::bind(&path).expect("bind stale socket"));
+    assert!(path.exists());
+    let server = start_at(&path).expect("start over a stale socket file");
+    let mut s = connect(&path);
+    assert!(round_trip(&mut s, r#"{"op":"stats"}"#).starts_with(r#"{"ok":true"#));
+    drop(s);
+    shutdown_and_join(server, "server started over a stale socket file");
+}
+
+#[test]
+fn join_leaves_a_socket_file_it_did_not_bind() {
+    let (server, path) = start("replaced");
+    // Someone else takes the path over while the server runs.
+    std::fs::remove_file(&path).expect("unlink");
+    let other = UnixListener::bind(&path).expect("bind over the path");
+    shutdown_and_join(server, "socket file replaced under the server");
+    assert!(path.exists(), "join unlinked a socket file it did not bind");
+    drop(other);
+    let _ = std::fs::remove_file(&path);
 }

@@ -17,9 +17,9 @@ use rtdc_isa::{Instruction as I, Reg};
 use rtdc_rng::Rng64;
 use rtdc_sim::map;
 
-use crate::idioms::CodeSampler;
+use crate::idioms::{CodeSampler, FillerTarget};
 use crate::spec::{BenchmarkSpec, Style};
-use crate::vocab::DST_POOL;
+use crate::vocab::{Vocabulary, DST_POOL};
 use crate::zipf::Zipf;
 
 /// Per-procedure private data area size in bytes.
@@ -30,6 +30,23 @@ pub const DATA_SLOT_BYTES: u32 = 128;
 /// Deterministic: the same spec always yields the identical program.
 pub fn generate(spec: &BenchmarkSpec) -> ObjectProgram {
     Generator::new(spec).build()
+}
+
+/// The filler a spec's generator emits, from its Table 2 row: the size
+/// budget left after the driver, of which roughly 74% is idiom filler,
+/// and the unique-word count left after the rest (memory ops, branches,
+/// per-proc setup, driver, calls), whose uniques are bounded and
+/// estimated here. [`BenchmarkSpec::vocab_size`] was calibrated for
+/// exactly this target.
+pub fn filler_target(spec: &BenchmarkSpec) -> FillerTarget {
+    let target = spec.paper.insns();
+    let body_budget = target.saturating_sub(Generator::driver_words_estimate(spec));
+    let target_unique = spec.paper.unique_fraction() * target as f64;
+    let other_unique = 3.0 * spec.procs as f64 + 1200.0;
+    FillerTarget {
+        emissions: (body_budget as f64 * 0.74) as usize,
+        uniques: ((target_unique - other_unique).max(64.0)) as usize,
+    }
 }
 
 /// Builds `li reg, value` as one or two concrete instructions.
@@ -73,20 +90,9 @@ impl<'a> Generator<'a> {
     fn new(spec: &'a BenchmarkSpec) -> Generator<'a> {
         let mut rng = Rng64::seed_from_u64(spec.seed);
 
-        // --- budget: driver words + procedure bodies = target insns ---
-        let driver_words = Self::driver_words_estimate(spec);
-        let target = spec.paper.insns();
-        let body_budget = target.saturating_sub(driver_words);
-
-        // --- filler sampler calibrated to the Table 2 unique fraction ---
-        // Roughly 74% of body words are idiom filler; the rest (memory
-        // ops, branches, per-proc setup, driver, calls) contribute a
-        // bounded number of uniques estimated here.
-        let n_filler = (body_budget as f64 * 0.74) as usize;
-        let target_unique = spec.paper.unique_fraction() * target as f64;
-        let other_unique = 3.0 * spec.procs as f64 + 1200.0;
-        let filler_target = ((target_unique - other_unique).max(64.0)) as usize;
-        let sampler = CodeSampler::for_unique_target(spec.seed, n_filler, filler_target);
+        // --- filler sampler over the spec's pinned vocabulary size ---
+        let master = Vocabulary::generate(spec.seed, filler_target(spec).master_size());
+        let sampler = CodeSampler::with_vocab(spec.seed, master.prefix(spec.vocab_size));
 
         // Spread "hot" zipf ranks across the address space.
         let mut rank_to_proc: Vec<usize> = (1..=spec.procs).collect();
@@ -565,22 +571,6 @@ mod tests {
         let a = generate(&s);
         let b = generate(&s);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn same_spec_hits_calibration_cache_and_reproduces() {
-        // A seed no other spec (or test) uses, so the calibration cache
-        // key is provably cold before the first generation.
-        let mut s = spec::pegwit();
-        s.seed = 0xCA11_B5EE_D000_0002;
-        let (_, misses_before) = crate::idioms::calibration_cache_stats();
-        let a = generate(&s);
-        let (hits_mid, misses_mid) = crate::idioms::calibration_cache_stats();
-        assert!(misses_mid > misses_before, "first generation calibrates");
-        let b = generate(&s);
-        let (hits_after, _) = crate::idioms::calibration_cache_stats();
-        assert!(hits_after > hits_mid, "second generation hits the cache");
-        assert_eq!(a, b, "cached calibration must reproduce the program");
     }
 
     #[test]

@@ -10,39 +10,17 @@
 //!
 //! [`CodeSampler`] therefore emits filler code by sampling *idioms*
 //! (short sequences of vocabulary instructions, chosen Zipf-style) rather
-//! than independent instructions, and [`CodeSampler::for_unique_target`]
-//! calibrates the vocabulary size *empirically* so the emitted stream hits
-//! the benchmark's Table 2 unique-word fraction.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{LazyLock, Mutex};
+//! than independent instructions. A benchmark's vocabulary is a prefix of
+//! the master vocabulary for its [`FillerTarget`], cut at the size pinned
+//! in its spec. [`calibrate_vocab_size`] is the bisection that found those
+//! sizes; it runs offline (the `calibrate` bin and a test that recomputes
+//! every pinned size), never during generation.
 
 use rtdc_isa::{encode, Instruction};
 use rtdc_rng::Rng64;
 
 use crate::vocab::Vocabulary;
 use crate::zipf::Zipf;
-
-/// Process-global memo of calibration results: `(seed, n, target)` →
-/// calibrated vocabulary size. Calibration is a pure function of its
-/// arguments (the bisection is fully deterministic), so re-generating the
-/// same benchmark spec — harness after harness in one process — can skip
-/// the ~20 bisection probe streams, which dominate generation cost.
-type CalibrationKey = (u64, usize, usize);
-static CALIBRATION_CACHE: LazyLock<Mutex<HashMap<CalibrationKey, usize>>> =
-    LazyLock::new(Mutex::default);
-static CALIBRATION_HITS: AtomicU64 = AtomicU64::new(0);
-static CALIBRATION_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the process-global calibration cache — one count
-/// per [`CodeSampler::for_unique_target`] call.
-pub fn calibration_cache_stats() -> (u64, u64) {
-    (
-        CALIBRATION_HITS.load(Ordering::Relaxed),
-        CALIBRATION_MISSES.load(Ordering::Relaxed),
-    )
-}
 
 /// Zipf exponent for instruction popularity inside idioms.
 const MEMBER_S: f64 = 1.0;
@@ -102,17 +80,12 @@ impl CodeSampler {
             // odd constants) that idiom reuse alone cannot produce.
             if self.rng.gen_f64() < 0.20 {
                 let idx = self.rng.gen_range(0..self.vocab.len()) as u32;
-                return self.vocab_insn(idx);
+                return self.vocab.get(idx as usize);
             }
             let idiom = &self.idioms[self.idiom_zipf.sample(&mut self.rng)];
             self.pending = idiom.iter().rev().copied().collect();
         }
         let idx = self.pending.pop().expect("pending refilled above");
-        self.vocab_insn(idx)
-    }
-
-    fn vocab_insn(&self, idx: u32) -> Instruction {
-        // Vocabulary::sample is uniform; index directly instead.
         self.vocab.get(idx as usize)
     }
 
@@ -123,86 +96,63 @@ impl CodeSampler {
         self.pending.is_empty()
     }
 
-    /// Vocabulary size.
-    pub fn vocab_len(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// Empirically counts distinct instruction words among the first `n`
-    /// emissions of a fresh sampler with these parameters.
-    pub fn estimate_uniques(seed: u64, vocab_size: usize, n: usize) -> usize {
-        let mut s = CodeSampler::new(seed, vocab_size);
+    /// Counts distinct instruction words among the first `n` emissions
+    /// of a fresh sampler over `vocab`.
+    pub fn count_uniques(seed: u64, vocab: Vocabulary, n: usize) -> usize {
+        let mut s = CodeSampler::with_vocab(seed, vocab);
         let mut seen = crate::fasthash::fast_set_with_capacity::<u32>(n / 2);
         for _ in 0..n {
             seen.insert(encode(s.next_insn()));
         }
         seen.len()
     }
+}
 
-    fn estimate_with(master: &Vocabulary, seed: u64, size: usize, n: usize) -> usize {
-        let mut s = CodeSampler::with_vocab(seed, master.prefix(size));
-        let mut seen = crate::fasthash::fast_set_with_capacity::<u32>(n / 2);
-        for _ in 0..n {
-            seen.insert(encode(s.next_insn()));
-        }
-        seen.len()
+/// The filler a generator emits: `emissions` idiom words that should
+/// hold `uniques` distinct ones (the benchmark's Table 2 unique-word
+/// count, less what the non-filler code contributes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillerTarget {
+    /// Filler words emitted.
+    pub emissions: usize,
+    /// Distinct words wanted among them.
+    pub uniques: usize,
+}
+
+impl FillerTarget {
+    /// Size of the master vocabulary whose prefixes calibration probes and
+    /// generation cuts. Idiom reuse means uniques saturate well below the
+    /// vocabulary size, so the bound is generous, but it stays below the
+    /// safe family's ~2.7M distinct encodings.
+    pub fn master_size(self) -> usize {
+        (32 * self.uniques.max(64)).min(900_000)
     }
+}
 
-    /// Calibrates the vocabulary size so that `n` filler emissions contain
-    /// approximately `target_uniques` distinct words, then builds the
-    /// sampler. Deterministic for a given seed.
-    ///
-    /// Builds the vocabulary **once** at the upper bound and probes
-    /// prefixes (same-seed vocabularies are prefix-stable, see
-    /// [`Vocabulary::prefix`]). Calibrated sizes are memoized process-wide
-    /// (see [`calibration_cache_stats`]); repeat calls with the same
-    /// arguments skip the bisection and return an identical sampler.
-    pub fn for_unique_target(seed: u64, n: usize, target_uniques: usize) -> CodeSampler {
-        let target = target_uniques.max(16);
-        // Upper bound: idiom reuse means uniques(T) saturates well below T,
-        // but the safe family has ~2.7M distinct encodings — stay below it.
-        let (mut lo, mut hi) = (64usize, (32 * target.max(64)).min(900_000));
-
-        let key = (seed, n, target);
-        let cached = CALIBRATION_CACHE
-            .lock()
-            .expect("cache lock")
-            .get(&key)
-            .copied();
-        if let Some(size) = cached {
-            CALIBRATION_HITS.fetch_add(1, Ordering::Relaxed);
-            // `Vocabulary::generate(seed, k)` is NOT guaranteed to equal
-            // `master.prefix(k)` for k < the master's size (the generator's
-            // head/tail switchover depends on the requested size), so the
-            // hit path must rebuild the master at the same upper bound and
-            // take the same prefix the miss path took. Only the bisection
-            // probes — the dominant cost — are skipped.
-            let master = Vocabulary::generate(seed, hi);
-            return CodeSampler::with_vocab(seed, master.prefix(size));
+/// The vocabulary size whose master prefix makes `target.emissions`
+/// filler emissions contain about `target.uniques` distinct words.
+/// Deterministic for a given seed.
+///
+/// Builds the master once and bisects over its prefixes: uniques are
+/// statistically monotone in the size, with a shallow slope (idiom
+/// reuse), so the bisection runs to within 1% of the bound. A target the
+/// sampler cannot reach ends within 1% of the master's size.
+pub fn calibrate_vocab_size(seed: u64, target: FillerTarget) -> usize {
+    let uniques = target.uniques.max(16);
+    let (mut lo, mut hi) = (64usize, target.master_size());
+    let master = Vocabulary::generate(seed, hi);
+    for _ in 0..20 {
+        if hi - lo <= 1 + hi / 100 {
+            break;
         }
-        CALIBRATION_MISSES.fetch_add(1, Ordering::Relaxed);
-        let master = Vocabulary::generate(seed, hi);
-        // uniques(T) is statistically monotone in T; the slope can be
-        // shallow (idiom reuse), so bisect tightly.
-        for _ in 0..20 {
-            if hi - lo <= 1 + hi / 100 {
-                break;
-            }
-            let mid = (lo + hi) / 2;
-            let u = Self::estimate_with(&master, seed, mid, n);
-            if u < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+        let mid = (lo + hi) / 2;
+        if CodeSampler::count_uniques(seed, master.prefix(mid), target.emissions) < uniques {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        let size = (lo + hi) / 2;
-        CALIBRATION_CACHE
-            .lock()
-            .expect("cache lock")
-            .insert(key, size);
-        CodeSampler::with_vocab(seed, master.prefix(size))
     }
+    (lo + hi) / 2
 }
 
 #[cfg(test)]
@@ -241,30 +191,16 @@ mod tests {
     fn calibration_hits_unique_target() {
         let n = 60_000;
         let target = 12_000; // 20%
-        let s = CodeSampler::for_unique_target(11, n, target);
-        let u = CodeSampler::estimate_uniques(11, s.vocab_len(), n);
+        let size = calibrate_vocab_size(
+            11,
+            FillerTarget {
+                emissions: n,
+                uniques: target,
+            },
+        );
+        let u = CodeSampler::count_uniques(11, Vocabulary::generate(11, size), n);
         let err = (u as f64 - target as f64).abs() / target as f64;
         assert!(err < 0.10, "target {target}, got {u}");
-    }
-
-    #[test]
-    fn calibration_cache_hit_reproduces_sampler() {
-        // Seed unique to this test so the cache key cannot be prewarmed
-        // (or raced) by other tests in the same process.
-        let seed = 0xCA11_B5EE_D000_0001;
-        let (n, target) = (40_000, 8_000);
-        let (_, misses_before) = calibration_cache_stats();
-        let mut a = CodeSampler::for_unique_target(seed, n, target);
-        let (hits_mid, misses_mid) = calibration_cache_stats();
-        assert!(misses_mid > misses_before, "first call must calibrate");
-        let mut b = CodeSampler::for_unique_target(seed, n, target);
-        let (hits_after, _) = calibration_cache_stats();
-        assert!(hits_after > hits_mid, "second call must hit the cache");
-        // The cached path must reproduce the calibrated sampler exactly.
-        assert_eq!(a.vocab_len(), b.vocab_len());
-        for _ in 0..2000 {
-            assert_eq!(a.next_insn(), b.next_insn());
-        }
     }
 
     #[test]

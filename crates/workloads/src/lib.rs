@@ -29,7 +29,7 @@ pub mod spec;
 pub mod vocab;
 pub mod zipf;
 
-pub use generate::{generate, DATA_SLOT_BYTES};
+pub use generate::{filler_target, generate, DATA_SLOT_BYTES};
 pub use spec::{all_benchmarks, by_name, BenchmarkSpec, PaperReference, Style};
 
 use std::collections::HashMap;
@@ -37,8 +37,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// [`generate`], memoized by benchmark name.
 ///
-/// Generation includes an empirical vocabulary calibration that costs a
-/// second or two for the large benchmarks; experiment harnesses that build
+/// Generating a large benchmark costs the better part of a second, most
+/// of it building the master vocabulary; experiment harnesses that build
 /// many images of the same benchmark should use this.
 ///
 /// Thread-friendly: the global map lock is held only to fetch a

@@ -99,6 +99,11 @@ pub struct BenchmarkSpec {
     pub name: &'static str,
     /// Generator seed (fixed; the suite is deterministic).
     pub seed: u64,
+    /// Filler vocabulary size: the one fitted parameter. The first
+    /// `vocab_size` words of the master vocabulary for the spec's
+    /// [`filler_target`](crate::filler_target), as found offline by
+    /// [`calibrate_vocab_size`](crate::idioms::calibrate_vocab_size).
+    pub vocab_size: usize,
     /// Number of procedures.
     pub procs: usize,
     /// Dynamic structure.
@@ -131,6 +136,7 @@ pub fn cc1() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "cc1",
         seed: 0xcc1,
+        vocab_size: 617_012,
         procs: 1400,
         style: Style::Walker {
             calls: 1560,
@@ -157,6 +163,7 @@ pub fn ghostscript() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "ghostscript",
         seed: 0x6405,
+        vocab_size: 896_484,
         procs: 1550,
         style: Style::LoopKernel {
             kernels: 12,
@@ -184,6 +191,7 @@ pub fn go() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "go",
         seed: 0x60,
+        vocab_size: 304_839,
         procs: 450,
         style: Style::Walker {
             calls: 1250,
@@ -210,6 +218,7 @@ pub fn ijpeg() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "ijpeg",
         seed: 0x13e6,
+        vocab_size: 364_235,
         procs: 285,
         style: Style::LoopKernel {
             kernels: 8,
@@ -237,6 +246,7 @@ pub fn mpeg2enc() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "mpeg2enc",
         seed: 0x9e62,
+        vocab_size: 250_282,
         procs: 170,
         style: Style::LoopKernel {
             kernels: 6,
@@ -264,6 +274,7 @@ pub fn pegwit() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "pegwit",
         seed: 0x9e64,
+        vocab_size: 155_709,
         procs: 130,
         style: Style::LoopKernel {
             kernels: 5,
@@ -291,6 +302,7 @@ pub fn perl() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "perl",
         seed: 0x9e71,
+        vocab_size: 429_770,
         procs: 390,
         style: Style::Interpreter {
             program_len: 450,
@@ -318,6 +330,7 @@ pub fn vortex() -> BenchmarkSpec {
     BenchmarkSpec {
         name: "vortex",
         seed: 0x0eb7,
+        vocab_size: 291_727,
         procs: 700,
         style: Style::Walker {
             calls: 1500,
@@ -364,6 +377,7 @@ pub mod tiny {
         BenchmarkSpec {
             name: "tiny-walker",
             seed: 0x7e57_0001,
+            vocab_size: 2_920,
             procs: 80,
             style: Style::Walker {
                 calls: 220,
@@ -379,6 +393,7 @@ pub mod tiny {
         BenchmarkSpec {
             name: "tiny-loop",
             seed: 0x7e57_0002,
+            vocab_size: 5_426,
             procs: 60,
             style: Style::LoopKernel {
                 kernels: 4,
@@ -395,6 +410,7 @@ pub mod tiny {
         BenchmarkSpec {
             name: "tiny-interp",
             seed: 0x7e57_0003,
+            vocab_size: 1_224,
             procs: 50,
             style: Style::Interpreter {
                 program_len: 120,
@@ -433,6 +449,29 @@ mod tests {
         let p = cc1().paper;
         assert!((p.unique_fraction() - 0.154).abs() < 0.001);
         assert_eq!(p.insns(), 270_792);
+    }
+
+    #[test]
+    fn pinned_vocab_sizes_match_calibration() {
+        let mut specs = all_benchmarks();
+        specs.extend([tiny::walker(), tiny::loop_kernel(), tiny::interpreter()]);
+        let recomputed: Vec<(&str, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|s| {
+                    scope.spawn(move || {
+                        let target = crate::filler_target(s);
+                        (s.name, crate::idioms::calibrate_vocab_size(s.seed, target))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("calibration panicked"))
+                .collect()
+        });
+        let pinned: Vec<(&str, usize)> = specs.iter().map(|s| (s.name, s.vocab_size)).collect();
+        assert_eq!(pinned, recomputed);
     }
 
     #[test]

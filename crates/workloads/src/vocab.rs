@@ -7,9 +7,8 @@
 //! benchmark draws its straight-line "compute" instructions from a fixed
 //! [`Vocabulary`] of *safe* instructions whose size is the primary
 //! uniqueness dial; the idiom sampler (`crate::idioms`) layers frequency
-//! and locality structure on top and calibrates the size empirically.
-//! ([`vocab_size_for_unique_fraction`] is the closed-form solver for the
-//! plain uniform-sampling case.)
+//! and locality structure on top, and each spec pins the size that was
+//! calibrated for it.
 //!
 //! Safe means: ALU-only, destinations restricted to scratch registers, no
 //! control flow, no memory — so any sampled sequence executes without
@@ -235,11 +234,6 @@ impl Vocabulary {
         Vocabulary { insns }
     }
 
-    /// Samples one filler instruction uniformly.
-    pub fn sample(&self, rng: &mut Rng64) -> Instruction {
-        self.insns[rng.gen_range(0..self.insns.len())]
-    }
-
     /// The instruction at `index`.
     ///
     /// # Panics
@@ -251,10 +245,11 @@ impl Vocabulary {
 
     /// The first `size` entries as a vocabulary of their own.
     ///
-    /// Because generation is a deterministic draw sequence, the size-`k`
-    /// vocabulary for a seed is exactly the prefix of the size-`n` one
-    /// (`k <= n`) — which lets calibration build one master vocabulary and
-    /// probe prefixes cheaply.
+    /// Calibration builds one master vocabulary and probes its prefixes,
+    /// and generation cuts the calibrated prefix of the same master. A
+    /// prefix is not in general [`Vocabulary::generate`] at the smaller
+    /// size: where the draws switch from skewed to uniform depends on the
+    /// requested size.
     ///
     /// # Panics
     ///
@@ -275,36 +270,6 @@ impl Vocabulary {
     pub fn is_empty(&self) -> bool {
         self.insns.is_empty()
     }
-}
-
-/// Solves for the vocabulary size that yields a target unique-word
-/// fraction.
-///
-/// Sampling `n` words uniformly from `t` distinct values yields
-/// `E[unique] = t·(1 - e^(-n/t))`; this inverts that for
-/// `unique_fraction = E[unique] / n` by bisection.
-///
-/// # Panics
-///
-/// Panics unless `0 < unique_fraction < 1`.
-pub fn vocab_size_for_unique_fraction(n: usize, unique_fraction: f64) -> usize {
-    assert!(
-        unique_fraction > 0.0 && unique_fraction < 1.0,
-        "fraction must be in (0,1)"
-    );
-    // Find x = n/t with (1 - e^-x)/x = unique_fraction; f is decreasing in x.
-    let f = |x: f64| (1.0 - (-x).exp()) / x;
-    let (mut lo, mut hi) = (1e-6, 100.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) > unique_fraction {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let x = 0.5 * (lo + hi);
-    ((n as f64 / x).round() as usize).max(16)
 }
 
 #[cfg(test)]
@@ -338,31 +303,5 @@ mod tests {
             }
             assert!(!insn.is_control() && !insn.is_load() && !insn.is_store());
         }
-    }
-
-    #[test]
-    fn size_solver_matches_simulation() {
-        // Target 20% unique among 50_000 draws.
-        let n = 50_000;
-        let t = vocab_size_for_unique_fraction(n, 0.20);
-        let v = Vocabulary::generate(3, t);
-        let mut rng = Rng64::seed_from_u64(9);
-        let mut seen = HashSet::new();
-        for _ in 0..n {
-            seen.insert(encode(v.sample(&mut rng)));
-        }
-        let measured = seen.len() as f64 / n as f64;
-        assert!(
-            (measured - 0.20).abs() < 0.02,
-            "solver predicted {t}, measured unique fraction {measured}"
-        );
-    }
-
-    #[test]
-    fn solver_monotonic() {
-        let n = 100_000;
-        let a = vocab_size_for_unique_fraction(n, 0.15);
-        let b = vocab_size_for_unique_fraction(n, 0.30);
-        assert!(a < b);
     }
 }
