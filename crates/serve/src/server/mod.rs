@@ -20,11 +20,12 @@
 //! and the structured log (`rtdc_obs::log`) carries connection and
 //! request events on stderr.
 
+use std::collections::HashMap;
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rtdc::prelude::RunReport;
@@ -153,6 +154,16 @@ pub struct ServeMetrics {
     /// loop split every run (block and trace ops, side exits, fallback
     /// steps by reason).
     sim_engine: [Arc<Counter>; EngineCounters::FIELDS.len()],
+    /// Each image label's sim handles, registered on its first run.
+    sim_labels: Mutex<HashMap<String, SimLabel>>,
+}
+
+/// The `serve.sim.{runs,cycles}.<label>` counters and the
+/// `serve.sim.wall_us.<label>` histogram of one image label.
+struct SimLabel {
+    runs: Arc<Counter>,
+    cycles: Arc<Counter>,
+    wall_us: Arc<Histogram>,
 }
 
 impl ServeMetrics {
@@ -171,6 +182,7 @@ impl ServeMetrics {
             op_us,
             sim_engine: EngineCounters::FIELDS
                 .map(|field| registry.counter(&format!("serve.sim.engine.{field}"))),
+            sim_labels: Mutex::default(),
             registry,
         }
     }
@@ -194,20 +206,27 @@ impl ServeMetrics {
     /// `serve.sim.{runs,cycles}.<label>` counters, the
     /// `serve.sim.wall_us.<label>` histogram, and the run's engine
     /// counters into the pre-registered `serve.sim.engine.<field>`
-    /// totals.
+    /// totals. A label's three handles are registered on its first run
+    /// and looked up by label after that.
     fn record_sim(&self, label: &str, report: &RunReport, wall: Duration) {
         for (counter, n) in self.sim_engine.iter().zip(report.engine.to_array()) {
             counter.add(n);
         }
-        self.registry
-            .counter(&format!("serve.sim.runs.{label}"))
-            .inc();
-        self.registry
-            .counter(&format!("serve.sim.cycles.{label}"))
-            .add(report.stats.cycles);
-        self.registry
-            .histogram(&format!("serve.sim.wall_us.{label}"))
-            .observe_micros(wall);
+        let mut labels = self.sim_labels.lock().expect("sim label lock");
+        if !labels.contains_key(label) {
+            let handles = SimLabel {
+                runs: self.registry.counter(&format!("serve.sim.runs.{label}")),
+                cycles: self.registry.counter(&format!("serve.sim.cycles.{label}")),
+                wall_us: self
+                    .registry
+                    .histogram(&format!("serve.sim.wall_us.{label}")),
+            };
+            labels.insert(label.to_string(), handles);
+        }
+        let handles = &labels[label];
+        handles.runs.inc();
+        handles.cycles.add(report.stats.cycles);
+        handles.wall_us.observe_micros(wall);
     }
 }
 

@@ -16,10 +16,10 @@
 //! sizes; it runs offline (the `calibrate` bin and a test that recomputes
 //! every pinned size), never during generation.
 
-use rtdc_isa::{encode, Instruction};
+use rtdc_isa::Instruction;
 use rtdc_rng::Rng64;
 
-use crate::vocab::Vocabulary;
+use crate::vocab::{BitSet, Vocabulary};
 use crate::zipf::Zipf;
 
 /// Zipf exponent for instruction popularity inside idioms.
@@ -73,20 +73,24 @@ impl CodeSampler {
 
     /// Emits the next filler instruction.
     pub fn next_insn(&mut self) -> Instruction {
+        let idx = self.next_index();
+        self.vocab.get(idx)
+    }
+
+    /// The vocabulary position of the next emission.
+    fn next_index(&mut self) -> usize {
         if self.pending.is_empty() {
             // Mostly idioms; occasionally a "solo" cold instruction drawn
             // uniformly from the whole vocabulary. Solo draws supply the
             // long tail of unique words (one-off address computations,
             // odd constants) that idiom reuse alone cannot produce.
             if self.rng.gen_f64() < 0.20 {
-                let idx = self.rng.gen_range(0..self.vocab.len()) as u32;
-                return self.vocab.get(idx as usize);
+                return self.rng.gen_range(0..self.vocab.len());
             }
             let idiom = &self.idioms[self.idiom_zipf.sample(&mut self.rng)];
             self.pending = idiom.iter().rev().copied().collect();
         }
-        let idx = self.pending.pop().expect("pending refilled above");
-        self.vocab.get(idx as usize)
+        self.pending.pop().expect("pending refilled above") as usize
     }
 
     /// Whether the sampler sits at an idiom boundary (the next emission
@@ -97,14 +101,12 @@ impl CodeSampler {
     }
 
     /// Counts distinct instruction words among the first `n` emissions
-    /// of a fresh sampler over `vocab`.
+    /// of a fresh sampler over `vocab`. A vocabulary's words are
+    /// distinct, so these are its distinct positions.
     pub fn count_uniques(seed: u64, vocab: Vocabulary, n: usize) -> usize {
+        let mut seen = BitSet::new(vocab.len());
         let mut s = CodeSampler::with_vocab(seed, vocab);
-        let mut seen = crate::fasthash::fast_set_with_capacity::<u32>(n / 2);
-        for _ in 0..n {
-            seen.insert(encode(s.next_insn()));
-        }
-        seen.len()
+        (0..n).filter(|_| seen.insert(s.next_index())).count()
     }
 }
 
@@ -123,7 +125,7 @@ impl FillerTarget {
     /// Size of the master vocabulary whose prefixes calibration probes and
     /// generation cuts. Idiom reuse means uniques saturate well below the
     /// vocabulary size, so the bound is generous, but it stays below the
-    /// safe family's ~2.7M distinct encodings.
+    /// safe family's [`FAMILY_SIZE`](crate::vocab::FAMILY_SIZE) words.
     pub fn master_size(self) -> usize {
         (32 * self.uniques.max(64)).min(900_000)
     }
@@ -158,6 +160,7 @@ pub fn calibrate_vocab_size(seed: u64, target: FillerTarget) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdc_isa::encode;
     use std::collections::HashMap;
 
     #[test]

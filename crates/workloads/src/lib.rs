@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fasthash;
 mod generate;
 pub mod idioms;
 pub mod programs;
@@ -37,9 +36,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// [`generate`], memoized by benchmark name.
 ///
-/// Generating a large benchmark costs the better part of a second, most
-/// of it building the master vocabulary; experiment harnesses that build
-/// many images of the same benchmark should use this.
+/// Generating cc1 or ghostscript, the largest analogs, costs over half a
+/// second in a release build, most of it building the 900,000-word
+/// master vocabulary; experiment harnesses that build many images of the
+/// same benchmark should use this.
 ///
 /// Thread-friendly: the global map lock is held only to fetch a
 /// per-benchmark slot, so parallel experiment workers generating
