@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the pure algorithm kernels: compression and
 //! decompression throughput for every registered codec (plus raw LZRW1
-//! over the byte stream), and raw simulator speed. These are the
-//! implementation-performance numbers (host-side), complementing the
-//! simulated-machine results of the table/figure harnesses.
+//! over the byte stream), the image builders per label, and raw
+//! simulator speed. These are the implementation-performance numbers
+//! (host-side), complementing the simulated-machine results of the
+//! table/figure harnesses.
 //!
 //! Uses a tiny self-contained timing harness (median of repeated runs)
 //! instead of criterion so the workspace builds with no network access.
@@ -11,6 +12,7 @@ use std::time::Instant;
 
 use rtdc::prelude::*;
 use rtdc_compress::lzrw1;
+use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::SimConfig;
 use rtdc_workloads::{generate, spec};
 
@@ -36,10 +38,9 @@ fn bench<T>(name: &str, throughput_bytes: Option<u64>, iters: usize, mut f: impl
     }
 }
 
-/// A realistic instruction-word stream: the pegwit analog's linked text.
-fn sample_text() -> Vec<u32> {
-    let program = generate(&spec::pegwit());
-    let image = build_native(&program).expect("native build");
+/// A realistic instruction-word stream: `program`'s linked text.
+fn sample_text(program: &ObjectProgram) -> Vec<u32> {
+    let image = build_native(program).expect("native build");
     let seg = image.segment(".text").expect("text");
     seg.bytes
         .chunks_exact(4)
@@ -48,7 +49,7 @@ fn sample_text() -> Vec<u32> {
 }
 
 fn bench_compressors() {
-    let words = sample_text();
+    let words = sample_text(&generate(&spec::pegwit()));
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     let n = bytes.len() as u64;
     println!("== compress ({} words) ==", words.len());
@@ -72,6 +73,40 @@ fn bench_compressors() {
     bench("lzrw1 (raw bytes)", Some(n), 10, || {
         lzrw1::decompress(&lz).unwrap()
     });
+}
+
+/// The builder layer on the go analog: each codec's `compress` over the
+/// whole text, then a complete build per uniform label (link, compress,
+/// lay out, seal), as a suite cell or a cold daemon `build` does it.
+fn bench_builders() {
+    let program = generate(&spec::go());
+    let words = sample_text(&program);
+    let n = 4 * words.len() as u64;
+    println!("== compress go ({} words) ==", words.len());
+    for scheme in Scheme::all() {
+        let codec = scheme.codec();
+        bench(codec.long_name(), Some(n), 10, || {
+            codec.compress(&words).unwrap()
+        });
+    }
+    println!("== build go ==");
+    bench("build_native", Some(n), 10, || {
+        build_native(&program).unwrap()
+    });
+    let all = Selection::all_compressed(program.procedures.len());
+    for scheme in Scheme::all() {
+        for rf in [false, true] {
+            let plan = CompressionPlan::uniform(scheme, rf, PlanSource::Heuristic, &all);
+            let label = format!(
+                "build_planned {}{}",
+                scheme.name(),
+                if rf { "+rf" } else { "" }
+            );
+            bench(&label, Some(n), 10, || {
+                build_planned(&program, &plan).unwrap()
+            });
+        }
+    }
 }
 
 fn run_100k(image: &MemoryImage, cfg: SimConfig) -> u64 {
@@ -104,5 +139,6 @@ fn bench_simulator() {
 
 fn main() {
     bench_compressors();
+    bench_builders();
     bench_simulator();
 }

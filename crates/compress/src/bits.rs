@@ -5,10 +5,15 @@
 //! the first bit written is the most significant bit.
 
 /// Accumulates bits MSB-first into a byte vector.
+///
+/// Bits collect in a 64-bit accumulator and leave it 32 at a time, so a
+/// write costs a shift and an or rather than a step per bit.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    bit_len: usize,
+    /// Pending bits: the low `pending` bits of `acc`, oldest highest.
+    acc: u64,
+    pending: u32,
 }
 
 impl BitWriter {
@@ -22,44 +27,47 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `width > 32` or `value` has bits above `width`.
+    #[inline]
     pub fn write(&mut self, value: u32, width: u32) {
         assert!(width <= 32, "width too large");
         assert!(
             width == 32 || value < (1u32 << width),
             "value {value:#x} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            let pos = self.bit_len % 8;
-            if pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= (bit as u8) << (7 - pos);
-            self.bit_len += 1;
+        // `pending < 32` on entry, so the accumulator never holds more
+        // than 63 live bits; older, already-flushed bits shift out the top.
+        self.acc = (self.acc << width) | u64::from(value);
+        self.pending += width;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let out = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&out.to_be_bytes());
         }
     }
 
     /// Pads with zero bits to the next byte boundary.
     pub fn align_byte(&mut self) {
-        while !self.bit_len.is_multiple_of(8) {
-            self.bit_len += 1;
-        }
+        let pad = (8 - self.pending % 8) % 8;
+        self.write(0, pad);
     }
 
     /// Number of bits written (before any final padding).
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        8 * self.bytes.len() + self.pending as usize
     }
 
     /// Finishes and returns the bytes (zero-padded to a byte boundary).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.align_byte();
+        let tail = (self.acc << (32 - self.pending)) as u32;
+        let n = (self.pending / 8) as usize;
+        self.bytes.extend_from_slice(&tail.to_be_bytes()[..n]);
         self.bytes
     }
 
     /// Current length in whole bytes (rounding the tail up).
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.bit_len().div_ceil(8)
     }
 }
 

@@ -19,12 +19,11 @@
 //! schemes: ~15–25 instructions per instruction decoded vs the
 //! dictionary's ~9 and CodePack's ~60.
 
-use std::collections::HashMap;
-
 use crate::codec::{
     req_segment, req_u16s, req_u32s, Codec, CodecSegment, CompressError, CompressedLayout,
     DecodeError,
 };
+use crate::wordtable::WordTable;
 
 /// Instructions per compressed line (one 32B I-cache line).
 pub const LINE_WORDS: usize = 8;
@@ -54,51 +53,74 @@ impl ByteDictCompressed {
     pub fn compress(words: &[u32]) -> ByteDictCompressed {
         let n_words = words.len();
         let padded_len = words.len().div_ceil(LINE_WORDS) * LINE_WORDS;
-        let padded: Vec<u32> = words
+
+        // Number the distinct words and count them in one pass.
+        let mut table = WordTable::with_capacity(padded_len / 4);
+        let mut counts: Vec<u32> = Vec::new();
+        let ids: Vec<u32> = words
             .iter()
             .copied()
-            .chain(std::iter::repeat(0))
-            .take(padded_len)
+            .chain(std::iter::repeat_n(0, padded_len - n_words))
+            .map(|w| {
+                let id = table.intern(w);
+                match counts.get_mut(id as usize) {
+                    Some(count) => *count += 1,
+                    None => counts.push(1),
+                }
+                id
+            })
             .collect();
 
-        // Frequency-sorted dictionary, ties broken by value.
-        let mut freq: HashMap<u32, u64> = HashMap::new();
-        for &w in &padded {
-            *freq.entry(w).or_insert(0) += 1;
-        }
-        let mut entries: Vec<(u32, u64)> = freq.into_iter().collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        // Frequency-sorted dictionary, ties broken by value: ascending
+        // `!count << 32 | word` is descending count, then word.
+        let distinct = table.words();
+        let mut entries: Vec<(u64, u32)> = counts
+            .iter()
+            .zip(distinct)
+            .enumerate()
+            .map(|(id, (&count, &w))| (u64::from(!count) << 32 | u64::from(w), id as u32))
+            .collect();
+        entries.sort_unstable();
         // Words appearing once compress worse as 2-byte codes than raw?
         // 2-byte code + 4-byte entry = 6B vs 5B escape: drop singletons
         // beyond the one-byte class.
         entries.truncate(MAX_DICT);
-        while entries.len() > ONE_BYTE_ENTRIES && entries.last().is_some_and(|&(_, c)| c == 1) {
+        while entries.len() > ONE_BYTE_ENTRIES
+            && entries
+                .last()
+                .is_some_and(|&(_, id)| counts[id as usize] == 1)
+        {
             entries.pop();
         }
-        let dict: Vec<u32> = entries.into_iter().map(|(w, _)| w).collect();
-        let index: HashMap<u32, usize> = dict.iter().enumerate().map(|(i, &w)| (w, i)).collect();
+        // Dictionary index by word id; `NONE` marks a raw escape.
+        const NONE: u32 = u32::MAX;
+        let mut index = vec![NONE; distinct.len()];
+        for (i, &(_, id)) in entries.iter().enumerate() {
+            index[id as usize] = i as u32;
+        }
+        let dict: Vec<u32> = entries.iter().map(|&(key, _)| key as u32).collect();
 
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(2 * padded_len);
         let n_lines = padded_len / LINE_WORDS;
         let mut bases = Vec::with_capacity(n_lines.div_ceil(LINES_PER_BLOCK));
         let mut deltas = Vec::with_capacity(n_lines);
-        for (line, chunk) in padded.chunks(LINE_WORDS).enumerate() {
+        for (line, chunk) in ids.chunks(LINE_WORDS).enumerate() {
             if line % LINES_PER_BLOCK == 0 {
                 bases.push(bytes.len() as u32);
             }
             let base = *bases.last().expect("pushed above");
             deltas.push(u16::try_from(bytes.len() as u32 - base).expect("block span fits u16"));
-            for &w in chunk {
-                match index.get(&w).copied() {
-                    Some(i) if i < ONE_BYTE_ENTRIES => bytes.push(0x80 | i as u8),
-                    Some(i) => {
-                        let x = i - ONE_BYTE_ENTRIES;
+            for &id in chunk {
+                match index[id as usize] {
+                    i if (i as usize) < ONE_BYTE_ENTRIES => bytes.push(0x80 | i as u8),
+                    NONE => {
+                        bytes.push(0x00);
+                        bytes.extend_from_slice(&distinct[id as usize].to_le_bytes());
+                    }
+                    i => {
+                        let x = i as usize - ONE_BYTE_ENTRIES;
                         bytes.push(0x40 | (x >> 8) as u8);
                         bytes.push((x & 0xff) as u8);
-                    }
-                    None => {
-                        bytes.push(0x00);
-                        bytes.extend_from_slice(&w.to_le_bytes());
                     }
                 }
             }

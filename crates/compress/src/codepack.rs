@@ -33,8 +33,6 @@
 //! The 16 hottest high halfwords cost only 5 bits — like real CodePack,
 //! the scheme leans on the extreme skew of instruction fields.
 
-use std::collections::HashMap;
-
 use crate::bits::{BitReader, BitWriter};
 use crate::codec::{
     req_segment, req_u16s, req_u32s, Codec, CodecSegment, CompressError, CompressedLayout,
@@ -65,66 +63,54 @@ pub struct CodePackCompressed {
     n_words: usize,
 }
 
-/// Builds a frequency-sorted dictionary of halfword values.
-fn build_dict(halves: impl Iterator<Item = u16>, skip_zero: bool, max: usize) -> Vec<u16> {
-    let mut freq: HashMap<u16, u64> = HashMap::new();
-    for h in halves {
-        if skip_zero && h == 0 {
-            continue;
-        }
-        *freq.entry(h).or_insert(0) += 1;
-    }
-    let mut entries: Vec<(u16, u64)> = freq.into_iter().collect();
-    // Most frequent first; ties broken by value for determinism.
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    entries.truncate(max);
-    entries.into_iter().map(|(v, _)| v).collect()
+/// Distinct halfword values.
+const HALVES: usize = 1 << 16;
+
+/// A codeword packed as `bits | width << 24` (no codeword exceeds 19 bits).
+const fn codeword(bits: u32, width: u32) -> u32 {
+    bits | width << 24
 }
 
-fn encode_hi(w: &mut BitWriter, index: Option<usize>, value: u16) {
-    match index {
-        Some(i) if i < 16 => {
-            w.write(0b0, 1);
-            w.write(i as u32, 4);
-        }
-        Some(i) if i < 144 => {
-            w.write(0b10, 2);
-            w.write((i - 16) as u32, 7);
-        }
-        Some(i) if i < MAX_HI_DICT => {
-            w.write(0b110, 3);
-            w.write((i - 144) as u32, 11);
-        }
-        _ => {
-            w.write(0b111, 3);
-            w.write(value as u32, 16);
-        }
+/// The high-half codeword for dictionary rank `i` (raw if out of range).
+fn hi_codeword(i: usize, value: u16) -> u32 {
+    match i {
+        0..16 => codeword(i as u32, 5),
+        16..144 => codeword(0b10 << 7 | (i - 16) as u32, 9),
+        144..MAX_HI_DICT => codeword(0b110 << 11 | (i - 144) as u32, 14),
+        _ => codeword(0b111 << 16 | value as u32, 19),
     }
 }
 
-fn encode_lo(w: &mut BitWriter, index: Option<usize>, value: u16) {
-    if value == 0 {
-        w.write(0b00, 2);
-        return;
+/// The low-half codeword for dictionary rank `i` (raw if out of range).
+fn lo_codeword(i: usize, value: u16) -> u32 {
+    match i {
+        0..16 => codeword(0b01 << 4 | i as u32, 6),
+        16..272 => codeword(0b10 << 8 | (i - 16) as u32, 10),
+        272..MAX_LO_DICT => codeword(0b110 << 12 | (i - 272) as u32, 15),
+        _ => codeword(0b111 << 16 | value as u32, 19),
     }
-    match index {
-        Some(i) if i < 16 => {
-            w.write(0b01, 2);
-            w.write(i as u32, 4);
-        }
-        Some(i) if i < 272 => {
-            w.write(0b10, 2);
-            w.write((i - 16) as u32, 8);
-        }
-        Some(i) if i < MAX_LO_DICT => {
-            w.write(0b110, 3);
-            w.write((i - 272) as u32, 12);
-        }
-        _ => {
-            w.write(0b111, 3);
-            w.write(value as u32, 16);
-        }
+}
+
+/// Turns per-value counts into per-value codewords and returns the
+/// frequency-sorted dictionary (most frequent first, ties by value).
+///
+/// Every value with a non-zero count gets its codeword in place of its
+/// count; values that never occur keep a zero entry, never looked up.
+fn codes_from_counts(table: &mut [u32], max: usize, codeword: fn(usize, u16) -> u32) -> Vec<u16> {
+    // Ascending `!count << 16 | value` is descending count, then value.
+    let mut keys: Vec<u64> = table
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .map(|(value, &count)| u64::from(!count) << 16 | value as u64)
+        .collect();
+    keys.sort_unstable();
+    for (rank, &key) in keys.iter().enumerate() {
+        let value = key as u16;
+        table[value as usize] = codeword(rank, value);
     }
+    keys.truncate(max);
+    keys.into_iter().map(|key| key as u16).collect()
 }
 
 const TRUNCATED: DecodeError = DecodeError::Truncated { segment: ".groups" };
@@ -171,50 +157,51 @@ impl CodePackCompressed {
     pub fn compress(words: &[u32]) -> CodePackCompressed {
         let n_words = words.len();
         let padded = words.len().div_ceil(GROUP_WORDS) * GROUP_WORDS;
-        let padded_words: Vec<u32> = words
-            .iter()
-            .copied()
-            .chain(std::iter::repeat(0))
-            .take(padded)
-            .collect();
+        let padded_words = || {
+            words
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n(0, padded - n_words))
+        };
 
-        let hi_dict = build_dict(
-            padded_words.iter().map(|w| (w >> 16) as u16),
-            false,
-            MAX_HI_DICT,
-        );
-        let lo_dict = build_dict(padded_words.iter().map(|w| *w as u16), true, MAX_LO_DICT);
-        let hi_index: HashMap<u16, usize> =
-            hi_dict.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let lo_index: HashMap<u16, usize> =
-            lo_dict.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let mut hi_codes = vec![0u32; HALVES];
+        let mut lo_codes = vec![0u32; HALVES];
+        for w in padded_words() {
+            hi_codes[(w >> 16) as usize] += 1;
+            lo_codes[(w & 0xffff) as usize] += 1;
+        }
+        // Zero low halves have their own codeword and no dictionary entry.
+        lo_codes[0] = 0;
+        let hi_dict = codes_from_counts(&mut hi_codes, MAX_HI_DICT, hi_codeword);
+        let lo_dict = codes_from_counts(&mut lo_codes, MAX_LO_DICT, lo_codeword);
+        lo_codes[0] = codeword(0b00, 2);
 
-        let mut groups = Vec::new();
         let n_groups = padded / GROUP_WORDS;
         let mut bases = Vec::with_capacity(n_groups.div_ceil(GROUPS_PER_BLOCK));
         let mut deltas = Vec::with_capacity(n_groups);
-        for (g, group) in padded_words.chunks(GROUP_WORDS).enumerate() {
+        let mut w = BitWriter::new();
+        let mut stream = padded_words();
+        for g in 0..n_groups {
+            // Groups start byte-aligned, so the offset is exact.
+            let offset = (w.bit_len() / 8) as u32;
             if g % GROUPS_PER_BLOCK == 0 {
-                bases.push(groups.len() as u32);
+                bases.push(offset);
             }
             let base = *bases.last().expect("pushed above");
-            let delta = groups.len() as u32 - base;
-            deltas.push(u16::try_from(delta).expect("block span fits u16 by construction"));
-            let mut w = BitWriter::new();
-            for &word in group {
-                let hi = (word >> 16) as u16;
-                let lo = word as u16;
-                encode_hi(&mut w, hi_index.get(&hi).copied(), hi);
-                encode_lo(&mut w, lo_index.get(&lo).copied(), lo);
+            deltas.push(u16::try_from(offset - base).expect("block span fits u16 by construction"));
+            for word in stream.by_ref().take(GROUP_WORDS) {
+                let hi = hi_codes[(word >> 16) as usize];
+                let lo = lo_codes[(word & 0xffff) as usize];
+                w.write(hi & 0xff_ffff, hi >> 24);
+                w.write(lo & 0xff_ffff, lo >> 24);
             }
             w.align_byte();
-            groups.extend_from_slice(&w.into_bytes());
         }
 
         CodePackCompressed {
             hi_dict,
             lo_dict,
-            groups,
+            groups: w.into_bytes(),
             bases,
             deltas,
             n_words,

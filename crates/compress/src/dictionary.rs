@@ -7,13 +7,13 @@
 //! no mapping table is needed — the property that makes the paper's
 //! dictionary decompressor so fast.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::codec::{
     req_u16s, req_u32s, Codec, CodecSegment, CompressError, CompressedLayout, DecodeError,
 };
+use crate::wordtable::WordTable;
 
 /// Maximum dictionary entries addressable by a 16-bit index (§3.1).
 pub const MAX_ENTRIES: usize = 1 << 16;
@@ -59,24 +59,18 @@ impl DictionaryCompressed {
     ///
     /// Returns [`DictionaryOverflow`] if more than 64K unique words occur.
     pub fn compress(words: &[u32]) -> Result<DictionaryCompressed, DictionaryOverflow> {
-        let mut map: HashMap<u32, u16> = HashMap::new();
-        let mut dictionary = Vec::new();
+        // Programs repeat most of their words; the table grows if not.
+        let mut table = WordTable::with_capacity(words.len().min(MAX_ENTRIES) / 4);
         let mut indices = Vec::with_capacity(words.len());
         for &w in words {
-            let next = dictionary.len();
-            let idx = *map.entry(w).or_insert_with(|| {
-                dictionary.push(w);
-                next as u16
-            });
-            if dictionary.len() > MAX_ENTRIES {
-                return Err(DictionaryOverflow {
-                    unique: dictionary.len(),
-                });
+            let id = table.intern(w) as usize;
+            if id >= MAX_ENTRIES {
+                return Err(DictionaryOverflow { unique: id + 1 });
             }
-            indices.push(idx);
+            indices.push(id as u16);
         }
         Ok(DictionaryCompressed {
-            dictionary,
+            dictionary: table.into_words(),
             indices,
         })
     }

@@ -44,3 +44,6 @@ pub mod codepack;
 pub mod dictionary;
 pub mod lzchunk;
 pub mod lzrw1;
+#[cfg(test)]
+mod oracle;
+mod wordtable;

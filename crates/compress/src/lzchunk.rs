@@ -65,18 +65,17 @@ impl Codec for LzChunkCodec {
 
     fn compress(&self, words: &[u32]) -> Result<CompressedLayout, CompressError> {
         let n_chunks = words.len().div_ceil(CHUNK_WORDS);
-        let padded: Vec<u32> = words
-            .iter()
-            .copied()
-            .chain(std::iter::repeat(0))
-            .take(n_chunks * CHUNK_WORDS)
-            .collect();
+        let mut raw: Vec<u8> = Vec::with_capacity(n_chunks * CHUNK_BYTES);
+        for w in words {
+            raw.extend_from_slice(&w.to_le_bytes());
+        }
+        raw.resize(n_chunks * CHUNK_BYTES, 0);
         let mut offsets: Vec<u32> = Vec::with_capacity(n_chunks + 1);
-        let mut stream: Vec<u8> = Vec::new();
-        for chunk in padded.chunks_exact(CHUNK_WORDS) {
+        let mut stream: Vec<u8> = Vec::with_capacity(raw.len() / 2);
+        let mut lz = lzrw1::Lzrw1::new(&raw);
+        for start in (0..raw.len()).step_by(CHUNK_BYTES) {
             offsets.push(stream.len() as u32);
-            let raw: Vec<u8> = chunk.iter().flat_map(|w| w.to_le_bytes()).collect();
-            stream.extend_from_slice(&lzrw1::compress(&raw));
+            lz.compress_range(start..start + CHUNK_BYTES, &mut stream);
         }
         offsets.push(stream.len() as u32);
         Ok(CompressedLayout {

@@ -30,48 +30,92 @@ fn hash(b0: u8, b1: u8, b2: u8) -> usize {
 /// Table 2 allows (compression ratios above 100% are possible in principle).
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = [usize::MAX; HASH_SIZE];
-    let mut pos = 0usize;
+    Lzrw1::new(input).compress_range(0..input.len(), &mut out);
+    out
+}
 
-    while pos < input.len() {
-        // One group: control word placeholder, then up to 16 items.
-        let control_at = out.len();
-        out.push(0);
-        out.push(0);
-        let mut control: u16 = 0;
-        let mut items = 0;
-        while items < 16 && pos < input.len() {
-            let mut emitted_copy = false;
-            if pos + MIN_LEN <= input.len() {
-                let h = hash(input[pos], input[pos + 1], input[pos + 2]);
-                let candidate = table[h];
-                table[h] = pos;
-                if candidate != usize::MAX && candidate < pos && pos - candidate <= MAX_OFFSET {
-                    let offset = pos - candidate;
-                    let limit = MAX_LEN.min(input.len() - pos);
-                    let mut len = 0;
-                    while len < limit && input[candidate + len] == input[pos + len] {
-                        len += 1;
-                    }
-                    if len >= MIN_LEN {
-                        control |= 1 << items;
-                        out.push((((offset >> 8) as u8) << 4) | ((len - MIN_LEN) as u8));
-                        out.push((offset & 0xff) as u8);
-                        pos += len;
-                        emitted_copy = true;
+/// An LZRW1 compressor over one buffer that compresses consecutive
+/// ranges of it as independent streams, with one hash table for all of
+/// them.
+///
+/// The table holds absolute positions in the buffer. A candidate from
+/// before the current range counts as empty, so each range's stream is
+/// byte-identical to [`compress`] of that range alone, with nothing
+/// cleared or allocated between ranges.
+pub struct Lzrw1<'a> {
+    input: &'a [u8],
+    table: [usize; HASH_SIZE],
+    /// End of the last compressed range: the next may not start before it.
+    done: usize,
+}
+
+impl<'a> Lzrw1<'a> {
+    /// A compressor over `input` with an empty table.
+    pub fn new(input: &'a [u8]) -> Lzrw1<'a> {
+        Lzrw1 {
+            input,
+            table: [usize::MAX; HASH_SIZE],
+            done: 0,
+        }
+    }
+
+    /// Appends the LZRW1 stream of `input[range]` to `out`: the same
+    /// bytes as `compress(&input[range])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` starts before the end of the previous range or
+    /// ends past the buffer: positions from an overlapping earlier range
+    /// would read as valid candidates.
+    pub fn compress_range(&mut self, range: std::ops::Range<usize>, out: &mut Vec<u8>) {
+        let (start, end) = (range.start, range.end);
+        assert!(
+            self.done <= start && start <= end && end <= self.input.len(),
+            "range {start}..{end} overlaps an earlier range or leaves the buffer"
+        );
+        self.done = end;
+        let input = &self.input[..end];
+        let mut pos = start;
+        while pos < end {
+            // One group: control word placeholder, then up to 16 items.
+            let control_at = out.len();
+            out.extend_from_slice(&[0, 0]);
+            let mut control: u16 = 0;
+            let mut items = 0;
+            while items < 16 && pos < end {
+                let mut emitted_copy = false;
+                if pos + MIN_LEN <= end {
+                    let h = hash(input[pos], input[pos + 1], input[pos + 2]);
+                    let candidate = self.table[h];
+                    self.table[h] = pos;
+                    // Empty (`usize::MAX`) and earlier-range candidates fail
+                    // the first test.
+                    if (start..pos).contains(&candidate) && pos - candidate <= MAX_OFFSET {
+                        let offset = pos - candidate;
+                        let limit = MAX_LEN.min(end - pos);
+                        let len = input[candidate..candidate + limit]
+                            .iter()
+                            .zip(&input[pos..pos + limit])
+                            .take_while(|(a, b)| a == b)
+                            .count();
+                        if len >= MIN_LEN {
+                            control |= 1 << items;
+                            out.push((((offset >> 8) as u8) << 4) | ((len - MIN_LEN) as u8));
+                            out.push((offset & 0xff) as u8);
+                            pos += len;
+                            emitted_copy = true;
+                        }
                     }
                 }
+                if !emitted_copy {
+                    out.push(input[pos]);
+                    pos += 1;
+                }
+                items += 1;
             }
-            if !emitted_copy {
-                out.push(input[pos]);
-                pos += 1;
-            }
-            items += 1;
+            out[control_at..control_at + 2].copy_from_slice(&control.to_le_bytes());
         }
-        out[control_at] = (control & 0xff) as u8;
-        out[control_at + 1] = (control >> 8) as u8;
     }
-    out
 }
 
 /// Decompresses an LZRW1 stream produced by [`compress`].

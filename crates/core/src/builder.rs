@@ -15,8 +15,13 @@
 //!    segments are laid out in declaration order at the compressed base
 //!    (`.indices`/`.dictionary`, or mapping table + groups + half
 //!    dictionaries for CodePack — the codec decides);
-//! 4. the matching exception handler is assembled into handler RAM and the
-//!    C0 base registers are recorded for the loader.
+//! 4. the matching exception handler (assembled once per process, see
+//!    [`registry::handler_text`]) is placed in handler RAM and the C0
+//!    base registers are recorded for the loader.
+//!
+//! Linking is copy-and-patch ([`ObjectProgram::link_words`]): every
+//! procedure was encoded when it was made, so a build copies words and
+//! patches call targets, and encodes nothing.
 
 use rtdc_isa::program::{ObjectProgram, Placement, ProcId};
 use rtdc_isa::{encode, C0Reg, Instruction};
@@ -26,10 +31,19 @@ use crate::error::BuildError;
 use crate::image::{MemoryImage, Scheme, Segment, SizeReport};
 use crate::integrity;
 use crate::plan::{CompressionPlan, PlanError, PlanSource};
+use crate::registry;
 use crate::select::Selection;
 
 fn align_up(x: u32, a: u32) -> u32 {
     x.div_ceil(a) * a
+}
+
+fn le_bytes(words: &[u32]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(4 * words.len());
+    for w in words {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    bytes
 }
 
 /// Builds the fully-native image: all procedures contiguous at the text
@@ -43,13 +57,12 @@ pub fn build_native(program: &ObjectProgram) -> Result<MemoryImage, BuildError> 
     let placement = Placement::contiguous(program, map::TEXT_BASE)?;
     let mut text = Vec::with_capacity(program.total_insns());
     let mut proc_regions = Vec::with_capacity(program.procedures.len());
-    for (id, _) in program.procedures.iter().enumerate() {
-        let insns = program.link_proc(ProcId(id), &placement)?;
+    for (id, proc) in program.procedures.iter().enumerate() {
+        program.link_words(ProcId(id), &placement, &mut text)?;
         let start = placement.addr(ProcId(id))?;
-        proc_regions.push((start, start + 4 * insns.len() as u32, id));
-        text.extend(insns);
+        proc_regions.push((start, start + proc.byte_size(), id));
     }
-    let text_bytes: Vec<u8> = text.iter().flat_map(|&i| encode(i).to_le_bytes()).collect();
+    let text_bytes = le_bytes(&text);
     let data = program.patched_data(&placement)?;
     let original = program.text_bytes();
 
@@ -173,38 +186,33 @@ pub fn build_planned(
     let placement = Placement::new(addrs)?;
 
     // --- link and materialize both regions ---
-    let mut comp_words: Vec<u32> = Vec::new();
-    let mut native_words: Vec<u32> = Vec::new();
+    let mut comp_words: Vec<u32> =
+        Vec::with_capacity(((native_base - map::TEXT_BASE) / 4) as usize);
+    let mut native_words: Vec<u32> = Vec::with_capacity(((native_end - native_base) / 4) as usize);
     let mut proc_regions = Vec::with_capacity(n);
     for &id in &order {
         if !selection.is_native(id) {
-            let insns = program.link_proc(ProcId(id), &placement)?;
+            program.link_words(ProcId(id), &placement, &mut comp_words)?;
             let start = placement.addr(ProcId(id))?;
-            proc_regions.push((start, start + 4 * insns.len() as u32, id));
-            comp_words.extend(insns.iter().map(|&i| encode(i)));
+            proc_regions.push((start, start + program.procedures[id].byte_size(), id));
         }
     }
     // Pad the compressed region to the group-aligned boundary with nops so
     // every line in the region decompresses.
-    while (map::TEXT_BASE + 4 * comp_words.len() as u32) < native_base {
-        comp_words.push(encode(Instruction::NOP));
-    }
+    comp_words.resize(
+        ((native_base - map::TEXT_BASE) / 4) as usize,
+        encode(Instruction::NOP),
+    );
     for &id in &order {
         if selection.is_native(id) {
-            let insns = program.link_proc(ProcId(id), &placement)?;
+            program.link_words(ProcId(id), &placement, &mut native_words)?;
             let start = placement.addr(ProcId(id))?;
-            proc_regions.push((start, start + 4 * insns.len() as u32, id));
-            native_words.extend(insns.iter().map(|&i| encode(i)));
+            proc_regions.push((start, start + program.procedures[id].byte_size(), id));
         }
     }
 
     let data = program.patched_data(&placement)?;
-    let handler = scheme.handler().assemble(second_rf);
-    let handler_bytes: Vec<u8> = handler
-        .encoded_text()
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .collect();
+    let handler_bytes = registry::handler_text(scheme, second_rf);
 
     // --- compress the compressed-region words and lay out segments ---
     // One generic path for every scheme: the codec emits named segments
@@ -242,7 +250,7 @@ pub fn build_planned(
         })
         .collect();
 
-    let native_bytes: Vec<u8> = native_words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let native_bytes = le_bytes(&native_words);
     if !native_bytes.is_empty() {
         segments.push(Segment {
             name: ".native".into(),
@@ -253,7 +261,7 @@ pub fn build_planned(
     segments.push(Segment {
         name: ".decompressor".into(),
         base: map::HANDLER_BASE,
-        bytes: handler_bytes.clone(),
+        bytes: handler_bytes.to_vec(),
     });
     segments.push(Segment {
         name: ".data".into(),

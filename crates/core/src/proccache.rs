@@ -22,7 +22,6 @@
 //! the *exact same* LZRW1 algorithm is the honest equivalent (DESIGN.md).
 
 use rtdc_compress::lzrw1;
-use rtdc_isa::encode;
 use rtdc_isa::program::{ObjectProgram, Placement, ProcId};
 
 /// Cost model for procedure-granularity decompression.
@@ -212,23 +211,27 @@ fn first_fit(residents: &[Resident], cache_bytes: u32, need: u32) -> Option<u32>
 pub fn per_procedure_lzrw1_ratio(program: &ObjectProgram) -> f64 {
     let placement =
         Placement::contiguous(program, rtdc_sim::map::TEXT_BASE).expect("contiguous placement");
-    let mut original = 0usize;
-    let mut compressed = 0usize;
+    let mut words = Vec::with_capacity(program.total_insns());
     for id in 0..program.procedures.len() {
-        let insns = program
-            .link_proc(ProcId(id), &placement)
+        program
+            .link_words(ProcId(id), &placement, &mut words)
             .expect("linkable program");
-        let bytes: Vec<u8> = insns
-            .iter()
-            .flat_map(|&i| encode(i).to_le_bytes())
-            .collect();
-        original += bytes.len();
-        compressed += lzrw1::compress(&bytes).len();
     }
-    if original == 0 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    // The procedures lie back to back, so one compressor takes each as
+    // its own range.
+    let mut lz = lzrw1::Lzrw1::new(&bytes);
+    let mut compressed = Vec::with_capacity(bytes.len());
+    let mut start = 0;
+    for proc in &program.procedures {
+        let end = start + proc.byte_size() as usize;
+        lz.compress_range(start..end, &mut compressed);
+        start = end;
+    }
+    if bytes.is_empty() {
         return 1.0;
     }
-    compressed as f64 / original as f64
+    compressed.len() as f64 / bytes.len() as f64
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //! `.s` source in `handlers/`, and one entry in [`REGISTRY`]. Nothing
 //! else changes; see DESIGN.md ("Adding a codec") for the worked example.
 
+use std::sync::OnceLock;
+
 use rtdc_compress::codec::Codec;
 use rtdc_compress::{bytedict, codepack, dictionary, lzchunk};
 use rtdc_isa::asm::Assembled;
@@ -227,6 +229,34 @@ pub static REGISTRY: &[SchemeEntry] = &[
     },
 ];
 
+/// Each registered handler variant's encoded text, indexed like
+/// [`REGISTRY`] and by variant (plain, then second register file).
+static HANDLER_TEXT: [[OnceLock<Vec<u8>>; 2]; REGISTRY.len()] =
+    [const { [const { OnceLock::new() }, const { OnceLock::new() }] }; REGISTRY.len()];
+
+/// The little-endian text of `scheme`'s handler variant, assembled at
+/// the handler RAM base the first time any build asks for it and shared
+/// by every later build in the process.
+///
+/// # Panics
+///
+/// As [`entry`].
+pub fn handler_text(scheme: Scheme, second_rf: bool) -> &'static [u8] {
+    let i = REGISTRY
+        .iter()
+        .position(|e| e.scheme == scheme)
+        .unwrap_or_else(|| panic!("scheme {:?} is not registered", scheme));
+    HANDLER_TEXT[i][usize::from(second_rf)].get_or_init(|| {
+        REGISTRY[i]
+            .handler
+            .assemble(second_rf)
+            .encoded_text()
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    })
+}
+
 /// The entry for `scheme`.
 ///
 /// # Panics
@@ -271,6 +301,26 @@ mod tests {
                     "{} handler too large",
                     e.codec.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn handler_text_is_the_assembled_variant() {
+        for e in REGISTRY {
+            for rf in [false, true] {
+                let want: Vec<u8> = e
+                    .handler
+                    .assemble(rf)
+                    .encoded_text()
+                    .iter()
+                    .flat_map(|w| w.to_le_bytes())
+                    .collect();
+                assert_eq!(handler_text(e.scheme, rf), &want[..]);
+                assert!(std::ptr::eq(
+                    handler_text(e.scheme, rf),
+                    handler_text(e.scheme, rf)
+                ));
             }
         }
     }

@@ -14,11 +14,15 @@
 //! `jalr`).
 //!
 //! Intra-procedure branches are PC-relative and therefore already concrete;
-//! moving a whole procedure never invalidates them.
+//! moving a whole procedure never invalidates them. That makes linking
+//! copy-and-patch: each procedure is encoded once, when it is made, and
+//! [`ObjectProgram::link_words`] copies the encoded body and ors each
+//! call's target into its slot.
 
 use std::error::Error;
 use std::fmt;
 
+use crate::encode::encode;
 use crate::insn::Instruction;
 
 /// Index of a procedure within an [`ObjectProgram`] (original link order).
@@ -46,21 +50,50 @@ pub enum ObjInsn {
 }
 
 /// A named procedure: the unit of selective compression.
+///
+/// The body is encoded once, in [`Procedure::new`]: a procedure keeps its
+/// instruction words, with each [`ObjInsn::Call`]/[`ObjInsn::Tail`] slot
+/// holding its opcode and a zero target, plus the list of those slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Procedure {
     /// Symbolic name (for profiles and reports).
     pub name: String,
-    /// Body; one word per slot.
-    pub code: Vec<ObjInsn>,
+    code: Vec<ObjInsn>,
+    words: Vec<u32>,
+    /// `(slot, callee)` for every call and tail call, in slot order.
+    relocs: Vec<(u32, ProcId)>,
 }
 
 impl Procedure {
-    /// Creates a procedure from its name and body.
+    /// Creates a procedure from its name and body, encoding the body.
     pub fn new(name: impl Into<String>, code: Vec<ObjInsn>) -> Procedure {
+        let mut relocs = Vec::new();
+        let words = code
+            .iter()
+            .enumerate()
+            .map(|(slot, insn)| match *insn {
+                ObjInsn::Insn(i) => encode(i),
+                ObjInsn::Call(target) => {
+                    relocs.push((slot as u32, target));
+                    encode(Instruction::Jal { target: 0 })
+                }
+                ObjInsn::Tail(target) => {
+                    relocs.push((slot as u32, target));
+                    encode(Instruction::J { target: 0 })
+                }
+            })
+            .collect();
         Procedure {
             name: name.into(),
             code,
+            words,
+            relocs,
         }
+    }
+
+    /// Body; one slot per instruction word.
+    pub fn code(&self) -> &[ObjInsn] {
+        &self.code
     }
 
     /// Size in instruction words.
@@ -117,7 +150,8 @@ impl ObjectProgram {
         (self.total_insns() * 4) as u32
     }
 
-    /// Links one procedure's body given every procedure's entry address.
+    /// Links one procedure's body given every procedure's entry address,
+    /// as instructions: the decoded view of [`ObjectProgram::link_words`].
     ///
     /// # Errors
     ///
@@ -144,6 +178,33 @@ impl ObjectProgram {
                     .map(|t| Instruction::J { target: t }),
             })
             .collect()
+    }
+
+    /// Appends one procedure's linked instruction words to `out`: its
+    /// encoded body, copied, with every call and tail call patched to its
+    /// callee's address in `placement`. The words equal
+    /// [`ObjectProgram::link_proc`]'s instructions, encoded.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectProgram::link_proc`]. On error `out` may hold part of
+    /// the body.
+    pub fn link_words(
+        &self,
+        id: ProcId,
+        placement: &Placement,
+        out: &mut Vec<u32>,
+    ) -> Result<(), LinkError> {
+        let proc = self
+            .procedures
+            .get(id.0)
+            .ok_or(LinkError::UnknownProc(id))?;
+        let at = out.len();
+        out.extend_from_slice(&proc.words);
+        for &(slot, callee) in &proc.relocs {
+            out[at + slot as usize] |= placement.jump_target(callee)?;
+        }
+        Ok(())
     }
 
     /// The `.data` image with all [`AddrTable`]s patched for `placement`.
@@ -320,6 +381,36 @@ mod tests {
             I::Jal {
                 target: 0x1008 >> 2
             }
+        );
+    }
+
+    #[test]
+    fn link_words_encode_link_proc() {
+        let mut p = two_proc_program();
+        p.procedures[1] = Procedure::new(
+            "leaf",
+            vec![
+                ObjInsn::Tail(ProcId(0)),
+                ObjInsn::Insn(I::Jr { rs: Reg::RA }),
+            ],
+        );
+        let placement = Placement::new(vec![0x0ffc_0000, 0x1008]).unwrap();
+        let mut words = vec![7];
+        for id in [ProcId(0), ProcId(1)] {
+            words.extend(p.link_proc(id, &placement).unwrap().into_iter().map(encode));
+        }
+        let mut linked = vec![7];
+        p.link_words(ProcId(0), &placement, &mut linked).unwrap();
+        p.link_words(ProcId(1), &placement, &mut linked).unwrap();
+        assert_eq!(linked, words);
+        let unplaced = Placement::new(vec![0x1000]).unwrap();
+        assert_eq!(
+            p.link_words(ProcId(0), &unplaced, &mut linked),
+            Err(LinkError::UnknownProc(ProcId(1)))
+        );
+        assert_eq!(
+            p.link_words(ProcId(2), &placement, &mut linked),
+            Err(LinkError::UnknownProc(ProcId(2)))
         );
     }
 

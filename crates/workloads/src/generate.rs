@@ -610,8 +610,8 @@ mod tests {
         for s in spec::all_benchmarks() {
             let p = crate::generate_cached(&s);
             for proc in &p.procedures {
-                let len = proc.code.len() as i64;
-                for (i, slot) in proc.code.iter().enumerate() {
+                let len = proc.len() as i64;
+                for (i, slot) in proc.code().iter().enumerate() {
                     if let ObjInsn::Insn(insn) = slot {
                         let off = match *insn {
                             I::Beq { offset, .. }
