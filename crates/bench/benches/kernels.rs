@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the pure algorithm kernels: compression and
 //! decompression throughput for every registered codec (plus raw LZRW1
-//! over the byte stream), the image builders per label, and raw
-//! simulator speed. These are the implementation-performance numbers
-//! (host-side), complementing the simulated-machine results of the
-//! table/figure harnesses.
+//! over the byte stream), the image builders per label, raw simulator
+//! speed, and the set-up layers of program generation. These are the
+//! implementation-performance numbers (host-side), complementing the
+//! simulated-machine results of the table/figure harnesses.
 //!
 //! Uses a tiny self-contained timing harness (median of repeated runs)
 //! instead of criterion so the workspace builds with no network access.
@@ -13,8 +13,10 @@ use std::time::Instant;
 use rtdc::prelude::*;
 use rtdc_compress::lzrw1;
 use rtdc_isa::program::ObjectProgram;
-use rtdc_sim::SimConfig;
-use rtdc_workloads::{generate, spec};
+use rtdc_sim::{SimConfig, SimError};
+use rtdc_workloads::idioms::Idioms;
+use rtdc_workloads::vocab::Vocabulary;
+use rtdc_workloads::{all_benchmarks, filler_target, generate, spec};
 
 /// Times `f` over `iters` runs and reports the median per-run time.
 fn bench<T>(name: &str, throughput_bytes: Option<u64>, iters: usize, mut f: impl FnMut() -> T) {
@@ -109,14 +111,14 @@ fn bench_builders() {
     }
 }
 
+/// Loads `image` and runs it through the block engine for 100k
+/// instructions (or to exit, if sooner).
 fn run_100k(image: &MemoryImage, cfg: SimConfig) -> u64 {
     let mut m = load_image(image, cfg).expect("image verifies");
-    while m.stats().insns < 100_000 {
-        if !matches!(m.step().expect("step"), rtdc_sim::Step::Continue) {
-            break;
-        }
+    match m.run(100_000) {
+        Ok(_) | Err(SimError::InsnLimitExceeded { .. }) => m.stats().cycles,
+        Err(e) => panic!("simulation failed: {e}"),
     }
-    m.stats().cycles
 }
 
 fn bench_simulator() {
@@ -137,8 +139,28 @@ fn bench_simulator() {
     });
 }
 
+/// The set-up layers per analog: the master vocabulary, the idiom
+/// table (drawn beside it on a second thread by `generate`), and a whole
+/// `generate`.
+fn bench_generate() {
+    println!("== generate ==");
+    for spec in all_benchmarks() {
+        let master_size = filler_target(&spec).master_size();
+        bench(&format!("{} vocabulary", spec.name), None, 3, || {
+            Vocabulary::generate(spec.seed, master_size)
+        });
+        bench(&format!("{} idioms", spec.name), None, 3, || {
+            Idioms::new(spec.seed, spec.vocab_size)
+        });
+        bench(&format!("{} generate", spec.name), None, 3, || {
+            generate(&spec)
+        });
+    }
+}
+
 fn main() {
     bench_compressors();
     bench_builders();
     bench_simulator();
+    bench_generate();
 }

@@ -17,7 +17,7 @@ use rtdc_isa::{Instruction as I, Reg};
 use rtdc_rng::Rng64;
 use rtdc_sim::map;
 
-use crate::idioms::{CodeSampler, FillerTarget};
+use crate::idioms::{CodeSampler, FillerTarget, Idioms};
 use crate::spec::{BenchmarkSpec, Style};
 use crate::vocab::{Vocabulary, DST_POOL};
 use crate::zipf::Zipf;
@@ -91,8 +91,18 @@ impl<'a> Generator<'a> {
         let mut rng = Rng64::seed_from_u64(spec.seed);
 
         // --- filler sampler over the spec's pinned vocabulary size ---
-        let master = Vocabulary::generate(spec.seed, filler_target(spec).master_size());
-        let sampler = CodeSampler::with_vocab(spec.seed, master.prefix(spec.vocab_size));
+        // The idiom table needs only the size, so it is drawn on a second
+        // thread while this one builds the master vocabulary.
+        let (vocab, idioms) = std::thread::scope(|scope| {
+            let idioms = scope.spawn(|| Idioms::new(spec.seed, spec.vocab_size));
+            let vocab = Vocabulary::generate(spec.seed, filler_target(spec).master_size())
+                .prefix(spec.vocab_size);
+            let idioms = idioms
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (vocab, idioms)
+        });
+        let sampler = CodeSampler::from_parts(spec.seed, vocab, idioms);
 
         // Spread "hot" zipf ranks across the address space.
         let mut rank_to_proc: Vec<usize> = (1..=spec.procs).collect();

@@ -15,6 +15,13 @@
 //! in its spec. [`calibrate_vocab_size`] is the bisection that found those
 //! sizes; it runs offline (the `calibrate` bin and a test that recomputes
 //! every pinned size), never during generation.
+//!
+//! The idiom table ([`Idioms`]) is drawn from the seed and the
+//! vocabulary's size alone, so generation draws it on a second thread
+//! while the master vocabulary is built. It is stored flat, every idiom's
+//! members in one vector, and the sampler walks an idiom in place.
+//! `idioms/oracle.rs` keeps the nested-vector sampler it replaced as a
+//! test oracle.
 
 use rtdc_isa::Instruction;
 use rtdc_rng::Rng64;
@@ -26,18 +33,71 @@ use crate::zipf::Zipf;
 const MEMBER_S: f64 = 1.0;
 /// Zipf exponent for idiom popularity.
 const IDIOM_S: f64 = 1.0;
+/// Idiom lengths, drawn uniformly from this list.
+const IDIOM_LENS: [usize; 10] = [2, 3, 3, 4, 4, 5, 6, 6, 8, 10];
+
+/// The idiom table of a vocabulary size: a third as many idioms as
+/// words (at least 64), each a short run of Zipf-popular vocabulary
+/// positions, and the Zipf popularity a sampler picks idioms by.
+///
+/// The table depends only on the seed and the vocabulary's size, never
+/// on its words, so it can be drawn while the vocabulary is built.
+#[derive(Debug, Clone)]
+pub struct Idioms {
+    /// Vocabulary size the members index into.
+    vocab_size: usize,
+    /// Every idiom's members, back to back.
+    members: Vec<u32>,
+    /// Idiom `i` is `members[starts[i]..starts[i + 1]]`; the last entry
+    /// is `members.len()`.
+    starts: Vec<u32>,
+    popularity: Zipf,
+}
+
+impl Idioms {
+    /// Draws the idiom table for a vocabulary of `vocab_size` words,
+    /// deterministically from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vocab_size` is 0.
+    pub fn new(seed: u64, vocab_size: usize) -> Idioms {
+        let mut rng = Rng64::seed_from_u64(seed ^ 0x0001_d103);
+        let member = Zipf::new(vocab_size, MEMBER_S);
+        let n_idioms = (vocab_size / 3).max(64);
+        let mut members = Vec::with_capacity(n_idioms * 6);
+        let mut starts = Vec::with_capacity(n_idioms + 1);
+        for _ in 0..n_idioms {
+            starts.push(members.len() as u32);
+            let len = IDIOM_LENS[rng.gen_range(0..IDIOM_LENS.len())];
+            members.extend((0..len).map(|_| member.sample(&mut rng) as u32));
+        }
+        starts.push(members.len() as u32);
+        Idioms {
+            vocab_size,
+            members,
+            starts,
+            popularity: Zipf::new(n_idioms, IDIOM_S),
+        }
+    }
+
+    /// The bounds of idiom `i` in `members`.
+    fn span(&self, i: usize) -> (usize, usize) {
+        (self.starts[i] as usize, self.starts[i + 1] as usize)
+    }
+}
 
 /// A deterministic stream of filler instructions with realistic frequency
 /// and locality structure.
 #[derive(Debug, Clone)]
 pub struct CodeSampler {
     vocab: Vocabulary,
-    /// Idioms as index sequences into the vocabulary.
-    idioms: Vec<Vec<u32>>,
-    idiom_zipf: Zipf,
+    idioms: Idioms,
     rng: Rng64,
-    /// Remainder of the idiom currently being emitted.
-    pending: Vec<u32>,
+    /// `idioms.members[cursor..end]` is the remainder of the idiom being
+    /// emitted; empty at an idiom boundary.
+    cursor: usize,
+    end: usize,
 }
 
 impl CodeSampler {
@@ -49,25 +109,28 @@ impl CodeSampler {
     /// Builds a sampler over an existing vocabulary (must have been
     /// generated with the same `seed` for determinism guarantees).
     pub fn with_vocab(seed: u64, vocab: Vocabulary) -> CodeSampler {
-        let vocab_size = vocab.len();
-        let mut rng = Rng64::seed_from_u64(seed ^ 0x0001_d103);
-        let member = Zipf::new(vocab_size, MEMBER_S);
-        let n_idioms = (vocab_size / 3).max(64);
-        let idioms: Vec<Vec<u32>> = (0..n_idioms)
-            .map(|_| {
-                let len = *[2usize, 3, 3, 4, 4, 5, 6, 6, 8, 10]
-                    .get(rng.gen_range(0..10usize))
-                    .unwrap();
-                (0..len).map(|_| member.sample(&mut rng) as u32).collect()
-            })
-            .collect();
-        let idiom_zipf = Zipf::new(n_idioms, IDIOM_S);
+        let idioms = Idioms::new(seed, vocab.len());
+        Self::from_parts(seed, vocab, idioms)
+    }
+
+    /// Builds a sampler from a vocabulary and the idiom table drawn for
+    /// its size with the same `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idioms` was drawn for another vocabulary size.
+    pub(crate) fn from_parts(seed: u64, vocab: Vocabulary, idioms: Idioms) -> CodeSampler {
+        assert_eq!(
+            idioms.vocab_size,
+            vocab.len(),
+            "idioms drawn for another vocabulary size"
+        );
         CodeSampler {
             vocab,
             idioms,
-            idiom_zipf,
             rng: Rng64::seed_from_u64(seed ^ 0x005a_3b17),
-            pending: Vec::new(),
+            cursor: 0,
+            end: 0,
         }
     }
 
@@ -79,7 +142,7 @@ impl CodeSampler {
 
     /// The vocabulary position of the next emission.
     fn next_index(&mut self) -> usize {
-        if self.pending.is_empty() {
+        if self.at_boundary() {
             // Mostly idioms; occasionally a "solo" cold instruction drawn
             // uniformly from the whole vocabulary. Solo draws supply the
             // long tail of unique words (one-off address computations,
@@ -87,17 +150,19 @@ impl CodeSampler {
             if self.rng.gen_f64() < 0.20 {
                 return self.rng.gen_range(0..self.vocab.len());
             }
-            let idiom = &self.idioms[self.idiom_zipf.sample(&mut self.rng)];
-            self.pending = idiom.iter().rev().copied().collect();
+            let i = self.idioms.popularity.sample(&mut self.rng);
+            (self.cursor, self.end) = self.idioms.span(i);
         }
-        self.pending.pop().expect("pending refilled above") as usize
+        let idx = self.idioms.members[self.cursor];
+        self.cursor += 1;
+        idx as usize
     }
 
     /// Whether the sampler sits at an idiom boundary (the next emission
     /// starts a fresh idiom). Generators use this to keep idioms intact —
     /// the byte-level locality LZRW1-style compressors rely on.
     pub fn at_boundary(&self) -> bool {
-        self.pending.is_empty()
+        self.cursor == self.end
     }
 
     /// Counts distinct instruction words among the first `n` emissions
@@ -156,6 +221,9 @@ pub fn calibrate_vocab_size(seed: u64, target: FillerTarget) -> usize {
     }
     (lo + hi) / 2
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

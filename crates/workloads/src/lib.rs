@@ -36,10 +36,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// [`generate`], memoized by benchmark name.
 ///
-/// Generating cc1 or ghostscript, the largest analogs, costs over half a
-/// second in a release build, most of it building the 900,000-word
-/// master vocabulary; experiment harnesses that build many images of the
-/// same benchmark should use this.
+/// Generating cc1 or ghostscript, the largest analogs, costs about a
+/// quarter of a second in a release build, nearly all of it building the
+/// master vocabulary of up to 900,000 words (the idiom table is drawn
+/// beside it on a second thread); experiment harnesses that build many
+/// images of the same benchmark should use this.
 ///
 /// Thread-friendly: the global map lock is held only to fetch a
 /// per-benchmark slot, so parallel experiment workers generating
