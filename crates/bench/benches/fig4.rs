@@ -12,10 +12,10 @@
 //! byte-identical for any job count.
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::{pct, run_native, run_scheme};
+use rtdc_bench::experiments::{build_and_run, pct};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_sim::SimConfig;
-use rtdc_workloads::{all_benchmarks, generate_cached, BenchmarkSpec};
+use rtdc_workloads::{all_benchmarks, BenchmarkSpec};
 
 /// One plotted point: a benchmark at one I-cache size.
 struct Point {
@@ -50,16 +50,14 @@ impl Point {
 }
 
 fn bench_points(spec: &BenchmarkSpec, scheme: Scheme, sizes: &[u32]) -> Vec<Point> {
-    let program = generate_cached(spec);
-    let all = Selection::all_compressed(program.procedures.len());
     sizes
         .iter()
         .map(|&size| {
             let cfg = SimConfig::hpca2000_baseline().with_icache_size(size);
-            let native = run_native(spec, cfg);
+            let (_, native) = build_and_run(spec, None, cfg, run_image);
             let base = native.stats.cycles as f64;
-            let plain = run_scheme(spec, scheme, false, &all, cfg);
-            let rf = run_scheme(spec, scheme, true, &all, cfg);
+            let (_, plain) = build_and_run(spec, Some((scheme, false)), cfg, run_image);
+            let (_, rf) = build_and_run(spec, Some((scheme, true)), cfg, run_image);
             assert_eq!(plain.output, native.output, "{} {scheme:?}", spec.name);
             Point {
                 bench: spec.name,

@@ -12,9 +12,9 @@
 use std::fmt::Write as _;
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::{pct, run_native, run_scheme};
+use rtdc_bench::experiments::{build_and_run, pct};
 use rtdc_sim::SimConfig;
-use rtdc_workloads::{all_benchmarks, generate_cached};
+use rtdc_workloads::all_benchmarks;
 
 fn main() {
     let cfg = SimConfig::hpca2000_baseline();
@@ -37,19 +37,15 @@ fn main() {
         "", "compression ratio", "slowdown", "h-insn/miss"
     );
     for spec in all_benchmarks() {
-        let program = generate_cached(&spec);
-        let n = program.procedures.len();
-        let all = Selection::all_compressed(n);
-        let native = run_native(&spec, cfg);
+        let (_, native) = build_and_run(&spec, None, cfg, run_image);
         let base = native.stats.cycles as f64;
 
         let mut ratios = Vec::new();
         let mut slows = Vec::new();
         let mut handler_insns = Vec::new();
         for &scheme in &schemes {
-            let image = build_compressed(&program, scheme, false, &all).expect("build");
+            let (image, run) = build_and_run(&spec, Some((scheme, false)), cfg, run_image);
             ratios.push(image.sizes.compression_ratio());
-            let run = run_scheme(&spec, scheme, false, &all, cfg);
             assert_eq!(run.output, native.output, "{} {scheme:?}", spec.name);
             slows.push(run.stats.cycles as f64 / base);
             handler_insns.push(run.stats.handler_insns_per_exception());

@@ -99,11 +99,7 @@ fn bench_builders() {
     for scheme in Scheme::all() {
         for rf in [false, true] {
             let plan = CompressionPlan::uniform(scheme, rf, PlanSource::Heuristic, &all);
-            let label = format!(
-                "build_planned {}{}",
-                scheme.name(),
-                if rf { "+rf" } else { "" }
-            );
+            let label = format!("build_planned {}", scheme.name_rf(rf));
             bench(&label, Some(n), 10, || {
                 build_planned(&program, &plan).unwrap()
             });

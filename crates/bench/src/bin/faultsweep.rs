@@ -16,7 +16,7 @@
 //!   after sealing — exactly what load-time CRC verification exists to
 //!   catch; the run is attempted as-is.
 //! * **memory-stage** (odd indices): the fault hits after load — the
-//!   segment digests are re-measured (`reseal_segments`), so load
+//!   segment digests are re-measured (`seal` again), so load
 //!   verification passes and only the `--verify-lines` runner's per-line
 //!   fill checks stand between the corruption and execution.
 //!
@@ -48,7 +48,7 @@ use std::process::ExitCode;
 
 use rtdc::fault::FaultPlan;
 use rtdc::prelude::*;
-use rtdc_workloads::{by_name, generate, programs};
+use rtdc_workloads::resolve_program;
 
 /// Bounds corrupted runs: corrupt code may spin, so give each run a
 /// generous multiple of the clean run's instruction count.
@@ -104,14 +104,7 @@ fn run() -> Result<bool, String> {
         i += 1;
     }
 
-    let program = if let Some(spec) = by_name(&bench) {
-        generate(&spec)
-    } else {
-        programs::all_programs()
-            .into_iter()
-            .find(|p| p.name == bench)
-            .ok_or_else(|| format!("unknown benchmark `{bench}`"))?
-    };
+    let program = resolve_program(&bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
     let cfg = SimConfig::hpca2000_baseline();
     let n_procs = program.procedures.len();
 
@@ -144,7 +137,7 @@ fn run() -> Result<bool, String> {
                 .map_err(|e| format!("{scheme:?}: {e}"))?;
             let memory_stage = i % 2 == 1;
             if memory_stage {
-                img.reseal_segments();
+                img.seal();
             }
             match run_image_verified(&img, cfg, budget) {
                 Err(RunError::CorruptImage(_)) => {

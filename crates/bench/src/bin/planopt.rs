@@ -99,10 +99,9 @@ fn main() -> ExitCode {
         ..PlanOptConfig::default()
     };
     println!(
-        "== planopt: {} under {}{} (native budget {} bytes = {:.0}% of text) ==",
+        "== planopt: {} under {} (native budget {} bytes = {:.0}% of text) ==",
         spec.name,
-        args.scheme.name(),
-        if args.rf { "+rf" } else { "" },
+        args.scheme.name_rf(args.rf),
         opt.native_budget_bytes,
         args.budget_pct,
     );

@@ -25,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::{run_native, run_scheme, run_scheme_verified};
+use rtdc_bench::experiments::{build_and_run, Runner};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_bench::planopt::optimized_plan_cached;
 use rtdc_sim::{SimConfig, StallBreakdown, Stats};
@@ -103,10 +103,10 @@ fn scheme_labels() -> Vec<String> {
 /// name, `+rf`, or `+vl`) and returns the report.
 fn run_labeled(spec: &BenchmarkSpec, label: &str, cfg: SimConfig) -> rtdc::runner::RunReport {
     if label == "native" {
-        return run_native(spec, cfg);
+        return build_and_run(spec, None, cfg, run_image).1;
     }
     if label == "native-interp" {
-        return run_native(spec, cfg.with_translation(false));
+        return build_and_run(spec, None, cfg.with_translation(false), run_image).1;
     }
     if let Some(name) = label.strip_suffix("+plan") {
         let (scheme, rf) = Scheme::parse(name).expect("label came from the registry");
@@ -115,14 +115,12 @@ fn run_labeled(spec: &BenchmarkSpec, label: &str, cfg: SimConfig) -> rtdc::runne
         let image = build_planned(&program, &plan).expect("planned build");
         return run_image(&image, cfg, rtdc_bench::experiments::MAX_INSNS).expect("planned run");
     }
-    let all = Selection::all_compressed(generate_cached(spec).procedures.len());
-    if let Some(name) = label.strip_suffix("+vl") {
-        let (scheme, rf) = Scheme::parse(name).expect("label came from the registry");
-        run_scheme_verified(spec, scheme, rf, &all, cfg)
-    } else {
-        let (scheme, rf) = Scheme::parse(label).expect("label came from the registry");
-        run_scheme(spec, scheme, rf, &all, cfg)
-    }
+    let (name, runner): (&str, Runner) = match label.strip_suffix("+vl") {
+        Some(name) => (name, run_image_verified),
+        None => (label, run_image),
+    };
+    let scheme = Scheme::parse(name).expect("label came from the registry");
+    build_and_run(spec, Some(scheme), cfg, runner).1
 }
 
 /// Runs one benchmark under one labeled scheme and returns its cell.

@@ -8,41 +8,32 @@ use rtdc_workloads::{generate_cached, BenchmarkSpec, PaperReference};
 /// Generous commit budget: no experiment legitimately exceeds this.
 pub const MAX_INSNS: u64 = 2_000_000_000;
 
-/// Runs one benchmark natively and returns the report.
-pub fn run_native(spec: &BenchmarkSpec, cfg: SimConfig) -> RunReport {
-    let program = generate_cached(spec);
-    let image = build_native(&program).expect("native build");
-    run_image(&image, cfg, MAX_INSNS).expect("native run")
-}
+/// A runner for [`build_and_run`]: [`run_image`], or
+/// [`run_image_verified`] to re-check every handler fill against the
+/// build-time per-line CRCs (same simulated stats; only host wall-clock,
+/// and so sim-MIPS, differ — the overhead simperf records).
+pub type Runner = fn(&MemoryImage, SimConfig, u64) -> Result<RunReport, RunError>;
 
-/// Runs one benchmark under `scheme` (+RF if `rf`) with `selection`.
-pub fn run_scheme(
+/// Builds `spec` natively (`scheme` is `None`) or fully compressed under
+/// `Some((scheme, rf))` (+RF if `rf`), runs the image to completion with
+/// `runner`, and returns the image with its report.
+pub fn build_and_run(
     spec: &BenchmarkSpec,
-    scheme: Scheme,
-    rf: bool,
-    selection: &Selection,
+    scheme: Option<(Scheme, bool)>,
     cfg: SimConfig,
-) -> RunReport {
+    runner: Runner,
+) -> (MemoryImage, RunReport) {
     let program = generate_cached(spec);
-    let image = build_compressed(&program, scheme, rf, selection).expect("compressed build");
-    run_image(&image, cfg, MAX_INSNS).expect("compressed run")
-}
-
-/// [`run_scheme`] through the `--verify-lines` runner: every handler
-/// fill is re-checked against the build-time per-line CRCs. Simulated
-/// stats are identical to [`run_scheme`]; only host wall-clock (and so
-/// sim-MIPS) differ — that delta *is* the verification overhead simperf
-/// records.
-pub fn run_scheme_verified(
-    spec: &BenchmarkSpec,
-    scheme: Scheme,
-    rf: bool,
-    selection: &Selection,
-    cfg: SimConfig,
-) -> RunReport {
-    let program = generate_cached(spec);
-    let image = build_compressed(&program, scheme, rf, selection).expect("compressed build");
-    run_image_verified(&image, cfg, MAX_INSNS).expect("verified run")
+    let image = match scheme {
+        None => build_native(&program),
+        Some((scheme, rf)) => {
+            let all = Selection::all_compressed(program.procedures.len());
+            build_compressed(&program, scheme, rf, &all)
+        }
+    }
+    .expect("build");
+    let report = runner(&image, cfg, MAX_INSNS).expect("run");
+    (image, report)
 }
 
 /// One scheme's full-compression size measurement within a Table 2 row.
@@ -96,12 +87,9 @@ pub fn paper_slowdown(p: &PaperReference, scheme: Scheme, rf: bool) -> f64 {
 /// Measures a Table 2 row: one native run plus every paper scheme's
 /// compressor over the full `.text` (and LZRW1 over the raw bytes).
 pub fn table2_row(spec: &BenchmarkSpec, cfg: SimConfig) -> Table2Row {
+    let (native, report) = build_and_run(spec, None, cfg, run_image);
     let program = generate_cached(spec);
-    let native = build_native(&program).expect("native build");
-    let report = run_image(&native, cfg, MAX_INSNS).expect("native run");
-
-    let n = program.procedures.len();
-    let all = Selection::all_compressed(n);
+    let all = Selection::all_compressed(program.procedures.len());
     let schemes = Scheme::paper_schemes()
         .map(|scheme| {
             let img = build_compressed(&program, scheme, false, &all).expect("compressed build");
@@ -153,11 +141,10 @@ pub struct Table3Row {
 /// both handler variants, fully compressed, verifying architectural
 /// equivalence along the way.
 pub fn table3_row(spec: &BenchmarkSpec, cfg: SimConfig) -> Table3Row {
-    let native = run_native(spec, cfg);
+    let (_, native) = build_and_run(spec, None, cfg, run_image);
     let n_cycles = native.stats.cycles as f64;
-    let all = Selection::all_compressed(generate_cached(spec).procedures.len());
     let slow = |scheme: Scheme, rf: bool| -> f64 {
-        let r = run_scheme(spec, scheme, rf, &all, cfg);
+        let (_, r) = build_and_run(spec, Some((scheme, rf)), cfg, run_image);
         assert_eq!(
             r.output, native.output,
             "{} {scheme:?} rf={rf}: compressed run diverged from native",

@@ -81,12 +81,7 @@ fn stall_buckets_account_for_every_cycle_on_random_workloads() {
 
         for scheme in Scheme::all() {
             for rf in [false, true] {
-                let label = format!(
-                    "round {round} {} {}{}",
-                    s.name,
-                    scheme.name(),
-                    if rf { "+rf" } else { "" }
-                );
+                let label = format!("round {round} {} {}", s.name, scheme.name_rf(rf));
                 let img = build_compressed(&program, scheme, rf, &Selection::all_compressed(n))
                     .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
                 let r = run_image(&img, SimConfig::hpca2000_baseline(), MAX_INSNS)

@@ -89,7 +89,7 @@ fn all_images() -> Vec<(String, MemoryImage)> {
     )];
     for scheme in Scheme::all() {
         for rf in [false, true] {
-            let label = format!("{}{}", scheme.name(), if rf { "+rf" } else { "" });
+            let label = scheme.name_rf(rf);
             let img = build_compressed(&p, scheme, rf, &Selection::all_compressed(3))
                 .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
             images.push((label, img));

@@ -65,6 +65,7 @@
 use std::fmt::Write as _;
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use rtdc::prelude::*;
 use rtdc_bench::jobs::parallel_map;
@@ -72,7 +73,7 @@ use rtdc_cli::{format_engine, format_metrics, format_stats, Args};
 use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::trace::RegionDef;
 use rtdc_sim::{JsonlTracer, SimConfig, TraceFilter};
-use rtdc_workloads::{all_benchmarks, by_name, generate, programs};
+use rtdc_workloads::{all_benchmarks, programs, resolve_program};
 
 const MAX_INSNS: u64 = 2_000_000_000;
 
@@ -98,19 +99,9 @@ fn parse_scheme_arg(arg: &str) -> Result<(Option<Scheme>, bool), String> {
     }
 }
 
-/// Resolves a benchmark-analog or known-answer program by name.
-fn resolve(name: &str) -> Result<ObjectProgram, String> {
-    if let Some(spec) = by_name(name) {
-        eprintln!("generating {name}...");
-        Ok(generate(&spec))
-    } else if let Some(p) = programs::all_programs()
-        .into_iter()
-        .find(|p| p.name == name)
-    {
-        Ok(p)
-    } else {
-        Err(format!("unknown benchmark `{name}` (try --list)"))
-    }
+/// Resolves a benchmark analog, tiny spec or known-answer program by name.
+fn resolve(name: &str) -> Result<Arc<ObjectProgram>, String> {
+    resolve_program(name).ok_or_else(|| format!("unknown benchmark `{name}` (try --list)"))
 }
 
 /// Resolves the benchmark and builds its image per `--plan` (an explicit
@@ -136,11 +127,7 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let plan: CompressionPlan = text.parse().map_err(|e| format!("{path}: {e}"))?;
         let image = build_planned(&program, &plan).map_err(|e| e.to_string())?;
-        let label = format!(
-            "{}{}+plan",
-            plan.scheme.name(),
-            if plan.second_rf { "+rf" } else { "" }
-        );
+        let label = format!("{}+plan", plan.scheme.name_rf(plan.second_rf));
         (label, image, Some(plan))
     } else {
         let scheme_arg = args.opt("scheme").unwrap_or("native").to_ascii_lowercase();
@@ -173,8 +160,7 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
                 };
                 let plan = CompressionPlan::uniform(s, rf, PlanSource::Heuristic, &selection);
                 let image = build_planned(&program, &plan).map_err(|e| e.to_string())?;
-                let label = format!("{}{}", s.name(), if rf { "+rf" } else { "" });
-                (label, image, Some(plan))
+                (s.name_rf(rf), image, Some(plan))
             }
         }
     };
@@ -195,7 +181,7 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
         }
         plan.apply(&mut image).map_err(|e| e.to_string())?;
         if args.has("inject-fixup") {
-            image.reseal_segments();
+            image.seal();
         }
     } else if args.has("inject-fixup") {
         return Err("--inject-fixup requires --inject SPEC".into());

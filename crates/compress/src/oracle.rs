@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use rtdc_rng::Rng64;
+use rtdc_rng::{fuzz, Rng64};
 
 use crate::bytedict::{
     ByteDictCompressed, LINES_PER_BLOCK, LINE_WORDS, MAX_DICT, ONE_BYTE_ENTRIES,
@@ -309,13 +309,6 @@ fn lzchunk(words: &[u32]) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
-fn iters(default: u64) -> u64 {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Asserts every word compressor equals its oracle on `words`.
 fn check_words(words: &[u32]) {
     let n = words.len();
@@ -452,7 +445,7 @@ fn lzrw1_whole_buffer_equals_oracle() {
     for n in [0usize, 1, 2, 3, 4, 17, 18, 19] {
         assert_eq!(lzrw1::compress(&data[..n]), lzrw1(&data[..n]), "len {n}");
     }
-    for _ in 0..iters(20) {
+    for _ in 0..fuzz::iters(20) {
         let len = rng.gen_range(0..20_000usize);
         let alphabet = rng.gen_range(1u8..=255);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
@@ -463,7 +456,7 @@ fn lzrw1_whole_buffer_equals_oracle() {
 #[test]
 fn lzrw1_ranges_equal_fresh_compressions() {
     let mut rng = Rng64::seed_from_u64(0x1a77_0002);
-    for _ in 0..iters(20) {
+    for _ in 0..fuzz::iters(20) {
         let len = rng.gen_range(0..12_000usize);
         let alphabet = rng.gen_range(1u8..=255);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
@@ -502,7 +495,7 @@ fn bit_writer_equals_bit_at_a_time_writer() {
         }
         assert_eq!(fast.into_bytes(), slow.bytes, "width {width}");
     }
-    for _ in 0..iters(200) {
+    for _ in 0..fuzz::iters(200) {
         let mut fast = bits::BitWriter::new();
         let mut slow = BitWriter::default();
         for _ in 0..rng.gen_range(0..300usize) {
@@ -529,7 +522,7 @@ fn bit_writer_equals_bit_at_a_time_writer() {
 #[test]
 fn compressors_equal_oracles_on_seeded_streams() {
     let mut rng = Rng64::seed_from_u64(0x0ac1_e002);
-    for _ in 0..iters(40) {
+    for _ in 0..fuzz::iters(40) {
         let n = rng.gen_range(0..3000usize);
         let pool = rng.gen_range(1..6000u32);
         check_words(&skewed_words(&mut rng, n, pool));

@@ -10,20 +10,16 @@
 //! 3. **resized** — valid segment bytes with lengths grown or shrunk,
 //!    probing every length-validation path.
 //!
-//! CI runs a fixed smoke iteration count; set `RTDC_FUZZ_ITERS` to fuzz
-//! longer (e.g. `RTDC_FUZZ_ITERS=20000 cargo test -p rtdc-compress
-//! --test decode_no_panic --release`).
-//!
-//! Panics are detected by `catch_unwind`, so a failure names the codec
-//! and reports the seed of the offending iteration — replay it by
-//! hard-coding the seed into the harness.
+//! Mutants, the iteration count (`RTDC_FUZZ_ITERS`) and the no-panic
+//! check come from the shared harness (`rtdc_rng::fuzz`); a failure
+//! names the codec and the iteration.
 
 use rtdc_compress::bytedict::ByteDictCodec;
-use rtdc_compress::codec::{Codec, CodecSegment, CompressedLayout};
+use rtdc_compress::codec::{Codec, CodecSegment, CompressedLayout, DecodeError};
 use rtdc_compress::codepack::CodePackCodec;
 use rtdc_compress::dictionary::DictionaryCodec;
 use rtdc_compress::lzchunk::LzChunkCodec;
-use rtdc_rng::Rng64;
+use rtdc_rng::{fuzz, Rng64};
 
 /// Every codec the core registry registers, duplicated here because the
 /// registry crate depends on this one; `registry_covers_all_codecs` in
@@ -34,13 +30,6 @@ const CODECS: &[&dyn Codec] = &[
     &ByteDictCodec,
     &LzChunkCodec,
 ];
-
-fn iters(default: u64) -> u64 {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Instruction-like words: a hot pool plus random escapes.
 fn words(rng: &mut Rng64, n: usize) -> Vec<u32> {
@@ -56,18 +45,16 @@ fn words(rng: &mut Rng64, n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Asserts that decoding `layout` returns (`Ok` or `Err`) rather than
-/// panicking, and that the outcome is deterministic.
-fn must_not_panic(codec: &dyn Codec, layout: &CompressedLayout, n: usize, what: &str) {
-    let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| codec.decode(layout, n)))
-        .unwrap_or_else(|_| panic!("{}: decode panicked on {what}", codec.name()));
-    let twice = codec.decode(layout, n);
-    assert_eq!(
-        once,
-        twice,
-        "{}: non-deterministic decode on {what}",
-        codec.name()
-    );
+/// Decodes `layout` under the harness check: it must return (`Ok` or
+/// `Err`) rather than panic, and the same outcome twice.
+fn decode(
+    codec: &dyn Codec,
+    layout: &CompressedLayout,
+    n: usize,
+    what: &str,
+) -> Result<Vec<u32>, DecodeError> {
+    let case = format!("{what}, {}", codec.name());
+    fuzz::check(case, layout, |l: &CompressedLayout| codec.decode(l, n))
 }
 
 #[test]
@@ -76,35 +63,13 @@ fn mutated_valid_layouts_never_panic() {
         let mut rng = Rng64::seed_from_u64(0xFA57_0001 ^ codec.unit_words() as u64);
         let n = 16 * codec.unit_words();
         let clean = codec.compress(&words(&mut rng, n)).unwrap();
-        for i in 0..iters(200) {
+        for i in 0..fuzz::iters(200) {
             let mut layout = clean.clone();
-            for _ in 0..rng.gen_range(1..6usize) {
+            for _ in 0..rng.gen_range(1..3usize) {
                 let si = rng.gen_range(0..layout.segments.len());
-                let seg = &mut layout.segments[si].bytes;
-                match (seg.is_empty(), rng.gen_range(0..8u32)) {
-                    (true, _) | (false, 0) => {
-                        let keep = if seg.is_empty() {
-                            0
-                        } else {
-                            rng.gen_range(0..seg.len())
-                        };
-                        seg.truncate(keep);
-                    }
-                    (false, 1) => {
-                        // Grow with garbage: oversized segments must be
-                        // handled, not trusted.
-                        let extra = rng.gen_range(1..64usize);
-                        for _ in 0..extra {
-                            seg.push(rng.gen_range(0u8..=255));
-                        }
-                    }
-                    _ => {
-                        let off = rng.gen_range(0..seg.len());
-                        seg[off] ^= 1 << rng.gen_range(0..8u32);
-                    }
-                }
+                fuzz::mutate(&mut rng, &mut layout.segments[si].bytes, &[]);
             }
-            must_not_panic(*codec, &layout, n, &format!("mutated layout (iter {i})"));
+            let _ = decode(*codec, &layout, n, &format!("{i} (mutated layout)"));
         }
     }
 }
@@ -117,7 +82,7 @@ fn garbage_layouts_never_panic() {
         // Learn the segment names from one valid compress, then fill them
         // with noise of random sizes (including empty).
         let template = codec.compress(&words(&mut rng, n)).unwrap();
-        for i in 0..iters(200) {
+        for i in 0..fuzz::iters(200) {
             let layout = CompressedLayout {
                 segments: template
                     .segments
@@ -130,7 +95,7 @@ fn garbage_layouts_never_panic() {
                     })
                     .collect(),
             };
-            must_not_panic(*codec, &layout, n, &format!("garbage layout (iter {i})"));
+            let _ = decode(*codec, &layout, n, &format!("{i} (garbage layout)"));
         }
     }
 }
@@ -152,9 +117,8 @@ fn missing_segments_are_typed_errors() {
                     .map(|(_, s)| s.clone())
                     .collect(),
             };
-            must_not_panic(*codec, &layout, n, "layout with a segment missing");
             assert!(
-                codec.decode(&layout, n).is_err(),
+                decode(*codec, &layout, n, &format!("{drop} (segment dropped)")).is_err(),
                 "{}: decode without {} must fail",
                 codec.name(),
                 clean.segments[drop].name
@@ -162,9 +126,9 @@ fn missing_segments_are_typed_errors() {
         }
         // The empty layout too.
         let empty = CompressedLayout::default();
-        must_not_panic(*codec, &empty, n, "empty layout");
+        let outcome = decode(*codec, &empty, n, "0 (empty layout)");
         if n > 0 {
-            assert!(codec.decode(&empty, n).is_err(), "{}", codec.name());
+            assert!(outcome.is_err(), "{}", codec.name());
         }
     }
 }

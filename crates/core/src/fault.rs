@@ -17,12 +17,11 @@
 //! digests: a fault injected after [`MemoryImage::seal`] is exactly what
 //! the load-time CRC check exists to catch. To model corruption that
 //! happens *after* load (bit rot in RAM, which no load-time check can
-//! see), re-measure with [`MemoryImage::reseal_segments`] after applying —
-//! the per-line reference CRCs survive untouched, so the `--verify-lines`
+//! see), seal again after applying — sealing measures segments only, so
+//! the per-line reference CRCs survive untouched and the `--verify-lines`
 //! runner still catches the corruption at the first affected miss.
 //!
 //! [`MemoryImage::seal`]: crate::image::MemoryImage::seal
-//! [`MemoryImage::reseal_segments`]: crate::image::MemoryImage::reseal_segments
 
 use std::fmt;
 
@@ -184,7 +183,7 @@ impl FaultPlan {
     ///
     /// Two grammars, chosen by prefix:
     ///
-    /// * `rand:SEED[:N]` — N seeded faults (default 1) via
+    /// * `rand:SEED[:N]` — N seeded faults (default 1, at most 2^20) via
     ///   [`FaultPlan::random`] over `image`;
     /// * a comma-separated fault list, each fault one of
     ///   `flip:SEG:OFF:BIT`, `stuck:SEG:OFF:VALUE`, `trunc:SEG:OFF`
@@ -204,7 +203,10 @@ impl FaultPlan {
                 .ok_or_else(|| bad(spec, "expected rand:SEED[:N]"))?;
             let n = match parts.next() {
                 None => 1,
-                Some(n) => parse_u64(n).ok_or_else(|| bad(spec, "bad fault count"))? as usize,
+                Some(n) => match parse_u64(n).ok_or_else(|| bad(spec, "bad fault count"))? {
+                    n @ 0..=MAX_RANDOM_FAULTS => n as usize,
+                    _ => return Err(bad(spec, "fault count above 2^20")),
+                },
             };
             if parts.next().is_some() {
                 return Err(bad(spec, "expected rand:SEED[:N]"));
@@ -258,8 +260,8 @@ impl FaultPlan {
     /// Applies every fault to `image`, in order.
     ///
     /// Digests are intentionally left stale (see the module docs); call
-    /// [`MemoryImage::reseal_segments`] afterwards to model post-load
-    /// corruption instead.
+    /// [`MemoryImage::seal`] afterwards to model post-load corruption
+    /// instead.
     ///
     /// # Errors
     ///
@@ -292,6 +294,10 @@ impl FaultPlan {
         Ok(())
     }
 }
+
+/// The most faults a `rand:` spec may ask for. The plan is built in
+/// memory, so without a bound a short spec could ask for terabytes.
+const MAX_RANDOM_FAULTS: u64 = 1 << 20;
 
 fn parse_u64(s: &str) -> Option<u64> {
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -397,7 +403,13 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         let image = toy_image();
-        for bad in ["", "flip:.text:1", "zap:.text:1:2", "rand:notanumber"] {
+        for bad in [
+            "",
+            "flip:.text:1",
+            "zap:.text:1:2",
+            "rand:notanumber",
+            "rand:1:99999999999",
+        ] {
             assert!(FaultPlan::parse(bad, &image).is_err(), "{bad}");
         }
     }

@@ -94,11 +94,24 @@ impl Scheme {
     /// `+rf` suffix selecting the second-register-file handler
     /// (`"d"`, `"cp+rf"`, ...). Returns the scheme and the rf flag.
     pub fn parse(arg: &str) -> Option<(Scheme, bool)> {
-        let (name, rf) = match arg.strip_suffix("+rf") {
+        let (name, rf) = Scheme::split_rf(arg);
+        Scheme::by_name(name).map(|s| (s, rf))
+    }
+
+    /// The scheme argument [`Scheme::parse`] reads back: the name, plus
+    /// `+rf` for the second-register-file handler (`"d"`, `"cp+rf"`).
+    pub fn name_rf(&self, rf: bool) -> String {
+        format!("{}{}", self.name(), if rf { "+rf" } else { "" })
+    }
+
+    /// Splits a scheme argument into the name before an optional `+rf`
+    /// suffix and whether the suffix was there, without looking the name
+    /// up.
+    pub fn split_rf(arg: &str) -> (&str, bool) {
+        match arg.strip_suffix("+rf") {
             Some(base) => (base, true),
             None => (arg, false),
-        };
-        Scheme::by_name(name).map(|s| (s, rf))
+        }
     }
 }
 
@@ -218,7 +231,11 @@ impl MemoryImage {
     /// [`MemoryImage::integrity`]. The builders call this as their final
     /// step; anything that mutates segment bytes afterwards (see
     /// [`crate::fault`]) leaves the digests stale, which is exactly what
-    /// load-time verification exists to catch.
+    /// load-time verification exists to catch. Sealing again after such
+    /// a mutation models corruption *after* load: [`MemoryImage::line_crcs`]
+    /// (the build-time reference measurements) is never touched here, so
+    /// the load-time CRC passes and only the `--verify-lines` runner (or
+    /// the architectural outcome) can tell something is wrong.
     pub fn seal(&mut self) {
         self.integrity = self
             .segments
@@ -229,16 +246,6 @@ impl MemoryImage {
                 crc: crc32(&s.bytes),
             })
             .collect();
-    }
-
-    /// Re-measures the segment digests only, leaving
-    /// [`MemoryImage::line_crcs`] (the build-time reference
-    /// measurements) untouched. This models corruption that happens
-    /// *after* load — the load-time CRC passes, and only the
-    /// `--verify-lines` runner (or the architectural outcome) can tell
-    /// something is wrong.
-    pub fn reseal_segments(&mut self) {
-        self.seal();
     }
 
     /// Verifies the image against its build-time digests: every digested

@@ -349,11 +349,7 @@ impl CompressionPlan {
     /// digest)`).
     pub fn digest(&self) -> u32 {
         use std::fmt::Write as _;
-        let mut canon = format!(
-            "scheme={}{}\n",
-            self.scheme.name(),
-            if self.second_rf { "+rf" } else { "" }
-        );
+        let mut canon = format!("scheme={}\n", self.scheme.name_rf(self.second_rf));
         for (id, d) in self.procs.iter().enumerate() {
             match d.scheme {
                 None => {
@@ -403,9 +399,8 @@ impl fmt::Display for CompressionPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "rtdc-plan v1 scheme={}{} source={} iter={} procs={}",
-            self.scheme.name(),
-            if self.second_rf { "+rf" } else { "" },
+            "rtdc-plan v1 scheme={} source={} iter={} procs={}",
+            self.scheme.name_rf(self.second_rf),
             self.source,
             self.iteration,
             self.procs.len()

@@ -1,6 +1,7 @@
 //! Loading images into the simulator and running experiments.
 
 use std::borrow::Borrow;
+use std::time::{Duration, Instant};
 
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::C0Reg;
@@ -26,7 +27,7 @@ pub struct RunReport {
     /// Host wall-clock time spent inside the simulator's run loop (load
     /// and image construction excluded). Host-side only: never feeds back
     /// into `stats`, which stay exactly comparable across hosts.
-    pub wall: std::time::Duration,
+    pub wall: Duration,
     /// How the simulator's translated loop split the run between
     /// program blocks, handler traces and single steps. Host-side like
     /// `wall`, and all zero for a single-stepped run.
@@ -42,6 +43,18 @@ impl RunReport {
             return 0.0;
         }
         self.stats.insns as f64 / secs / 1e6
+    }
+
+    /// The report of `m`, which exited with `exit_code` after `wall` in
+    /// its run loop.
+    fn of<S: TraceSink>(m: &Machine<S>, exit_code: u32, wall: Duration) -> RunReport {
+        RunReport {
+            exit_code,
+            stats: *m.stats(),
+            output: m.output().to_vec(),
+            wall,
+            engine: m.engine(),
+        }
     }
 }
 
@@ -129,23 +142,25 @@ pub fn run_image_with_sink<I: Borrow<MemoryImage>, S: TraceSink>(
     if !S::ENABLED {
         return run_loaded(load_verified(image, config, sink), max_insns);
     }
-    let profiler = RegionProfiler::wrapping(image.proc_regions.clone(), image.proc_count(), sink);
+    let profiler = region_profiler(image, sink);
     let (report, profiler) = run_loaded(load_verified(image, config, profiler), max_insns)?;
     Ok((report, profiler.into_inner()))
 }
 
+/// A [`RegionProfiler`] over `image`'s procedure regions, forwarding
+/// every event to `sink`.
+fn region_profiler<I: Borrow<MemoryImage>, S: TraceSink>(
+    image: &Verified<I>,
+    sink: S,
+) -> RegionProfiler<S> {
+    RegionProfiler::wrapping(image.proc_regions.clone(), image.proc_count(), sink)
+}
+
 /// Runs a loaded machine to completion, timing only the run loop.
 fn run_loaded<S: TraceSink>(mut m: Machine<S>, max_insns: u64) -> Result<(RunReport, S), RunError> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let outcome = m.run(max_insns)?;
-    let wall = started.elapsed();
-    let report = RunReport {
-        exit_code: outcome.exit_code,
-        stats: *m.stats(),
-        output: m.output().to_vec(),
-        wall,
-        engine: m.engine(),
-    };
+    let report = RunReport::of(&m, outcome.exit_code, started.elapsed());
     Ok((report, m.into_sink()))
 }
 
@@ -184,7 +199,7 @@ pub fn run_image_verified(
         .map(|s| 4 * s.codec().unit_words() as u32)
         .unwrap_or(LINE_BYTES as u32);
 
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut in_handler = false;
     let mut badva = 0u32;
     let exit_code = loop {
@@ -213,14 +228,7 @@ pub fn run_image_verified(
             }));
         }
     };
-    let wall = started.elapsed();
-    Ok(RunReport {
-        exit_code,
-        stats: *m.stats(),
-        output: m.output().to_vec(),
-        wall,
-        engine: m.engine(),
-    })
+    Ok(RunReport::of(&m, exit_code, started.elapsed()))
 }
 
 /// Checks every fully-resident 32-byte line of the decode unit
@@ -282,8 +290,7 @@ pub fn profile_native(
 ) -> Result<(RunReport, ProcedureProfile), ProfileError> {
     let image = build_native(program).map_err(ProfileError::Build)?;
     let image = Verified::new(image).map_err(|e| ProfileError::Run(RunError::CorruptImage(e)))?;
-    let profiler = RegionProfiler::new(image.proc_regions.clone(), image.proc_count());
-    let m = load_verified(&image, config, profiler);
+    let m = load_verified(&image, config, region_profiler(&image, NoTrace));
     let (report, profiler) = run_loaded(m, max_insns).map_err(ProfileError::Run)?;
     let profile = ProcedureProfile {
         names: image.proc_names.clone(),

@@ -10,7 +10,7 @@ use std::str::FromStr;
 use rtdc::prelude::*;
 use rtdc_isa::asm::assemble;
 use rtdc_isa::program::{ObjInsn, ObjectProgram, ProcId, Procedure};
-use rtdc_rng::Rng64;
+use rtdc_rng::{fuzz, Rng64};
 use rtdc_sim::map;
 
 fn proc_body(src: &str) -> Vec<ObjInsn> {
@@ -144,32 +144,21 @@ fn count_and_header_problems_are_typed_errors() {
     }
 }
 
-/// Seeded mutation fuzz over the serialized form: whatever the bytes,
-/// parsing returns `Ok` or a typed `PlanError` — it never panics and
-/// never OOMs (the `procs=` cap). Mirrors `decode_no_panic.rs`.
+/// Harness mutants of the serialized form: whatever the bytes, parsing
+/// returns `Ok` or a typed `PlanError` — it never panics and never OOMs
+/// (the `procs=` cap) — and a mutant that parses round-trips through
+/// its canonical text.
 #[test]
 fn mutated_plans_never_panic() {
-    let iters: u64 = std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
     let mut rng = Rng64::seed_from_u64(0x9e3779b97f4a7c15);
-    let base = sample_plan(Scheme::CodePack, true).to_string().into_bytes();
-    for _ in 0..iters {
-        let mut bytes = base.clone();
-        for _ in 0..=(rng.next_u64() % 4) {
-            let at = (rng.next_u64() as usize) % bytes.len();
-            match rng.next_u64() % 3 {
-                0 => bytes[at] = (rng.next_u64() & 0xff) as u8,
-                1 => bytes.truncate(at),
-                _ => bytes.insert(at, (rng.next_u64() & 0x7f) as u8),
-            }
-            if bytes.is_empty() {
-                break;
-            }
-        }
-        if let Ok(text) = String::from_utf8(bytes) {
-            let _ = text.parse::<CompressionPlan>(); // must not panic
+    let base = sample_plan(Scheme::CodePack, true).to_string();
+    let tokens: [&[u8]; 3] = [b"procs=99999999999", b"+rf", b"\n0 d 0"];
+    for i in 0..fuzz::iters(500) {
+        let mut bytes = base.clone().into_bytes();
+        fuzz::mutate(&mut rng, &mut bytes, &tokens);
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(plan) = fuzz::check(i, &*text, str::parse::<CompressionPlan>) {
+            assert_eq!(plan.to_string().parse(), Ok(plan), "iter {i}: {text:?}");
         }
     }
 }

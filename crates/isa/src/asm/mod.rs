@@ -467,6 +467,15 @@ mod tests {
             assemble(".data\n.align 30\n", 0, 0x8000).unwrap_err().kind,
             AsmErrorKind::BadDirective(_)
         ));
+        // A section past the end of the address space is rejected before
+        // a byte of it is allocated.
+        assert!(matches!(
+            assemble(".data\n.space 0xffff0000\n", 0, 0x1000_0000)
+                .unwrap_err()
+                .kind,
+            AsmErrorKind::BadDirective(_)
+        ));
+        assert_eq!(asm(".data\n.space 0x8000\n").data.len(), 0x8000);
     }
 
     #[test]

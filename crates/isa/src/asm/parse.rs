@@ -156,6 +156,13 @@ impl DataCursor {
         }
     }
 
+    fn zeros(&mut self, n: usize) {
+        if self.emit {
+            self.bytes.resize(self.bytes.len() + n, 0);
+        }
+        self.len += n;
+    }
+
     fn push(&mut self, b: &[u8]) {
         if self.emit {
             self.bytes.extend_from_slice(b);
@@ -298,10 +305,15 @@ impl<'a> Pass<'a> {
                         AsmErrorKind::BadDirective(".space negative".into()),
                     ));
                 }
-                self.bind_pending()?;
-                for _ in 0..n {
-                    self.data.push(&[0]);
+                // The section must end inside the 32-bit address space.
+                if n >= (1 << 32) - i64::from(self.data_base) - self.data.len as i64 {
+                    return Err(err(
+                        line,
+                        AsmErrorKind::BadDirective(".space past the address space".into()),
+                    ));
                 }
+                self.bind_pending()?;
+                self.data.zeros(n as usize);
                 Ok(())
             }
             "align" => {

@@ -9,7 +9,8 @@
 //! splitmix64 — the same construction `rand`'s `SmallRng` family uses.
 //! It is **not** cryptographic; it exists for workload generation and
 //! randomized testing, where all that matters is stream quality and
-//! bit-for-bit reproducibility across runs and platforms.
+//! bit-for-bit reproducibility across runs and platforms. [`fuzz`] is
+//! the randomized-testing half: the one harness every fuzz target uses.
 //!
 //! # Examples
 //!
@@ -28,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod fuzz;
 
 /// Deterministic xoshiro256\*\* generator.
 #[derive(Debug, Clone, PartialEq, Eq)]

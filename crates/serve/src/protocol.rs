@@ -26,6 +26,7 @@
 
 use std::fmt;
 
+use rtdc::image::Scheme;
 use rtdc_sim::Stats;
 
 use crate::json::{self, Json, ObjWriter};
@@ -296,10 +297,7 @@ fn build_spec(obj: &Json) -> Result<BuildSpec, ServeError> {
             if arg == "native" {
                 return Ok(BuildSpec::Native);
             }
-            let (name, rf) = match arg.strip_suffix("+rf") {
-                Some(base) => (base, true),
-                None => (arg, false),
-            };
+            let (name, rf) = Scheme::split_rf(arg);
             Ok(BuildSpec::Uniform {
                 scheme: name.to_string(),
                 rf,
@@ -392,13 +390,10 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
                     .ok_or_else(|| ServeError::BadRequest {
                         detail: "`plan` op needs a string field `scheme`".into(),
                     })?;
-            let (scheme, rf) = match arg.strip_suffix("+rf") {
-                Some(base) => (base.to_string(), true),
-                None => (arg.to_string(), false),
-            };
+            let (scheme, rf) = Scheme::split_rf(arg);
             Ok(Request::Plan {
                 bench,
-                scheme,
+                scheme: scheme.to_string(),
                 rf,
                 deadline_ms: deadline_field(&obj)?,
             })

@@ -12,7 +12,7 @@ use rtdc_bench::planopt::optimized_plan_cached;
 use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::trace::{TraceEvent, EVENT_KINDS};
 use rtdc_sim::{NoTrace, TraceSink};
-use rtdc_workloads::{by_name, generate_cached, programs, spec, BenchmarkSpec};
+use rtdc_workloads::{resolve_program, resolve_spec};
 
 use crate::cache::CacheKey;
 use crate::json::ObjWriter;
@@ -21,36 +21,6 @@ use crate::protocol::{stats_json, BuildSpec, MetricsFormat, ServeError};
 
 use super::dispatch::Deadline;
 use super::{sync_ambient, ServeState};
-
-/// Resolves `bench` to a generator spec, if it names one (the eight
-/// paper analogs plus the three tiny specs).
-fn resolve_spec(bench: &str) -> Option<BenchmarkSpec> {
-    if let Some(s) = by_name(bench) {
-        return Some(s);
-    }
-    [
-        spec::tiny::walker(),
-        spec::tiny::loop_kernel(),
-        spec::tiny::interpreter(),
-    ]
-    .into_iter()
-    .find(|s| s.name == bench)
-}
-
-/// Resolves `bench` to a program: a generated benchmark analog or a
-/// known-answer program.
-pub(super) fn resolve_program(bench: &str) -> Result<Arc<ObjectProgram>, ServeError> {
-    if let Some(s) = resolve_spec(bench) {
-        return Ok(generate_cached(&s));
-    }
-    programs::all_programs()
-        .into_iter()
-        .find(|p| p.name == bench)
-        .map(Arc::new)
-        .ok_or_else(|| ServeError::UnknownBench {
-            bench: bench.to_string(),
-        })
-}
 
 /// Resolves a [`BuildSpec`] to `(cache label, plan)`. `None` plan means
 /// a native build; the label names the image family in the cache key and
@@ -72,19 +42,14 @@ fn resolve_build(
                 PlanSource::Heuristic,
                 &Selection::all_compressed(n),
             );
-            let label = format!("{}{}", s.name(), if *rf { "+rf" } else { "" });
-            Ok((label, Some(plan)))
+            Ok((s.name_rf(*rf), Some(plan)))
         }
         BuildSpec::Plan { text } => {
             let plan: CompressionPlan =
                 text.parse().map_err(|e: PlanError| ServeError::BadPlan {
                     detail: e.to_string(),
                 })?;
-            let label = format!(
-                "{}{}+plan",
-                plan.scheme.name(),
-                if plan.second_rf { "+rf" } else { "" }
-            );
+            let label = format!("{}+plan", plan.scheme.name_rf(plan.second_rf));
             Ok((label, Some(plan)))
         }
     }
@@ -100,7 +65,9 @@ fn obtain_image(
     bench: &str,
     spec: &BuildSpec,
 ) -> Result<(Verified<Arc<MemoryImage>>, String, ObjWriter), ServeError> {
-    let program = resolve_program(bench)?;
+    let program = resolve_program(bench).ok_or_else(|| ServeError::UnknownBench {
+        bench: bench.to_string(),
+    })?;
     let (label, plan) = resolve_build(&program, spec)?;
     let plan_digest = plan.as_ref().map_or(0, CompressionPlan::digest);
     let mut w = ObjWriter::new();
@@ -240,7 +207,7 @@ pub(super) fn handle_plan(
     rf: bool,
 ) -> Result<String, ServeError> {
     let spec = resolve_spec(bench).ok_or_else(|| {
-        if resolve_program(bench).is_ok() {
+        if resolve_program(bench).is_some() {
             ServeError::Unsupported {
                 detail: format!(
                     "`{bench}` is a known-answer program; `plan` needs a generated benchmark"
@@ -260,10 +227,7 @@ pub(super) fn handle_plan(
     w.bool("ok", true)
         .str("op", "plan")
         .str("bench", bench)
-        .str(
-            "scheme",
-            &format!("{}{}", s.name(), if rf { "+rf" } else { "" }),
-        )
+        .str("scheme", &s.name_rf(rf))
         .u64("plan_digest", u64::from(plan.digest()))
         .str("plan", &plan.to_string());
     Ok(w.finish())

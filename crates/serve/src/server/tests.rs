@@ -8,7 +8,6 @@ use std::sync::mpsc;
 use rtdc::prelude::*;
 use rtdc_sim::NoTrace;
 
-use super::handlers::resolve_program;
 use super::transport::{bounded_writer, read_line_bounded, write_line_bounded, LineRead};
 use super::*;
 use crate::json::ObjWriter;
@@ -50,7 +49,7 @@ fn run_matches_direct_runner() {
     );
     let v = crate::json::parse(&resp).unwrap();
     let got = crate::protocol::parse_stats(v.get("stats").unwrap()).unwrap();
-    let program = resolve_program("crc32").unwrap();
+    let program = rtdc_workloads::resolve_program("crc32").unwrap();
     let plan = CompressionPlan::uniform(
         Scheme::CodePack,
         true,

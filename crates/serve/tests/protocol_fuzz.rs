@@ -1,27 +1,23 @@
 //! Protocol fuzz battery: arbitrary malformed, truncated, mutated, and
 //! oversized request lines must each produce exactly one *typed* error
 //! response — never a panic, never a wedged worker pool, never a stuck
-//! connection.
+//! connection — and mutated store files must come back as typed
+//! `StoreError`s.
 //!
-//! Mirrors the `decode_no_panic` convention from `rtdc-compress`: CI
-//! runs a fixed smoke iteration count; set `RTDC_FUZZ_ITERS` to fuzz
-//! longer (e.g. `RTDC_FUZZ_ITERS=20000 cargo test -p rtdc-serve
-//! --test protocol_fuzz --release`).
+//! Mutants come from the shared harness (`rtdc_rng::fuzz`);
+//! `RTDC_FUZZ_ITERS` scales every loop here (e.g.
+//! `RTDC_FUZZ_ITERS=20000 cargo test -p rtdc-serve --test protocol_fuzz
+//! --release`).
 
-use rtdc_rng::Rng64;
+use rtdc::imagefile::encode_image;
+use rtdc::prelude::{build_compressed, Scheme, Selection};
+use rtdc_rng::{fuzz, Rng64};
 use rtdc_serve::cache::CacheKey;
 use rtdc_serve::client::Client;
 use rtdc_serve::json::Json;
-use rtdc_serve::protocol::MAX_LINE_BYTES;
+use rtdc_serve::protocol::{parse_request, MAX_LINE_BYTES};
 use rtdc_serve::server::{handle_line, ServeConfig, ServeState, Server};
 use rtdc_serve::store::{check_envelope, decode_store_file, encode_store_file};
-
-fn fuzz_iters(default: usize) -> usize {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Seed corpus of near-valid requests the mutator chews on.
 const CORPUS: [&str; 8] = [
@@ -35,63 +31,19 @@ const CORPUS: [&str; 8] = [
     r#"{"op":"run","bench":"strsearch","scheme":"native"}"#,
 ];
 
-/// One mutated line: a corpus entry with random edits, or pure garbage.
+/// One mutated request line: a corpus entry through the harness, with
+/// hostile field values and nesting among its splice tokens. Newlines
+/// become spaces so the mutant stays one line on the socket.
 fn mutate(rng: &mut Rng64) -> String {
-    let mut line = if rng.gen_bool_p(0.15) {
-        // Pure garbage bytes (newline-free so it stays one line).
-        let len = rng.gen_range(0..200usize);
-        let mut s = String::new();
-        for _ in 0..len {
-            let b = (rng.gen_u32() % 94 + 33) as u8; // printable, no \n
-            s.push(b as char);
-        }
-        return s;
-    } else {
-        (*rng.choose(&CORPUS)).to_string()
-    };
-    for _ in 0..rng.gen_range(1..4usize) {
-        match rng.gen_range(0..5u32) {
-            // Truncate.
-            0 => {
-                if !line.is_empty() {
-                    let cut = rng.gen_range(0..line.len());
-                    while !line.is_char_boundary(cut) {
-                        line.pop();
-                    }
-                    line.truncate(cut);
-                }
-            }
-            // Flip one byte to another printable.
-            1 => {
-                if !line.is_empty() {
-                    let at = rng.gen_range(0..line.len());
-                    if line.is_char_boundary(at) && line.is_char_boundary(at + 1) {
-                        let c = (rng.gen_u32() % 94 + 33) as u8 as char;
-                        line.replace_range(at..at + 1, &c.to_string());
-                    }
-                }
-            }
-            // Duplicate a slice (unbalances braces/quotes).
-            2 => {
-                let at = rng.gen_range(0..line.len().max(1));
-                if line.is_char_boundary(at) {
-                    let dup: String = line[at..].chars().take(8).collect();
-                    line.push_str(&dup);
-                }
-            }
-            // Swap field values wholesale.
-            3 => {
-                line = line
-                    .replace("\"sort\"", "\"\\u0000\"")
-                    .replace("\"d\"", "\"-1e999\"");
-            }
-            // Inject deep nesting.
-            _ => {
-                line.push_str(&"[".repeat(rng.gen_range(1..40usize)));
-            }
-        }
-    }
-    line
+    let mut bytes = rng.choose(&CORPUS).as_bytes().to_vec();
+    let tokens: [&[u8]; 4] = [
+        b"\"\\u0000\"",
+        b"-1e999",
+        b"\"+rf\"",
+        b"[[[[[[[[[[[[[[[[[[[[",
+    ];
+    fuzz::mutate(rng, &mut bytes, &tokens);
+    String::from_utf8_lossy(&bytes).replace('\n', " ")
 }
 
 #[test]
@@ -105,8 +57,9 @@ fn dispatcher_never_panics_on_mutated_lines() {
         ..ServeConfig::default()
     });
     let mut rng = Rng64::seed_from_u64(0xF022_0001);
-    for i in 0..fuzz_iters(300) {
+    for i in 0..fuzz::iters(300) {
         let line = mutate(&mut rng);
+        let request = fuzz::check(i, &*line, parse_request);
         let resp = handle_line(&state, &line, None);
         let parsed = rtdc_serve::json::parse(&resp)
             .unwrap_or_else(|e| panic!("iter {i}: response not JSON ({e}): {resp}\nline: {line}"));
@@ -117,6 +70,11 @@ fn dispatcher_never_panics_on_mutated_lines() {
         if parsed.get("ok").and_then(Json::as_bool) == Some(false) {
             let kind = parsed.get("error").and_then(Json::as_str);
             assert!(kind.is_some(), "iter {i}: error response untyped: {resp}");
+        }
+        // A line the parser rejects is answered with that very error.
+        if let Err(e) = request {
+            let kind = parsed.get("error").and_then(Json::as_str);
+            assert_eq!(kind, Some(e.kind()), "iter {i}: {resp}");
         }
     }
 }
@@ -137,7 +95,7 @@ fn socket_survives_fuzz_and_stays_responsive() {
 
     let mut rng = Rng64::seed_from_u64(0xF022_0002);
     let mut c = Client::connect(&path).expect("connect");
-    for i in 0..fuzz_iters(200) {
+    for i in 0..fuzz::iters(200) {
         let line = mutate(&mut rng);
         let resp = c
             .request_raw(&line)
@@ -214,110 +172,55 @@ fn oversized_lines_are_rejected_without_buffering_or_wedging() {
     drop(server);
 }
 
-/// A small sealed image to encode into store files for mutation.
-fn store_image() -> rtdc::image::MemoryImage {
-    let mut img = rtdc::image::MemoryImage {
-        name: "fuzz".into(),
-        scheme: None,
-        second_regfile: false,
-        entry: 0x1000,
-        initial_sp: 0x8000,
-        segments: vec![rtdc::image::Segment {
-            name: ".native".into(),
-            base: 0x1000,
-            bytes: (0..=255u8).cycle().take(600).collect(),
-        }],
-        c0_init: Vec::new(),
-        handler_range: None,
-        compressed_range: None,
-        proc_regions: Vec::new(),
-        proc_names: Vec::new(),
-        sizes: rtdc::image::SizeReport {
-            original_text_bytes: 600,
-            native_text_bytes: 600,
-            compressed_payload_bytes: 0,
-            handler_bytes: 0,
-        },
-        integrity: Vec::new(),
-        line_crcs: Vec::new(),
-    };
-    img.seal();
-    img
-}
-
 #[test]
 fn store_file_decode_never_panics_on_mutated_bytes() {
-    // The on-disk mutation family: flips, truncations, garbage headers,
-    // splices, and extensions of a valid store file must all come back
-    // as typed `StoreError`s from the envelope check and the full
-    // decode — never a panic, never a silently-accepted mutant.
+    // Every harness mutant of a valid store file must come back as a
+    // typed `StoreError` from the envelope check and the full decode —
+    // never a panic, never a silently-accepted mutant.
     let key = CacheKey {
-        bench: "tiny-walker".into(),
+        bench: "sort".into(),
         label: "d+rf".into(),
         plan_digest: 0xF025,
     };
-    let baseline = encode_store_file(&key, &store_image());
+    let program = rtdc_workloads::resolve_program("sort").expect("known-answer program");
+    let all = Selection::all_compressed(program.procedures.len());
+    let pristine = build_compressed(&program, Scheme::Dictionary, true, &all).expect("build");
+    let baseline = encode_store_file(&key, &pristine);
     // Sanity: the pristine file round-trips.
     let (k, img) = decode_store_file(&baseline).expect("pristine file decodes");
-    assert_eq!(k, key);
-    assert!(img.verify_integrity().is_ok());
+    assert_eq!(
+        (k, encode_image(&img)),
+        (key.clone(), encode_image(&pristine))
+    );
 
     let mut rng = Rng64::seed_from_u64(0xF022_0003);
-    let mut rejected = 0usize;
-    let iters = fuzz_iters(400);
+    let mut rejected = 0;
+    let iters = fuzz::iters(400);
     for i in 0..iters {
         let mut bytes = baseline.clone();
-        match rng.gen_range(0..5u32) {
-            // Bit flip anywhere.
-            0 => {
-                let at = rng.gen_range(0..bytes.len());
-                bytes[at] ^= 1 << rng.gen_range(0u32..8);
-            }
-            // Truncate to any prefix (including empty).
-            1 => bytes.truncate(rng.gen_range(0..bytes.len())),
-            // Garbage header: stomp magic/version/lengths.
-            2 => {
-                let head = rng.gen_range(1..24usize).min(bytes.len());
-                for b in &mut bytes[..head] {
-                    *b = (rng.gen_u32() & 0xFF) as u8;
-                }
-            }
-            // Splice: duplicate an interior window in place.
-            3 => {
-                let at = rng.gen_range(8..bytes.len() - 8);
-                let window: Vec<u8> = bytes[at..(at + 8).min(bytes.len())].to_vec();
-                let dst = rng.gen_range(0..bytes.len() - window.len());
-                bytes[dst..dst + window.len()].copy_from_slice(&window);
-                if bytes == baseline {
-                    continue; // splice landed on identical bytes
-                }
-            }
-            // Extend: trailing garbage after a valid file.
-            _ => {
-                for _ in 0..rng.gen_range(1..64usize) {
-                    bytes.push((rng.gen_u32() & 0xFF) as u8);
-                }
-            }
-        }
+        fuzz::mutate(&mut rng, &mut bytes, &[]);
         // Both entry points must fail typed — a mutant that still
         // passes the whole-file CRC *and* decodes *and* verifies would
-        // be a silent acceptance, which is the one forbidden outcome.
-        let env = check_envelope(&bytes);
-        let full = decode_store_file(&bytes);
-        match (env, full) {
+        // be a silent acceptance unless it decodes to the same image.
+        let outcome = fuzz::check(i, &bytes, |b: &Vec<u8>| {
+            let full = decode_store_file(b).map(|(k, img)| (k, encode_image(&img)));
+            (check_envelope(b).map(|(k, _)| k), full)
+        });
+        match outcome {
             (Err(e), Err(f)) => {
                 // Typed both ways; `kind` is the taxonomy CI greps for.
                 assert!(!e.kind().is_empty() && !f.kind().is_empty());
                 rejected += 1;
             }
-            (Ok(_), Ok((k2, img2))) => {
-                // Only acceptable if the mutation was semantically
-                // invisible (CRC32 collisions are possible in theory
-                // but the decoded result must still be *correct*).
-                assert_eq!(k2, key, "iter {i}: mutant changed the key");
-                assert!(
-                    img2.verify_integrity().is_ok(),
-                    "iter {i}: mutant decoded but fails integrity"
+            (Ok(k), Ok((k2, image))) => {
+                // Only a semantically invisible mutation may pass (CRC32
+                // collisions are possible in theory, but the decoded
+                // result must still be *correct*).
+                assert_eq!((&k, &k2), (&key, &key), "iter {i}: mutant changed the key");
+                assert_eq!(
+                    image,
+                    encode_image(&pristine),
+                    "iter {i}: mutant image differs"
                 );
             }
             (env, full) => panic!(

@@ -145,7 +145,7 @@ fn server_stats_match_direct_runner_for_every_scheme() {
     let cfg = rtdc_sim::SimConfig::hpca2000_baseline();
     for scheme in Scheme::all() {
         for rf in [false, true] {
-            let label = format!("{}{}", scheme.name(), if rf { "+rf" } else { "" });
+            let label = scheme.name_rf(rf);
             let resp = handle_line(&state, &request_line("run", "sort", &label, None), None);
             let v = rtdc_serve::json::parse(&resp).expect("response is JSON");
             let got = rtdc_serve::protocol::parse_stats(v.get("stats").expect("stats"))

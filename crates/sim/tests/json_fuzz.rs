@@ -1,4 +1,4 @@
-//! Fuzz harness for the workspace's one JSON codec: `json::parse` and
+//! Fuzz target for the workspace's one JSON codec: `json::parse` and
 //! the trace reader built on it, `trace::parse_line`, must be total —
 //! return `Ok` or a typed `Err`, never panic — on any input line.
 //!
@@ -6,25 +6,16 @@
 //! every trace event kind as `to_jsonl` writes it, meta and region_def
 //! preamble lines with hostile names, and serve-protocol request lines.
 //! Each iteration checks that the unmutated line round-trips and that
-//! every prefix of it is handled, then mutates it with byte flips,
-//! truncation, splices from another line and nesting bombs.
-//!
-//! CI runs a fixed smoke iteration count; set `RTDC_FUZZ_ITERS` to fuzz
-//! longer (e.g. `RTDC_FUZZ_ITERS=20000 cargo test -p rtdc-sim --test
-//! json_fuzz --release`). A failure reports the iteration and the line.
+//! every prefix of it is handled, then mutates it through the shared
+//! harness (`rtdc_rng::fuzz`) with nesting bombs among its splice
+//! tokens. `RTDC_FUZZ_ITERS` scales it (e.g. `RTDC_FUZZ_ITERS=20000
+//! cargo test -p rtdc-sim --test json_fuzz --release`).
 
-use rtdc_rng::Rng64;
+use rtdc_rng::{fuzz, Rng64};
 use rtdc_sim::json::{self, Json};
 use rtdc_sim::trace::{
     parse_line, JsonlTracer, MissKind, RegionDef, StallCause, TraceEvent, TraceLine,
 };
-
-fn iters(default: u64) -> u64 {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Serve-protocol request lines, as clients send them (the second with
 /// every escape form, so truncations land inside `\uXXXX`).
@@ -194,57 +185,29 @@ fn render(v: &Json) -> String {
     }
 }
 
-/// `line` with one to three random edits.
-fn mutate(rng: &mut Rng64, line: &str) -> String {
-    let mut bytes = line.as_bytes().to_vec();
-    for _ in 0..rng.gen_range(1..4usize) {
-        let at = rng.gen_range(0..bytes.len() + 1);
-        match rng.gen_range(0..5u32) {
-            // Flip one byte to anything (quotes, escapes, control bytes,
-            // invalid UTF-8 — decoded lossily below).
-            0 if at < bytes.len() => bytes[at] = rng.gen_u32() as u8,
-            // Truncate.
-            1 => bytes.truncate(at),
-            // Splice in a piece of another valid line.
-            2 => {
-                let (other, _) = corpus_line(rng);
-                let from = rng.gen_range(0..other.len());
-                let to = rng.gen_range(from..other.len() + 1);
-                bytes.splice(at..at, other.as_bytes()[from..to].iter().copied());
-            }
-            // Nesting bomb: arrays or objects far past the depth bound.
-            3 => {
-                let open: &[u8] = if rng.gen_bool() { b"[" } else { b"{\"k\":" };
-                let bomb = open.repeat(rng.gen_range(1..200usize));
-                bytes.splice(at..at, bomb);
-            }
-            // Duplicate the tail (unbalances braces and quotes).
-            _ => {
-                let tail = bytes[at..].to_vec();
-                bytes.extend(tail);
-            }
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// Runs both readers on `line`; a panic fails with the iteration and
-/// line. Both must also be deterministic.
-fn must_not_panic(i: u64, line: &str) {
-    let once = std::panic::catch_unwind(|| (json::parse(line), parse_line(line)))
-        .unwrap_or_else(|_| panic!("iter {i}: a reader panicked on {line:?}"));
-    assert_eq!(
-        once,
-        (json::parse(line), parse_line(line)),
-        "iter {i}: non-deterministic on {line:?}"
-    );
+/// Runs both readers on `line` under the harness check; returns
+/// whether `json::parse` rejected it.
+fn rejects(i: u64, line: &str) -> bool {
+    fuzz::check(i, line, |l: &str| (json::parse(l), parse_line(l)))
+        .0
+        .is_err()
 }
 
 #[test]
 fn valid_lines_round_trip_and_mutants_never_panic() {
     let mut rng = Rng64::seed_from_u64(0x150_F022);
+    // Nesting bombs far past the depth bound, and fragments that
+    // unbalance escapes, quotes and braces.
+    let (arrays, objects) = ("[".repeat(40), "{\"k\":".repeat(20));
+    let tokens: [&[u8]; 5] = [
+        arrays.as_bytes(),
+        objects.as_bytes(),
+        b"\\u00",
+        b"\"",
+        b"},{",
+    ];
     let mut rejected = 0;
-    let n = iters(300);
+    let n = fuzz::iters(300);
     for i in 0..n {
         let (line, expect) = corpus_line(&mut rng);
         let value = json::parse(&line).unwrap_or_else(|e| panic!("iter {i}: {e} in {line:?}"));
@@ -258,12 +221,12 @@ fn valid_lines_round_trip_and_mutants_never_panic() {
         }
         // Truncation is the commonest corruption; try every cut.
         for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
-            must_not_panic(i, &line[..cut]);
+            rejects(i, &line[..cut]);
         }
 
-        let bad = mutate(&mut rng, &line);
-        must_not_panic(i, &bad);
-        rejected += usize::from(json::parse(&bad).is_err());
+        let mut bad = line.into_bytes();
+        fuzz::mutate(&mut rng, &mut bad, &tokens);
+        rejected += usize::from(rejects(i, &String::from_utf8_lossy(&bad)));
     }
     // Most edits break the syntax; if nearly none did, the mutator has
     // stopped exercising the rejection paths.
@@ -276,11 +239,11 @@ fn valid_lines_round_trip_and_mutants_never_panic() {
 #[test]
 fn pure_garbage_never_panics() {
     let mut rng = Rng64::seed_from_u64(0x150_F023);
-    for i in 0..iters(300) {
+    for i in 0..fuzz::iters(300) {
         let len = rng.gen_range(0..64usize);
         let bytes: Vec<u8> = (0..len)
             .map(|_| *rng.choose(b"{}[]\":,\\ntfu0123456789-.eE \x01\xff"))
             .collect();
-        must_not_panic(i, &String::from_utf8_lossy(&bytes));
+        rejects(i, &String::from_utf8_lossy(&bytes));
     }
 }

@@ -10,7 +10,7 @@
 //! tiny spec and on one analog; `RTDC_FUZZ_ITERS` scales the emissions
 //! per case.
 
-use rtdc_rng::Rng64;
+use rtdc_rng::{fuzz, Rng64};
 
 use super::{CodeSampler, Idioms, IDIOM_S, MEMBER_S};
 use crate::spec::{self, tiny};
@@ -66,13 +66,6 @@ impl NestedSampler {
     }
 }
 
-fn iters(default: u64) -> u64 {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Asserts the flat table and sampler equal the oracle's for one seed
 /// and vocabulary size over `emissions` emissions.
 fn check(seed: u64, vocab_size: usize, emissions: u64) {
@@ -101,7 +94,7 @@ fn check(seed: u64, vocab_size: usize, emissions: u64) {
 
 #[test]
 fn flat_sampler_matches_nested_oracle() {
-    let emissions = 100 * iters(200);
+    let emissions = 100 * fuzz::iters(200);
     // Below 192 words the table holds its floor of 64 idioms.
     for seed in [1, 0x5eed, 0xdead_beef] {
         for size in [1, 2, 3, 63, 100, 191, 192] {

@@ -34,6 +34,8 @@ pub use spec::{all_benchmarks, by_name, BenchmarkSpec, PaperReference, Style};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use rtdc_isa::program::ObjectProgram;
+
 /// [`generate`], memoized by benchmark name.
 ///
 /// Generating cc1 or ghostscript, the largest analogs, costs about a
@@ -46,8 +48,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// per-benchmark slot, so parallel experiment workers generating
 /// *different* benchmarks proceed concurrently, while workers racing on
 /// the *same* benchmark generate it exactly once.
-pub fn generate_cached(spec: &BenchmarkSpec) -> Arc<rtdc_isa::program::ObjectProgram> {
-    type Slot = Arc<OnceLock<Arc<rtdc_isa::program::ObjectProgram>>>;
+pub fn generate_cached(spec: &BenchmarkSpec) -> Arc<ObjectProgram> {
+    type Slot = Arc<OnceLock<Arc<ObjectProgram>>>;
     static CACHE: OnceLock<Mutex<HashMap<&'static str, Slot>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let slot: Slot = {
@@ -55,4 +57,33 @@ pub fn generate_cached(spec: &BenchmarkSpec) -> Arc<rtdc_isa::program::ObjectPro
         Arc::clone(guard.entry(spec.name).or_default())
     };
     Arc::clone(slot.get_or_init(|| Arc::new(generate(spec))))
+}
+
+/// Looks a generator spec up by name: the eight paper analogs, then the
+/// three tiny specs.
+pub fn resolve_spec(name: &str) -> Option<BenchmarkSpec> {
+    by_name(name).or_else(|| {
+        [
+            spec::tiny::walker(),
+            spec::tiny::loop_kernel(),
+            spec::tiny::interpreter(),
+        ]
+        .into_iter()
+        .find(|s| s.name == name)
+    })
+}
+
+/// Resolves a benchmark name to its program: a spec's ([`resolve_spec`])
+/// through [`generate_cached`], else one of the four known-answer
+/// [`programs`], which are built once per process.
+pub fn resolve_program(name: &str) -> Option<Arc<ObjectProgram>> {
+    if let Some(spec) = resolve_spec(name) {
+        return Some(generate_cached(&spec));
+    }
+    static KNOWN: OnceLock<Vec<Arc<ObjectProgram>>> = OnceLock::new();
+    KNOWN
+        .get_or_init(|| programs::all_programs().into_iter().map(Arc::new).collect())
+        .iter()
+        .find(|p| p.name == name)
+        .cloned()
 }

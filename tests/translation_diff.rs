@@ -386,7 +386,7 @@ fn injected_faults_classified_identically_with_translation() {
             plan.apply(&mut img).unwrap();
             let memory_stage = i % 2 == 1;
             if memory_stage {
-                img.reseal_segments();
+                img.seal();
             }
             let on = classify(run_image_verified(&img, cfg.with_translation(true), budget));
             let off = classify(run_image_verified(
