@@ -8,12 +8,13 @@
 //!    overhead is pipeline flushing rather than handler execution.
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::MAX_INSNS;
+use rtdc_bench::experiments::{build_and_run, MAX_INSNS};
 use rtdc_sim::SimConfig;
 use rtdc_workloads::{by_name, generate_cached};
 
 fn main() {
     let cfg = SimConfig::hpca2000_baseline();
+    let (scheme, source) = (Scheme::Dictionary, PlanSource::Heuristic);
 
     println!("== Ablation 1: hybrid-layout procedure placement (§5.3 future work) ==");
     println!(
@@ -28,13 +29,12 @@ fn main() {
         for strategy in [SelectBy::Execution, SelectBy::Miss] {
             for threshold in [0.20, 0.50] {
                 let sel = Selection::by_profile(&profile, strategy, threshold);
-                let orig = build_compressed(&program, Scheme::Dictionary, false, &sel).unwrap();
-                let orig_run = run_image(&orig, cfg, MAX_INSNS).unwrap();
+                let plan = CompressionPlan::uniform(scheme, false, source, &sel);
+                let (_, orig_run) = build_and_run(&spec, &ImageSpec::Plan(plan), cfg, run_image);
                 let order = placement_hot_first(&profile, strategy);
-                let hot =
-                    build_compressed_ordered(&program, Scheme::Dictionary, false, &sel, &order)
-                        .unwrap();
-                let hot_run = run_image(&hot, cfg, MAX_INSNS).unwrap();
+                let plan = CompressionPlan::from_order(scheme, false, source, 0, &sel, &order);
+                let hot = ImageSpec::Plan(plan.expect("a permutation"));
+                let (_, hot_run) = build_and_run(&spec, &hot, cfg, run_image);
                 assert_eq!(orig_run.output, native.output);
                 assert_eq!(hot_run.output, native.output);
                 println!(
@@ -53,9 +53,9 @@ fn main() {
     println!("\n== Ablation 2: swic pipeline-drain penalty (cycles per swic) ==");
     let spec = by_name("go").unwrap();
     let program = generate_cached(&spec);
-    let n = program.procedures.len();
-    let all = Selection::all_compressed(n);
-    let image = build_compressed(&program, Scheme::Dictionary, false, &all).unwrap();
+    let image = ImageSpec::Uniform { scheme, rf: false }
+        .build(&program)
+        .unwrap();
     let native = build_native(&program).unwrap();
     for penalty in [0u64, 1, 2, 4] {
         let mut c = cfg;

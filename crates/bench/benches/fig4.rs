@@ -54,10 +54,11 @@ fn bench_points(spec: &BenchmarkSpec, scheme: Scheme, sizes: &[u32]) -> Vec<Poin
         .iter()
         .map(|&size| {
             let cfg = SimConfig::hpca2000_baseline().with_icache_size(size);
-            let (_, native) = build_and_run(spec, None, cfg, run_image);
+            let (_, native) = build_and_run(spec, &ImageSpec::Native, cfg, run_image);
             let base = native.stats.cycles as f64;
-            let (_, plain) = build_and_run(spec, Some((scheme, false)), cfg, run_image);
-            let (_, rf) = build_and_run(spec, Some((scheme, true)), cfg, run_image);
+            let run =
+                |rf| build_and_run(spec, &ImageSpec::Uniform { scheme, rf }, cfg, run_image).1;
+            let (plain, rf) = (run(false), run(true));
             assert_eq!(plain.output, native.output, "{} {scheme:?}", spec.name);
             Point {
                 bench: spec.name,

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::MAX_INSNS;
+use rtdc_bench::experiments::{build_and_run, MAX_INSNS};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_sim::SimConfig;
 use rtdc_workloads::{all_benchmarks, generate_cached, BenchmarkSpec};
@@ -45,9 +45,8 @@ fn bench_block(spec: &BenchmarkSpec, cfg: SimConfig) -> String {
             );
             selections.push(Selection::all_native(n));
             for sel in &selections {
-                let image =
-                    build_compressed(&program, scheme, false, sel).expect("selective build");
-                let report = run_image(&image, cfg, MAX_INSNS).expect("selective run");
+                let plan = CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, sel);
+                let (image, report) = build_and_run(spec, &ImageSpec::Plan(plan), cfg, run_image);
                 assert_eq!(
                     report.output, native_report.output,
                     "{} {scheme:?} {strategy}: diverged",

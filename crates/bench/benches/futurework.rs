@@ -37,14 +37,15 @@ fn main() {
         "", "compression ratio", "slowdown", "h-insn/miss"
     );
     for spec in all_benchmarks() {
-        let (_, native) = build_and_run(&spec, None, cfg, run_image);
+        let (_, native) = build_and_run(&spec, &ImageSpec::Native, cfg, run_image);
         let base = native.stats.cycles as f64;
 
         let mut ratios = Vec::new();
         let mut slows = Vec::new();
         let mut handler_insns = Vec::new();
         for &scheme in &schemes {
-            let (image, run) = build_and_run(&spec, Some((scheme, false)), cfg, run_image);
+            let uniform = ImageSpec::Uniform { scheme, rf: false };
+            let (image, run) = build_and_run(&spec, &uniform, cfg, run_image);
             ratios.push(image.sizes.compression_ratio());
             assert_eq!(run.output, native.output, "{} {scheme:?}", spec.name);
             slows.push(run.stats.cycles as f64 / base);

@@ -123,13 +123,10 @@ fn bench_simulator() {
     let cfg = SimConfig::hpca2000_baseline();
     println!("== simulator (100k insns) ==");
     bench("native_100k_insns", None, 10, || run_100k(&native, cfg));
-    let compressed = build_compressed(
-        &program,
-        Scheme::Dictionary,
-        false,
-        &Selection::all_compressed(program.procedures.len()),
-    )
-    .expect("compressed build");
+    let scheme = Scheme::Dictionary;
+    let compressed = ImageSpec::Uniform { scheme, rf: false }
+        .build(&program)
+        .expect("compressed build");
     bench("dictionary_100k_insns", None, 10, || {
         run_100k(&compressed, cfg)
     });

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 
 use rtdc::prelude::*;
-use rtdc_bench::experiments::MAX_INSNS;
+use rtdc_bench::experiments::{build_and_run, MAX_INSNS};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_bench::planopt::{optimize, PlanOptConfig};
 use rtdc_sim::SimConfig;
@@ -50,9 +50,8 @@ fn bench_block(spec: &BenchmarkSpec, cfg: SimConfig) -> String {
         for strategy in [SelectBy::Execution, SelectBy::Miss] {
             for &t in &THRESHOLDS {
                 let sel = Selection::by_profile(&profile, strategy, t);
-                let image =
-                    build_compressed(&program, scheme, false, &sel).expect("heuristic build");
-                let report = run_image(&image, cfg, MAX_INSNS).expect("heuristic run");
+                let plan = CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &sel);
+                let (image, report) = build_and_run(spec, &ImageSpec::Plan(plan), cfg, run_image);
                 points.push(Point {
                     label: format!("{strategy}@{:.0}%", 100.0 * t),
                     cycles: report.stats.cycles,

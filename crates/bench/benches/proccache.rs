@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use rtdc::prelude::*;
 use rtdc::proccache::{self, ProcCacheModel};
-use rtdc_bench::experiments::MAX_INSNS;
+use rtdc_bench::experiments::{build_and_run, MAX_INSNS};
 use rtdc_sim::SimConfig;
 use rtdc_workloads::{all_benchmarks, generate_cached};
 
@@ -51,19 +51,14 @@ fn main() {
 
         // Cache-line schemes: min..max slowdown over 4KB..64KB I-caches
         // (from full simulation) — the "stability" side of the claim.
-        let n = program.procedures.len();
-        let all = Selection::all_compressed(n);
         let span = |scheme: Scheme| -> String {
             let mut lo = f64::INFINITY;
             let mut hi = 0.0f64;
             for kb in [4u32, 16, 64] {
                 let c = SimConfig::hpca2000_baseline().with_icache_size(kb * 1024);
-                let nat = {
-                    let img = build_native(&program).unwrap();
-                    run_image(&img, c, MAX_INSNS).unwrap()
-                };
-                let img = build_compressed(&program, scheme, false, &all).unwrap();
-                let run = run_image(&img, c, MAX_INSNS).unwrap();
+                let (_, nat) = build_and_run(&spec, &ImageSpec::Native, c, run_image);
+                let uniform = ImageSpec::Uniform { scheme, rf: false };
+                let (_, run) = build_and_run(&spec, &uniform, c, run_image);
                 let s = run.stats.cycles as f64 / nat.stats.cycles as f64;
                 lo = lo.min(s);
                 hi = hi.max(s);

@@ -106,7 +106,6 @@ fn run() -> Result<bool, String> {
 
     let program = resolve_program(&bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
     let cfg = SimConfig::hpca2000_baseline();
-    let n_procs = program.procedures.len();
 
     println!("faultsweep: {bench}, {n_faults} faults/scheme, seed {seed}");
     println!(
@@ -116,7 +115,8 @@ fn run() -> Result<bool, String> {
 
     let mut ok = true;
     for scheme in Scheme::all() {
-        let clean = build_compressed(&program, scheme, false, &Selection::all_compressed(n_procs))
+        let clean = ImageSpec::Uniform { scheme, rf: false }
+            .build(&program)
             .map_err(|e| format!("{scheme:?}: {e}"))?;
         let reference =
             run_image(&clean, cfg, u64::MAX).map_err(|e| format!("{scheme:?} clean run: {e}"))?;

@@ -29,7 +29,7 @@ use rtdc_bench::experiments::{build_and_run, Runner};
 use rtdc_bench::jobs::{jobs_from_env, parallel_map};
 use rtdc_bench::planopt::optimized_plan_cached;
 use rtdc_sim::{SimConfig, StallBreakdown, Stats};
-use rtdc_workloads::{all_benchmarks, generate_cached, BenchmarkSpec};
+use rtdc_workloads::{all_benchmarks, BenchmarkSpec};
 
 struct Cell {
     name: &'static str,
@@ -77,62 +77,59 @@ impl Metrics {
     }
 }
 
-/// `native`, then `native-interp` (the same native run with block
-/// translation off — the single-step interpreter reference, so the
-/// translation engine's speedup is documented in the report itself),
-/// then every registry scheme plain, `+rf`, `+vl` (the
-/// `--verify-lines` runner: identical simulated stats, host-side
-/// per-fill CRC checks — its sim-MIPS delta vs the plain row is the
-/// verification overhead), and `+plan` (the closed-loop optimizer's
-/// plan at the default 10%-of-text native budget; the plan is computed
-/// once per benchmark × scheme and cached, and the measured run itself
-/// is plain and untraced), in registry order — the row set for both
-/// passes.
-fn scheme_labels() -> Vec<String> {
-    let mut labels = vec!["native".to_string(), "native-interp".to_string()];
-    for s in Scheme::all() {
-        labels.push(s.name().to_string());
-        labels.push(format!("{}+rf", s.name()));
-        labels.push(format!("{}+vl", s.name()));
-        labels.push(format!("{}+plan", s.name()));
-    }
-    labels
+/// One report row; both passes run [`Row::all`] in order.
+#[derive(Clone)]
+enum Row {
+    /// An image family, run plainly.
+    Image(ImageSpec),
+    /// Native with block translation off: the single-step interpreter
+    /// reference, so the translation engine's speedup is in the report.
+    NativeInterp,
+    /// A uniform image under the `--verify-lines` runner: identical
+    /// simulated stats, so its sim-MIPS delta vs the plain row is the
+    /// verification overhead.
+    VerifyLines(ImageSpec),
+    /// The closed-loop optimizer's plan at the default 10%-of-text
+    /// native budget, computed once per benchmark × scheme and cached;
+    /// the measured run itself is plain and untraced.
+    Optimized(Scheme),
 }
 
-/// Runs one benchmark under one labeled scheme (`native`, a registry
-/// name, `+rf`, or `+vl`) and returns the report.
-fn run_labeled(spec: &BenchmarkSpec, label: &str, cfg: SimConfig) -> rtdc::runner::RunReport {
-    if label == "native" {
-        return build_and_run(spec, None, cfg, run_image).1;
+impl Row {
+    /// `native`, `native-interp`, then every registry scheme plain,
+    /// `+rf`, `+vl` and `+plan`, in registry order.
+    fn all() -> Vec<Row> {
+        let mut rows = vec![Row::Image(ImageSpec::Native), Row::NativeInterp];
+        for scheme in Scheme::all() {
+            let plain = ImageSpec::Uniform { scheme, rf: false };
+            rows.push(Row::Image(plain.clone()));
+            rows.push(Row::Image(ImageSpec::Uniform { scheme, rf: true }));
+            rows.push(Row::VerifyLines(plain));
+            rows.push(Row::Optimized(scheme));
+        }
+        rows
     }
-    if label == "native-interp" {
-        return build_and_run(spec, None, cfg.with_translation(false), run_image).1;
-    }
-    if let Some(name) = label.strip_suffix("+plan") {
-        let (scheme, rf) = Scheme::parse(name).expect("label came from the registry");
-        let plan = optimized_plan_cached(spec, scheme, rf, cfg);
-        let program = generate_cached(spec);
-        let image = build_planned(&program, &plan).expect("planned build");
-        return run_image(&image, cfg, rtdc_bench::experiments::MAX_INSNS).expect("planned run");
-    }
-    let (name, runner): (&str, Runner) = match label.strip_suffix("+vl") {
-        Some(name) => (name, run_image_verified),
-        None => (label, run_image),
-    };
-    let scheme = Scheme::parse(name).expect("label came from the registry");
-    build_and_run(spec, Some(scheme), cfg, runner).1
-}
 
-/// Runs one benchmark under one labeled scheme and returns its cell.
-fn run_cell(spec: &BenchmarkSpec, label: &str, cfg: SimConfig) -> Cell {
-    let r = run_labeled(spec, label, cfg);
-    Cell {
-        name: spec.name,
-        scheme: label.to_string(),
-        insns: r.stats.insns,
-        wall: r.wall,
-        mips: r.sim_mips(),
-        metrics: Metrics::from_stats(&r.stats),
+    fn label(&self) -> String {
+        match self {
+            Row::Image(image) => image.label(),
+            Row::NativeInterp => "native-interp".to_string(),
+            Row::VerifyLines(image) => format!("{}+vl", image.label()),
+            Row::Optimized(scheme) => ImageSpec::plan_label(*scheme, false),
+        }
+    }
+
+    fn run(&self, spec: &BenchmarkSpec, cfg: SimConfig) -> RunReport {
+        let (image, cfg, runner): (ImageSpec, SimConfig, Runner) = match self {
+            Row::Image(image) => (image.clone(), cfg, run_image),
+            Row::NativeInterp => (ImageSpec::Native, cfg.with_translation(false), run_image),
+            Row::VerifyLines(image) => (image.clone(), cfg, run_image_verified),
+            Row::Optimized(scheme) => {
+                let plan = optimized_plan_cached(spec, *scheme, false, cfg);
+                (ImageSpec::Plan((*plan).clone()), cfg, run_image)
+            }
+        };
+        build_and_run(spec, &image, cfg, runner).1
     }
 }
 
@@ -182,21 +179,22 @@ fn repeat_from_args() -> usize {
         .max(1)
 }
 
-/// Runs one serial cell `repeat` times and returns it with the median
+/// Runs one cell `repeat` times and returns it with the median
 /// wall-clock (and the sim-MIPS recomputed from it). The simulated side
 /// is deterministic, so stats must agree exactly across repeats — any
 /// divergence is a simulator bug worth crashing on. Returns the program
 /// output alongside for cross-scheme comparison.
 fn run_cell_median(
     spec: &BenchmarkSpec,
-    label: &str,
+    row: &Row,
     cfg: SimConfig,
     repeat: usize,
 ) -> (Cell, Vec<u8>) {
-    let first = run_labeled(spec, label, cfg);
+    let label = row.label();
+    let first = row.run(spec, cfg);
     let mut walls = vec![first.wall];
     for _ in 1..repeat {
-        let r = run_labeled(spec, label, cfg);
+        let r = row.run(spec, cfg);
         assert_eq!(
             r.stats, first.stats,
             "{} {label}: nondeterministic stats across repeats",
@@ -210,7 +208,7 @@ fn run_cell_median(
     let insns = first.stats.insns;
     let cell = Cell {
         name: spec.name,
-        scheme: label.to_string(),
+        scheme: label,
         insns,
         wall,
         mips: if secs > 0.0 {
@@ -225,30 +223,36 @@ fn run_cell_median(
 
 fn main() {
     let cfg = SimConfig::hpca2000_baseline();
-    let labels = scheme_labels();
+    let rows = Row::all();
     let repeat = repeat_from_args();
     let mut cells: Vec<Cell> = Vec::new();
 
     // Serial pass: the sim-MIPS baseline proper (median of `repeat`
     // runs per cell).
     for spec in all_benchmarks() {
-        let (native, native_output) = run_cell_median(&spec, "native", cfg, repeat);
+        // Every row's output must match the first, native row's.
+        let (native, native_output) = run_cell_median(&spec, &rows[0], cfg, repeat);
         cells.push(native);
-        for label in labels.iter().filter(|l| *l != "native") {
-            let (cell, output) = run_cell_median(&spec, label, cfg, repeat);
-            assert_eq!(output, native_output, "{} {label}: diverged", spec.name);
+        for row in &rows[1..] {
+            let (cell, output) = run_cell_median(&spec, row, cfg, repeat);
+            assert_eq!(
+                output, native_output,
+                "{} {}: diverged",
+                spec.name, cell.scheme
+            );
             cells.push(cell);
         }
         eprintln!("{}: done", spec.name);
     }
 
     // Per-scheme aggregates (total simulated work / total host time).
-    let totals: Vec<Cell> = labels
+    let totals: Vec<Cell> = rows
         .iter()
-        .map(|label| {
+        .map(|row| {
+            let label = row.label();
             let (mut insns, mut wall) = (0u64, Duration::ZERO);
             let mut metrics = Metrics::default();
-            for c in cells.iter().filter(|c| &c.scheme == label) {
+            for c in cells.iter().filter(|c| c.scheme == label) {
                 insns += c.insns;
                 wall += c.wall;
                 metrics.accumulate(&c.metrics);
@@ -256,7 +260,7 @@ fn main() {
             let secs = wall.as_secs_f64();
             Cell {
                 name: "all",
-                scheme: label.clone(),
+                scheme: label,
                 insns,
                 wall,
                 mips: if secs > 0.0 {
@@ -272,13 +276,15 @@ fn main() {
     // Parallel pass: the same work items fanned out across workers; one
     // aggregate measures end-to-end wall-clock scaling.
     let jobs = jobs_from_env();
-    let work: Vec<(BenchmarkSpec, String)> = all_benchmarks()
+    let work: Vec<(BenchmarkSpec, Row)> = all_benchmarks()
         .into_iter()
-        .flat_map(|spec| labels.iter().map(move |l| (spec, l.clone())))
+        .flat_map(|spec| rows.iter().map(move |row| (spec, row.clone())))
         .collect();
     eprintln!("parallel pass ({jobs} jobs, {} runs)...", work.len());
     let t0 = Instant::now();
-    let par_cells = parallel_map(&work, jobs, |(spec, label)| run_cell(spec, label, cfg));
+    let par_cells = parallel_map(&work, jobs, |(spec, row)| {
+        run_cell_median(spec, row, cfg, 1).0
+    });
     let par_wall = t0.elapsed();
     let par_insns: u64 = par_cells.iter().map(|c| c.insns).sum();
     let par_secs = par_wall.as_secs_f64();

@@ -14,24 +14,16 @@ pub const MAX_INSNS: u64 = 2_000_000_000;
 /// and so sim-MIPS, differ — the overhead simperf records).
 pub type Runner = fn(&MemoryImage, SimConfig, u64) -> Result<RunReport, RunError>;
 
-/// Builds `spec` natively (`scheme` is `None`) or fully compressed under
-/// `Some((scheme, rf))` (+RF if `rf`), runs the image to completion with
-/// `runner`, and returns the image with its report.
+/// Builds `spec` as the image family `image`, runs it to completion
+/// with `runner`, and returns the image with its report.
 pub fn build_and_run(
     spec: &BenchmarkSpec,
-    scheme: Option<(Scheme, bool)>,
+    image: &ImageSpec,
     cfg: SimConfig,
     runner: Runner,
 ) -> (MemoryImage, RunReport) {
     let program = generate_cached(spec);
-    let image = match scheme {
-        None => build_native(&program),
-        Some((scheme, rf)) => {
-            let all = Selection::all_compressed(program.procedures.len());
-            build_compressed(&program, scheme, rf, &all)
-        }
-    }
-    .expect("build");
+    let image = image.build(&program).expect("build");
     let report = runner(&image, cfg, MAX_INSNS).expect("run");
     (image, report)
 }
@@ -87,12 +79,13 @@ pub fn paper_slowdown(p: &PaperReference, scheme: Scheme, rf: bool) -> f64 {
 /// Measures a Table 2 row: one native run plus every paper scheme's
 /// compressor over the full `.text` (and LZRW1 over the raw bytes).
 pub fn table2_row(spec: &BenchmarkSpec, cfg: SimConfig) -> Table2Row {
-    let (native, report) = build_and_run(spec, None, cfg, run_image);
+    let (native, report) = build_and_run(spec, &ImageSpec::Native, cfg, run_image);
     let program = generate_cached(spec);
-    let all = Selection::all_compressed(program.procedures.len());
     let schemes = Scheme::paper_schemes()
         .map(|scheme| {
-            let img = build_compressed(&program, scheme, false, &all).expect("compressed build");
+            let img = ImageSpec::Uniform { scheme, rf: false }
+                .build(&program)
+                .expect("compressed build");
             SchemeSize {
                 scheme,
                 payload_bytes: img.sizes.compressed_payload_bytes,
@@ -141,10 +134,10 @@ pub struct Table3Row {
 /// both handler variants, fully compressed, verifying architectural
 /// equivalence along the way.
 pub fn table3_row(spec: &BenchmarkSpec, cfg: SimConfig) -> Table3Row {
-    let (_, native) = build_and_run(spec, None, cfg, run_image);
+    let (_, native) = build_and_run(spec, &ImageSpec::Native, cfg, run_image);
     let n_cycles = native.stats.cycles as f64;
     let slow = |scheme: Scheme, rf: bool| -> f64 {
-        let (_, r) = build_and_run(spec, Some((scheme, rf)), cfg, run_image);
+        let (_, r) = build_and_run(spec, &ImageSpec::Uniform { scheme, rf }, cfg, run_image);
         assert_eq!(
             r.output, native.output,
             "{} {scheme:?} rf={rf}: compressed run diverged from native",

@@ -72,7 +72,6 @@ fn stall_buckets_account_for_every_cycle_on_random_workloads() {
     for round in 0..4 {
         let s = random_spec(&mut rng);
         let program = generate(&s);
-        let n = program.procedures.len();
 
         let native = build_native(&program).expect("native build");
         let r = run_image(&native, SimConfig::hpca2000_baseline(), MAX_INSNS).expect("native run");
@@ -82,7 +81,8 @@ fn stall_buckets_account_for_every_cycle_on_random_workloads() {
         for scheme in Scheme::all() {
             for rf in [false, true] {
                 let label = format!("round {round} {} {}", s.name, scheme.name_rf(rf));
-                let img = build_compressed(&program, scheme, rf, &Selection::all_compressed(n))
+                let img = ImageSpec::Uniform { scheme, rf }
+                    .build(&program)
                     .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
                 let r = run_image(&img, SimConfig::hpca2000_baseline(), MAX_INSNS)
                     .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
@@ -102,19 +102,17 @@ fn stall_buckets_account_for_every_cycle_on_the_paper_suite_config_sweep() {
     // mixes) — cheap enough to run in debug mode.
     for s in [spec::tiny::walker(), spec::tiny::loop_kernel()] {
         let program = generate(&s);
-        let n = program.procedures.len();
         for kb in [4u32, 16] {
             let cfg = SimConfig::hpca2000_baseline().with_icache_size(kb * 1024);
             let native = build_native(&program).expect("native build");
             let r = run_image(&native, cfg, MAX_INSNS).expect("native run");
             assert_complete_attribution(&format!("{} native {kb}KB", s.name), &r.stats);
 
-            let img = build_compressed(
-                &program,
-                Scheme::Dictionary,
-                false,
-                &Selection::all_compressed(n),
-            )
+            let img = ImageSpec::Uniform {
+                scheme: Scheme::Dictionary,
+                rf: false,
+            }
+            .build(&program)
             .expect("build");
             let r = run_image(&img, cfg, MAX_INSNS).expect("run");
             assert_complete_attribution(&format!("{} d {kb}KB", s.name), &r.stats);

@@ -83,19 +83,15 @@ fn test_program() -> ObjectProgram {
 /// registered scheme with both handler variants.
 fn all_images() -> Vec<(String, MemoryImage)> {
     let p = test_program();
-    let mut images = vec![(
-        "native".to_string(),
-        build_native(&p).expect("native build"),
-    )];
-    for scheme in Scheme::all() {
-        for rf in [false, true] {
-            let label = scheme.name_rf(rf);
-            let img = build_compressed(&p, scheme, rf, &Selection::all_compressed(3))
+    ImageSpec::uniform_families()
+        .map(|family| {
+            let label = family.label();
+            let img = family
+                .build(&p)
                 .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
-            images.push((label, img));
-        }
-    }
-    images
+            (label, img)
+        })
+        .collect()
 }
 
 #[test]
@@ -155,8 +151,12 @@ fn jsonl_roundtrip_folds_to_exact_stats_for_every_scheme() {
 fn compressed_traces_attribute_handler_cost_to_procedures() {
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
-    let img = build_compressed(&p, Scheme::Dictionary, false, &Selection::all_compressed(3))
-        .expect("build");
+    let img = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: false,
+    }
+    .build(&p)
+    .expect("build");
     let mut tracer = JsonlTracer::new(Vec::new());
     tracer.write_meta("conformance", "d");
     for &(start, end, id) in &img.proc_regions {

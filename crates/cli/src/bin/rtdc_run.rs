@@ -77,25 +77,15 @@ use rtdc_workloads::{all_benchmarks, programs, resolve_program};
 
 const MAX_INSNS: u64 = 2_000_000_000;
 
-/// `native|d|d+rf|cp|cp+rf|...` — derived from the scheme registry, so a
-/// newly registered codec shows up in error messages without CLI edits.
-fn scheme_usage() -> String {
-    let mut usage = String::from("native");
-    for s in Scheme::all() {
-        write!(usage, "|{0}|{0}+rf", s.name()).expect("write to string");
-    }
-    usage
-}
-
-/// Parses `--scheme`: `native`, or any registry name with an optional
-/// `+rf` suffix. `None` means native.
-fn parse_scheme_arg(arg: &str) -> Result<(Option<Scheme>, bool), String> {
-    if arg == "native" {
-        return Ok((None, false));
-    }
-    match Scheme::parse(arg) {
-        Some((s, rf)) => Ok((Some(s), rf)),
-        None => Err(format!("unknown --scheme `{arg}` ({})", scheme_usage())),
+/// Parses `--scheme` (default `native`) as an image family.
+fn scheme_arg(args: &Args) -> Result<(String, ImageSpec), String> {
+    let arg = args.opt("scheme").unwrap_or("native").to_ascii_lowercase();
+    match ImageSpec::parse(&arg) {
+        Some(image) => Ok((arg, image)),
+        None => {
+            let names: Vec<String> = ImageSpec::uniform_families().map(|s| s.label()).collect();
+            Err(format!("unknown --scheme `{arg}` ({})", names.join("|")))
+        }
     }
 }
 
@@ -112,9 +102,8 @@ fn resolve(name: &str) -> Result<Arc<ObjectProgram>, String> {
 /// the build, in canonical form, ready for editing and `--plan`.
 fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, MemoryImage), String> {
     let program = resolve(name)?;
-    let n = program.procedures.len();
 
-    let (label, image, plan) = if let Some(path) = args.opt("plan") {
+    let spec = if let Some(path) = args.opt("plan") {
         if args.opt("scheme").is_some()
             || args.opt("select").is_some()
             || args.opt("threshold").is_some()
@@ -125,55 +114,45 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
             );
         }
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let plan: CompressionPlan = text.parse().map_err(|e| format!("{path}: {e}"))?;
-        let image = build_planned(&program, &plan).map_err(|e| e.to_string())?;
-        let label = format!("{}+plan", plan.scheme.name_rf(plan.second_rf));
-        (label, image, Some(plan))
+        ImageSpec::Plan(text.parse().map_err(|e| format!("{path}: {e}"))?)
     } else {
-        let scheme_arg = args.opt("scheme").unwrap_or("native").to_ascii_lowercase();
-        let (scheme, rf) = parse_scheme_arg(&scheme_arg)?;
-        match scheme {
-            None => (
-                "native".to_string(),
-                build_native(&program).map_err(|e| e.to_string())?,
-                None,
-            ),
-            Some(s) => {
-                let selection = match (args.opt("select"), args.opt("threshold")) {
-                    (None, None) => Selection::all_compressed(n),
-                    (Some(strategy), threshold) => {
-                        let strategy = match strategy {
-                            "exec" => SelectBy::Execution,
-                            "miss" => SelectBy::Miss,
-                            other => return Err(format!("unknown --select `{other}` (exec|miss)")),
-                        };
-                        let pct: f64 = threshold
-                            .unwrap_or("20")
-                            .parse()
-                            .map_err(|_| "bad --threshold".to_string())?;
-                        eprintln!("profiling (native run) for {strategy}-based selection...");
-                        let (_, profile) =
-                            profile_native(&program, cfg, MAX_INSNS).map_err(|e| e.to_string())?;
-                        Selection::by_profile(&profile, strategy, pct / 100.0)
-                    }
-                    (None, Some(_)) => return Err("--threshold requires --select".into()),
-                };
-                let plan = CompressionPlan::uniform(s, rf, PlanSource::Heuristic, &selection);
-                let image = build_planned(&program, &plan).map_err(|e| e.to_string())?;
-                (s.name_rf(rf), image, Some(plan))
-            }
-        }
+        scheme_arg(args)?.1
     };
+    // A heuristic selection keeps its family's label (`d`, not `d+plan`).
+    let label = spec.label();
+    let spec = match (spec, args.opt("select"), args.opt("threshold")) {
+        (ImageSpec::Uniform { scheme, rf }, Some(strategy), threshold) => {
+            let strategy = match strategy {
+                "exec" => SelectBy::Execution,
+                "miss" => SelectBy::Miss,
+                other => return Err(format!("unknown --select `{other}` (exec|miss)")),
+            };
+            let pct: f64 = threshold
+                .unwrap_or("20")
+                .parse()
+                .map_err(|_| "bad --threshold".to_string())?;
+            eprintln!("profiling (native run) for {strategy}-based selection...");
+            let (_, profile) =
+                profile_native(&program, cfg, MAX_INSNS).map_err(|e| e.to_string())?;
+            let selection = Selection::by_profile(&profile, strategy, pct / 100.0);
+            let plan = CompressionPlan::uniform(scheme, rf, PlanSource::Heuristic, &selection);
+            ImageSpec::Plan(plan)
+        }
+        (ImageSpec::Uniform { .. }, None, Some(_)) => {
+            return Err("--threshold requires --select".into())
+        }
+        (spec, _, _) => spec,
+    };
+    let mut image = spec.build(&program).map_err(|e| e.to_string())?;
 
     if let Some(path) = args.opt("emit-plan") {
-        let plan = plan
-            .as_ref()
+        let plan = spec
+            .plan(program.procedures.len())
             .ok_or("--emit-plan needs a compressed build (--scheme or --plan)")?;
         std::fs::write(path, plan.to_string()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("{name}: plan written to {path}");
     }
 
-    let mut image = image;
     if let Some(spec) = args.opt("inject") {
         let plan = FaultPlan::parse(spec, &image).map_err(|e| e.to_string())?;
         for f in &plan.faults {
@@ -282,14 +261,7 @@ fn trace_jsonl_one(name: &str, args: &Args, cfg: SimConfig, path: &str) -> Resul
 /// benchmark to stdout (previously `--trace N`; renamed to `--disasm`
 /// when `--trace` became the structured event trace).
 fn disasm_one(name: &str, args: &Args, cfg: SimConfig, ncount: u64) -> Result<(), String> {
-    let program = resolve(name)?;
-    let scheme_arg = args.opt("scheme").unwrap_or("native").to_ascii_lowercase();
-    let n = program.procedures.len();
-    let image = match parse_scheme_arg(&scheme_arg)? {
-        (None, _) => build_native(&program).map_err(|e| e.to_string())?,
-        (Some(s), rf) => build_compressed(&program, s, rf, &Selection::all_compressed(n))
-            .map_err(|e| e.to_string())?,
-    };
+    let (_, image) = build_image(name, args, cfg)?;
     let mut m = load_image(&image, cfg).map_err(|e| e.to_string())?;
     while m.stats().insns < ncount {
         let pc = m.pc();
@@ -448,9 +420,8 @@ fn serve_run(socket: &str, names: &[&str], args: &Args) -> Result<(), String> {
             return Err(format!("--{flag} does not apply with --serve"));
         }
     }
-    let scheme_arg = args.opt("scheme").unwrap_or("native").to_ascii_lowercase();
     // Validate locally for a friendly error before bothering the daemon.
-    parse_scheme_arg(&scheme_arg)?;
+    let (scheme_arg, _) = scheme_arg(args)?;
     let deadline_ms = match args.opt("deadline-ms") {
         Some(v) => Some(
             v.parse::<u64>()

@@ -3,10 +3,11 @@
 //!
 //! Compressed-image construction follows §4.2:
 //!
-//! 1. procedures are split by the [`Selection`] into a *compressed* list
-//!    and a *native* list, **preserving original link order within each
-//!    list** — this is what produces the paper's procedure-placement
-//!    side effect in hybrid programs (§5.3);
+//! 1. procedures are split by the [`CompressionPlan`] into a *compressed*
+//!    list and a *native* list, **preserving the plan's order within each
+//!    list** (link order for the paper's builds) — this is what produces
+//!    the paper's procedure-placement side effect in hybrid programs
+//!    (§5.3);
 //! 2. the compressed procedures are placed first, at the decompressed
 //!    region base; native procedures follow (their misses use the normal
 //!    cache controller);
@@ -28,11 +29,10 @@ use rtdc_isa::{encode, C0Reg, Instruction};
 use rtdc_sim::map;
 
 use crate::error::BuildError;
-use crate::image::{MemoryImage, Scheme, Segment, SizeReport};
+use crate::image::{MemoryImage, Segment, SizeReport};
 use crate::integrity;
-use crate::plan::{CompressionPlan, PlanError, PlanSource};
+use crate::plan::{CompressionPlan, PlanError};
 use crate::registry;
-use crate::select::Selection;
 
 fn align_up(x: u32, a: u32) -> u32 {
     x.div_ceil(a) * a
@@ -102,47 +102,20 @@ pub fn build_native(program: &ObjectProgram) -> Result<MemoryImage, BuildError> 
     Ok(image)
 }
 
-/// Builds a compressed image under `scheme`, keeping the procedures in
-/// `selection` native, with the matching handler variant (`second_rf`
-/// selects the §4.1 second-register-file handlers).
-///
-/// Procedures keep their original link order within each region, exactly
-/// as the paper's implementation does (§5.3) — including its side effect:
-/// hybrid programs get a new procedure placement and therefore different
-/// conflict misses. [`build_compressed_ordered`] explores the paper's
-/// "unified selective compression and code placement" future work.
-///
-/// # Errors
-///
-/// * [`BuildError::SelectionMismatch`] if the selection's procedure count
-///   differs from the program's;
-/// * [`BuildError::Compress`] if the codec cannot represent the compressed
-///   region (e.g. more than 64K unique instruction words for the
-///   dictionary scheme — compress fewer procedures);
-/// * [`BuildError::Link`] on linking failures.
-pub fn build_compressed(
-    program: &ObjectProgram,
-    scheme: Scheme,
-    second_rf: bool,
-    selection: &Selection,
-) -> Result<MemoryImage, BuildError> {
-    let order: Vec<usize> = (0..program.procedures.len()).collect();
-    build_compressed_ordered(program, scheme, second_rf, selection, &order)
-}
-
 /// Builds a compressed image from a [`CompressionPlan`] — **the** layout
-/// path every compressed build goes through. The plan carries everything
-/// the legacy `(scheme, second_rf, Selection, order)` argument tuple
-/// did: the image-wide scheme and handler variant, the native/compressed
-/// split, and the within-region layout order (ascending rank).
+/// path every compressed build goes through. The plan carries the
+/// image-wide scheme and handler variant, the native/compressed split,
+/// and the within-region layout order (ascending rank).
 ///
 /// # Errors
 ///
 /// * [`BuildError::Plan`] if the plan is internally inconsistent
 ///   ([`CompressionPlan::validate`]) or covers a different number of
 ///   procedures than the program;
-/// * [`BuildError::Compress`] / [`BuildError::Link`] as
-///   [`build_compressed`].
+/// * [`BuildError::Compress`] if the codec cannot represent the compressed
+///   region (e.g. more than 64K unique instructions for the dictionary
+///   scheme — compress fewer procedures), [`BuildError::Link`] on linking
+///   failures.
 pub fn build_planned(
     program: &ObjectProgram,
     plan: &CompressionPlan,
@@ -295,50 +268,4 @@ pub fn build_planned(
     };
     image.seal();
     Ok(image)
-}
-
-/// [`build_compressed`] with an explicit within-region procedure order.
-///
-/// `order` is a permutation of all procedure ids; each region (compressed,
-/// then native) lays its procedures out in the order they appear in it.
-/// Passing the identity permutation reproduces the paper's layout; a
-/// profile-driven order (see
-/// [`placement_hot_first`](crate::select::placement_hot_first)) implements
-/// the simple profile-guided placement the paper suggests as future work
-/// (§5.3, citing Pettis-Hansen).
-///
-/// # Errors
-///
-/// As [`build_compressed`], plus [`BuildError::SelectionMismatch`] if
-/// `order` is not a permutation of `0..n`.
-pub fn build_compressed_ordered(
-    program: &ObjectProgram,
-    scheme: Scheme,
-    second_rf: bool,
-    selection: &Selection,
-    order: &[usize],
-) -> Result<MemoryImage, BuildError> {
-    let n = program.procedures.len();
-    if selection.proc_count() != n {
-        return Err(BuildError::SelectionMismatch {
-            program: n,
-            selection: selection.proc_count(),
-        });
-    }
-    // A wrong-length or non-permutation order keeps its historical error
-    // shape; a valid one becomes a heuristic-source plan with rank =
-    // position in `order`.
-    let plan = CompressionPlan::from_order(
-        scheme,
-        second_rf,
-        PlanSource::Heuristic,
-        0,
-        selection,
-        order,
-    )
-    .map_err(|_| BuildError::SelectionMismatch {
-        program: n,
-        selection: order.len(),
-    })?;
-    build_planned(program, &plan)
 }

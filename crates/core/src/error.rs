@@ -100,13 +100,6 @@ pub enum BuildError {
     Compress(CompressError),
     /// Linking failed.
     Link(LinkError),
-    /// The selection was built for a different procedure count.
-    SelectionMismatch {
-        /// Procedures in the program.
-        program: usize,
-        /// Procedures the selection was built for.
-        selection: usize,
-    },
     /// The compression plan is internally inconsistent or does not match
     /// the program (see [`PlanError`]).
     Plan(PlanError),
@@ -117,10 +110,6 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Compress(e) => write!(f, "compression failed: {e}"),
             BuildError::Link(e) => write!(f, "link failed: {e}"),
-            BuildError::SelectionMismatch { program, selection } => write!(
-                f,
-                "selection built for {selection} procedures but program has {program}"
-            ),
             BuildError::Plan(e) => write!(f, "invalid compression plan: {e}"),
         }
     }
@@ -131,7 +120,6 @@ impl Error for BuildError {
         match self {
             BuildError::Compress(e) => Some(e),
             BuildError::Link(e) => Some(e),
-            BuildError::SelectionMismatch { .. } => None,
             BuildError::Plan(e) => Some(e),
         }
     }
@@ -250,10 +238,10 @@ mod tests {
 
     #[test]
     fn display_chains_are_informative() {
-        let e = BuildError::SelectionMismatch {
+        let e = BuildError::Plan(PlanError::ProcCountMismatch {
+            plan: 3,
             program: 5,
-            selection: 3,
-        };
+        });
         assert!(e.to_string().contains('5') && e.to_string().contains('3'));
         let e = RunError::RegfileMismatch {
             image_rf: true,

@@ -23,6 +23,8 @@
 //!
 //! [`MemoryImage::seal`]: crate::image::MemoryImage::seal
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::fmt;
 
 use rtdc_rng::Rng64;
@@ -160,13 +162,18 @@ impl FaultPlan {
                     }
                 })
                 .expect("point < total by construction");
+            // Below a segment's length, and segments lie in the 32-bit
+            // address space (`Segment::end` is a u32).
+            #[allow(clippy::cast_possible_truncation)]
             let offset = rng.gen_range(0..len as u64) as u32;
             let kind = match rng.gen_range(0..8u32) {
+                // The bit is below 8.
+                #[allow(clippy::cast_possible_truncation)]
                 0..=5 => FaultKind::BitFlip {
                     bit: rng.gen_range(0..8u32) as u8,
                 },
                 6 => FaultKind::StuckByte {
-                    value: rng.gen_u32() as u8,
+                    value: rng.gen_u32().to_le_bytes()[0],
                 },
                 _ => FaultKind::Truncate,
             };
@@ -204,6 +211,8 @@ impl FaultPlan {
             let n = match parts.next() {
                 None => 1,
                 Some(n) => match parse_u64(n).ok_or_else(|| bad(spec, "bad fault count"))? {
+                    // The arm's range fits any usize.
+                    #[allow(clippy::cast_possible_truncation)]
                     n @ 0..=MAX_RANDOM_FAULTS => n as usize,
                     _ => return Err(bad(spec, "fault count above 2^20")),
                 },
@@ -216,12 +225,18 @@ impl FaultPlan {
         let mut faults = Vec::new();
         for item in spec.split(',').filter(|s| !s.is_empty()) {
             let parts: Vec<&str> = item.split(':').collect();
+            let offset = |off: &str| {
+                let off = parse_u64(off).ok_or_else(|| bad(item, "bad offset"))?;
+                u32::try_from(off).map_err(|_| bad(item, "offset above 2^32"))
+            };
             let fault = match parts.as_slice() {
                 ["flip", seg, off, bit] => Fault {
                     segment: seg.to_string(),
-                    offset: parse_u64(off).ok_or_else(|| bad(item, "bad offset"))? as u32,
+                    offset: offset(off)?,
                     kind: FaultKind::BitFlip {
                         bit: match parse_u64(bit).ok_or_else(|| bad(item, "bad bit"))? {
+                            // The arm's range fits a u8.
+                            #[allow(clippy::cast_possible_truncation)]
                             b @ 0..=7 => b as u8,
                             _ => return Err(bad(item, "bit must be 0..8")),
                         },
@@ -229,9 +244,11 @@ impl FaultPlan {
                 },
                 ["stuck", seg, off, value] => Fault {
                     segment: seg.to_string(),
-                    offset: parse_u64(off).ok_or_else(|| bad(item, "bad offset"))? as u32,
+                    offset: offset(off)?,
                     kind: FaultKind::StuckByte {
                         value: match parse_u64(value).ok_or_else(|| bad(item, "bad value"))? {
+                            // The arm's range fits a u8.
+                            #[allow(clippy::cast_possible_truncation)]
                             v @ 0..=255 => v as u8,
                             _ => return Err(bad(item, "value must be a byte")),
                         },
@@ -239,7 +256,7 @@ impl FaultPlan {
                 },
                 ["trunc", seg, off] => Fault {
                     segment: seg.to_string(),
-                    offset: parse_u64(off).ok_or_else(|| bad(item, "bad offset"))? as u32,
+                    offset: offset(off)?,
                     kind: FaultKind::Truncate,
                 },
                 _ => {
@@ -412,6 +429,24 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad, &image).is_err(), "{bad}");
         }
+        // An offset past 32 bits is rejected, not truncated to 1.
+        for spec in [
+            "flip:.text:4294967297:0",
+            "stuck:.text:0x100000001:7",
+            "trunc:.text:4294967296",
+        ] {
+            assert_eq!(
+                FaultPlan::parse(spec, &image),
+                Err(FaultError::BadSpec {
+                    spec: spec.into(),
+                    reason: "offset above 2^32".into()
+                })
+            );
+        }
+        assert_eq!(
+            FaultPlan::parse("flip:.text:4294967295:0", &image).map(|p| p.faults[0].offset),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]

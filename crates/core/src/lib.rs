@@ -21,7 +21,9 @@
 //!   miss-based native-procedure selection.
 //! * [`plan`] — the [`CompressionPlan`](plan::CompressionPlan) IR: every
 //!   compressed build is a plan (native/compressed split, layout ranks,
-//!   provenance), and [`builder::build_planned`] is the one layout path.
+//!   provenance), and [`builder::build_planned`] is the one layout path;
+//!   [`ImageSpec`](plan::ImageSpec) names an image family (`native`,
+//!   `cp+rf`, a plan) and builds it.
 //! * [`runner`] — loading, running, and native profiling.
 //!
 //! # Example: compress, run, compare
@@ -46,10 +48,8 @@
 //!
 //! let cfg = SimConfig::hpca2000_baseline();
 //! let native = build_native(&program)?;
-//! let compressed = build_compressed(
-//!     &program, Scheme::Dictionary, false,
-//!     &Selection::all_compressed(1),
-//! )?;
+//! let compressed = ImageSpec::Uniform { scheme: Scheme::Dictionary, rf: false }
+//!     .build(&program)?;
 //! let a = run_image(&native, cfg, 10_000)?;
 //! let b = run_image(&compressed, cfg, 10_000)?;
 //! assert_eq!(a.exit_code, b.exit_code); // identical architectural result
@@ -75,13 +75,11 @@ pub mod select;
 
 /// One-stop imports for experiments and examples.
 pub mod prelude {
-    pub use crate::builder::{
-        build_compressed, build_compressed_ordered, build_native, build_planned,
-    };
+    pub use crate::builder::{build_native, build_planned};
     pub use crate::error::{BuildError, ImageError, RunError};
     pub use crate::fault::{Fault, FaultKind, FaultPlan};
     pub use crate::image::{MemoryImage, Scheme, SizeReport, Verified};
-    pub use crate::plan::{CompressionPlan, PlanError, PlanSource, ProcDecision};
+    pub use crate::plan::{CompressionPlan, ImageSpec, PlanError, PlanSource, ProcDecision};
     pub use crate::runner::{
         load_image, load_verified, profile_native, run_image, run_image_verified,
         run_image_with_sink, RunReport,

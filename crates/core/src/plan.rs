@@ -35,11 +35,16 @@
 //!
 //! [`build_planned`]: crate::builder::build_planned
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::image::Scheme;
+use rtdc_isa::program::ObjectProgram;
+
+use crate::builder::{build_native, build_planned};
+use crate::error::BuildError;
+use crate::image::{MemoryImage, Scheme};
 use crate::select::Selection;
 
 /// Where a plan came from — provenance, not semantics: two plans with
@@ -47,7 +52,7 @@ use crate::select::Selection;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
     /// Derived from a static profile heuristic (the paper's §3.3
-    /// threshold selection, or a legacy-entrypoint wrapper).
+    /// threshold selection), or the plan of a uniform [`ImageSpec`].
     Heuristic,
     /// Derived from trace analytics by the closed-loop optimizer
     /// (`rtdc-bench`'s `planopt`).
@@ -98,9 +103,7 @@ pub struct ProcDecision {
 
 /// A complete per-procedure compression plan for one program image.
 ///
-/// This is the single input [`build_planned`] consumes; the legacy
-/// `(scheme, Selection, order)` entrypoints are thin wrappers that
-/// construct trivial plans.
+/// This is the single input [`build_planned`] consumes.
 ///
 /// [`build_planned`]: crate::builder::build_planned
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -241,11 +244,9 @@ impl std::error::Error for PlanError {}
 const MAX_PROCS: usize = 1 << 20;
 
 impl CompressionPlan {
-    /// The trivial plan the legacy [`build_compressed`] entrypoint
-    /// implies: `selection` decides native vs. compressed and every
-    /// procedure keeps its original link order (rank = id).
-    ///
-    /// [`build_compressed`]: crate::builder::build_compressed
+    /// The plan of a selective build in link order: `selection` decides
+    /// native vs. compressed and every procedure keeps its original link
+    /// order (rank = id), as the paper's implementation does (§5.3).
     pub fn uniform(
         scheme: Scheme,
         second_rf: bool,
@@ -257,8 +258,8 @@ impl CompressionPlan {
             .expect("identity order is always a valid permutation")
     }
 
-    /// Builds a plan from a [`Selection`] plus an explicit layout order
-    /// (the legacy [`build_compressed_ordered`] argument pair):
+    /// Builds a plan from a [`Selection`] plus an explicit layout order,
+    /// e.g. [`placement_hot_first`](crate::select::placement_hot_first):
     /// `order[i]` is the procedure placed at rank `i`.
     ///
     /// # Errors
@@ -266,8 +267,6 @@ impl CompressionPlan {
     /// [`PlanError::WrongProcCount`] if `order`'s length differs from the
     /// selection's procedure count, [`PlanError::ProcOutOfRange`] /
     /// [`PlanError::DuplicateProc`] if it is not a permutation.
-    ///
-    /// [`build_compressed_ordered`]: crate::builder::build_compressed_ordered
     pub fn from_order(
         scheme: Scheme,
         second_rf: bool,
@@ -392,6 +391,86 @@ impl CompressionPlan {
             rank_seen[r] = true;
         }
         Ok(())
+    }
+}
+
+/// An image family: native, a scheme ±rf over every procedure (Table 3's
+/// columns), or a plan (hybrids, §4.2, §5.3). The one place a family
+/// name is parsed, labelled (`native`, `cp+rf`, `d+plan`) and built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ImageSpec {
+    /// Every procedure native: no handler, no compressed region.
+    Native,
+    /// Every procedure compressed under `scheme`, in link order.
+    Uniform {
+        /// The registry scheme.
+        scheme: Scheme,
+        /// Use the §4.1 second-register-file handler variant.
+        rf: bool,
+    },
+    /// An explicit plan.
+    Plan(CompressionPlan),
+}
+
+impl ImageSpec {
+    /// Parses a family name: `native`, or a registry scheme name with an
+    /// optional `+rf` suffix (as [`Scheme::parse`] reads it).
+    pub fn parse(arg: &str) -> Option<ImageSpec> {
+        if arg == "native" {
+            return Some(ImageSpec::Native);
+        }
+        Scheme::parse(arg).map(|(scheme, rf)| ImageSpec::Uniform { scheme, rf })
+    }
+
+    /// `native`, then every registry scheme plain and `+rf`, in registry
+    /// order: the nine uniform families.
+    pub fn uniform_families() -> impl Iterator<Item = ImageSpec> {
+        std::iter::once(ImageSpec::Native).chain(
+            Scheme::all()
+                .flat_map(|scheme| [false, true].map(|rf| ImageSpec::Uniform { scheme, rf })),
+        )
+    }
+
+    /// The label in reports, cache keys and traces; [`ImageSpec::parse`]
+    /// reads it back for every family but a plan.
+    pub fn label(&self) -> String {
+        match self {
+            ImageSpec::Native => "native".to_string(),
+            ImageSpec::Uniform { scheme, rf } => scheme.name_rf(*rf),
+            ImageSpec::Plan(plan) => ImageSpec::plan_label(plan.scheme, plan.second_rf),
+        }
+    }
+
+    /// The label of any plan under `scheme` ±rf (`d+rf+plan`).
+    pub fn plan_label(scheme: Scheme, rf: bool) -> String {
+        format!("{}+plan", scheme.name_rf(rf))
+    }
+
+    /// The plan this family builds for a program of `n_procs`
+    /// procedures; `None` for native.
+    pub fn plan(&self, n_procs: usize) -> Option<Cow<'_, CompressionPlan>> {
+        match self {
+            ImageSpec::Native => None,
+            ImageSpec::Uniform { scheme, rf } => Some(Cow::Owned(CompressionPlan::uniform(
+                *scheme,
+                *rf,
+                PlanSource::Heuristic,
+                &Selection::all_compressed(n_procs),
+            ))),
+            ImageSpec::Plan(plan) => Some(Cow::Borrowed(plan)),
+        }
+    }
+
+    /// Builds this family's image of `program`.
+    ///
+    /// # Errors
+    ///
+    /// As [`build_native`] or [`build_planned`].
+    pub fn build(&self, program: &ObjectProgram) -> Result<MemoryImage, BuildError> {
+        match self.plan(program.procedures.len()) {
+            None => build_native(program),
+            Some(plan) => build_planned(program, &plan),
+        }
     }
 }
 
@@ -656,5 +735,43 @@ mod tests {
             renatived.digest(),
             "selection changes the digest"
         );
+    }
+
+    #[test]
+    fn image_spec_names_round_trip_in_registry_order() {
+        let labels: Vec<String> = ImageSpec::uniform_families().map(|s| s.label()).collect();
+        // The order perfbench's suite and the golden image file list.
+        assert_eq!(
+            labels,
+            ["native", "d", "d+rf", "cp", "cp+rf", "d2", "d2+rf", "lz", "lz+rf"]
+        );
+        for label in &labels {
+            assert_eq!(
+                ImageSpec::parse(label).map(|s| s.label()),
+                Some(label.clone())
+            );
+        }
+        for bad in ["", "zz", "native+rf", "D", "d+rf+rf", "d+plan"] {
+            assert_eq!(ImageSpec::parse(bad), None, "{bad:?}");
+        }
+        assert_eq!(ImageSpec::Plan(sample()).label(), "d+rf+plan");
+    }
+
+    #[test]
+    fn image_spec_plans() {
+        assert!(ImageSpec::Native.plan(3).is_none());
+        let uniform = ImageSpec::parse("cp+rf").unwrap();
+        let all = Selection::all_compressed(3);
+        assert_eq!(
+            uniform.plan(3).as_deref(),
+            Some(&CompressionPlan::uniform(
+                Scheme::CodePack,
+                true,
+                PlanSource::Heuristic,
+                &all
+            ))
+        );
+        let planned = ImageSpec::Plan(sample());
+        assert_eq!(planned.plan(4).as_deref(), Some(&sample()));
     }
 }

@@ -170,7 +170,7 @@ impl Selection {
 /// profile count (in the spirit of Pettis-Hansen), so the hot procedures
 /// of a region pack together instead of landing at profile-oblivious
 /// offsets. Use with
-/// [`build_compressed_ordered`](crate::builder::build_compressed_ordered).
+/// [`CompressionPlan::from_order`](crate::plan::CompressionPlan::from_order).
 pub fn placement_hot_first(profile: &ProcedureProfile, by: SelectBy) -> Vec<usize> {
     let counts = match by {
         SelectBy::Execution => &profile.exec,

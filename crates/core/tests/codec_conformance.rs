@@ -169,7 +169,7 @@ fn images_account_sizes_for_every_scheme() {
     let p = conformance_program();
     for scheme in Scheme::all() {
         let codec = scheme.codec();
-        let img = build_compressed(&p, scheme, false, &Selection::all_compressed(3)).unwrap();
+        let img = ImageSpec::Uniform { scheme, rf: false }.build(&p).unwrap();
 
         // The codec's segments are everything that is not .native,
         // .decompressor, or .data; they must sum to the payload.
@@ -226,7 +226,7 @@ fn handler_differential_run_vs_native_for_every_scheme() {
     let native = run_image(&native_img, cfg, 10_000_000).unwrap();
     for scheme in Scheme::all() {
         for rf in [false, true] {
-            let img = build_compressed(&p, scheme, rf, &Selection::all_compressed(3)).unwrap();
+            let img = ImageSpec::Uniform { scheme, rf }.build(&p).unwrap();
             let r = run_image(&img, cfg, 50_000_000).unwrap();
             assert_eq!(r.exit_code, native.exit_code, "{scheme:?} rf={rf}");
             assert_eq!(r.output, native.output, "{scheme:?} rf={rf}");
@@ -272,7 +272,7 @@ fn load_rejects_stored_bit_flips_for_every_scheme() {
     let p = conformance_program();
     let cfg = SimConfig::hpca2000_baseline();
     for scheme in Scheme::all() {
-        let clean = build_compressed(&p, scheme, false, &Selection::all_compressed(3)).unwrap();
+        let clean = ImageSpec::Uniform { scheme, rf: false }.build(&p).unwrap();
         let plan = rtdc::fault::FaultPlan::random(0xC0FFEE, 4, &clean);
         for fault in &plan.faults {
             if matches!(fault.kind, rtdc::fault::FaultKind::Truncate) {
@@ -301,7 +301,7 @@ fn truncation_is_a_length_mismatch() {
     let p = conformance_program();
     let cfg = SimConfig::hpca2000_baseline();
     for scheme in Scheme::all() {
-        let mut img = build_compressed(&p, scheme, false, &Selection::all_compressed(3)).unwrap();
+        let mut img = ImageSpec::Uniform { scheme, rf: false }.build(&p).unwrap();
         let seg = img.segments[0].name.clone();
         rtdc::fault::FaultPlan::parse(&format!("trunc:{seg}:1"), &img)
             .unwrap()
@@ -327,7 +327,7 @@ fn verify_lines_catches_post_load_corruption() {
     let p = conformance_program();
     let cfg = SimConfig::hpca2000_baseline();
     for scheme in Scheme::all() {
-        let clean = build_compressed(&p, scheme, false, &Selection::all_compressed(3)).unwrap();
+        let clean = ImageSpec::Uniform { scheme, rf: false }.build(&p).unwrap();
         // Clean image sanity: the verified runner matches the plain one.
         let plain = run_image(&clean, cfg, 50_000_000).unwrap();
         let verified = run_image_verified(&clean, cfg, 50_000_000).unwrap();
@@ -383,7 +383,11 @@ fn selective_compression_works_for_every_scheme() {
     for scheme in Scheme::all() {
         // Keep the big filler procedure native, compress the rest.
         let selection = Selection::from_native_set([2usize].into_iter().collect(), 3);
-        let img = build_compressed(&p, scheme, false, &selection).unwrap();
+        let img = build_planned(
+            &p,
+            &CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &selection),
+        )
+        .unwrap();
         let r = run_image(&img, cfg, 50_000_000).unwrap();
         assert_eq!(r.exit_code, native.exit_code, "{scheme:?}");
         assert_eq!(r.output, native.output, "{scheme:?}");

@@ -119,7 +119,7 @@ fn assert_equivalent(scheme: Scheme, rf: bool) {
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
     let native = native_report(cfg);
-    let img = build_compressed(&p, scheme, rf, &Selection::all_compressed(3)).unwrap();
+    let img = ImageSpec::Uniform { scheme, rf }.build(&p).unwrap();
     let r = run_image(&img, cfg, 5_000_000).unwrap();
     assert_eq!(r.exit_code, native.exit_code, "{scheme:?} rf={rf}");
     assert_eq!(r.output, native.output, "{scheme:?} rf={rf}");
@@ -160,8 +160,12 @@ fn dictionary_handler_executes_exactly_75_insns_per_line() {
     // The paper §4.1: "executes 75 instructions to decompress a cache line".
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
-    let img =
-        build_compressed(&p, Scheme::Dictionary, false, &Selection::all_compressed(3)).unwrap();
+    let img = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: false,
+    }
+    .build(&p)
+    .unwrap();
     let r = run_image(&img, cfg, 5_000_000).unwrap();
     assert_eq!(r.stats.handler_insns % r.stats.exceptions, 0);
     assert_eq!(r.stats.handler_insns / r.stats.exceptions, 75);
@@ -171,8 +175,12 @@ fn dictionary_handler_executes_exactly_75_insns_per_line() {
 fn dictionary_rf_handler_executes_42_insns_per_line() {
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
-    let img =
-        build_compressed(&p, Scheme::Dictionary, true, &Selection::all_compressed(3)).unwrap();
+    let img = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: true,
+    }
+    .build(&p)
+    .unwrap();
     let r = run_image(&img, cfg, 5_000_000).unwrap();
     assert_eq!(r.stats.handler_insns / r.stats.exceptions, 42);
 }
@@ -182,7 +190,12 @@ fn codepack_handler_cost_is_near_paper_scale() {
     // The paper §4.1: ~1120 instructions per two-line group on average.
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
-    let img = build_compressed(&p, Scheme::CodePack, false, &Selection::all_compressed(3)).unwrap();
+    let img = ImageSpec::Uniform {
+        scheme: Scheme::CodePack,
+        rf: false,
+    }
+    .build(&p)
+    .unwrap();
     let r = run_image(&img, cfg, 10_000_000).unwrap();
     let per_group = r.stats.handler_insns as f64 / r.stats.exceptions as f64;
     assert!(
@@ -199,13 +212,13 @@ fn rf_variants_are_cheaper() {
     let p = test_program();
     for scheme in [Scheme::Dictionary, Scheme::CodePack] {
         let plain = run_image(
-            &build_compressed(&p, scheme, false, &Selection::all_compressed(3)).unwrap(),
+            &ImageSpec::Uniform { scheme, rf: false }.build(&p).unwrap(),
             cfg,
             10_000_000,
         )
         .unwrap();
         let rf = run_image(
-            &build_compressed(&p, scheme, true, &Selection::all_compressed(3)).unwrap(),
+            &ImageSpec::Uniform { scheme, rf: true }.build(&p).unwrap(),
             cfg,
             10_000_000,
         )
@@ -225,7 +238,11 @@ fn selective_compression_splits_regions_and_stays_correct() {
     // Keep `accum` (proc 2) native.
     let sel = Selection::from_native_set([2].into_iter().collect(), 3);
     for scheme in [Scheme::Dictionary, Scheme::CodePack] {
-        let img = build_compressed(&p, scheme, false, &sel).unwrap();
+        let img = build_planned(
+            &p,
+            &CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &sel),
+        )
+        .unwrap();
         assert!(img.segment(".native").is_some());
         let r = run_image(&img, cfg, 10_000_000).unwrap();
         assert_eq!(r.exit_code, native.exit_code);
@@ -238,7 +255,16 @@ fn selective_compression_splits_regions_and_stays_correct() {
 fn fully_native_selection_needs_no_exceptions() {
     let cfg = SimConfig::hpca2000_baseline();
     let p = test_program();
-    let img = build_compressed(&p, Scheme::Dictionary, false, &Selection::all_native(3)).unwrap();
+    let img = build_planned(
+        &p,
+        &CompressionPlan::uniform(
+            Scheme::Dictionary,
+            false,
+            PlanSource::Heuristic,
+            &Selection::all_native(3),
+        ),
+    )
+    .unwrap();
     assert!(img.compressed_range.is_none());
     let r = run_image(&img, cfg, 1_000_000).unwrap();
     assert_eq!(r.stats.exceptions, 0);
@@ -249,16 +275,32 @@ fn fully_native_selection_needs_no_exceptions() {
 #[test]
 fn size_report_tracks_selection() {
     let p = test_program();
-    let full =
-        build_compressed(&p, Scheme::Dictionary, false, &Selection::all_compressed(3)).unwrap();
-    let half = build_compressed(
+    let full = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: false,
+    }
+    .build(&p)
+    .unwrap();
+    let half = build_planned(
         &p,
-        Scheme::Dictionary,
-        false,
-        &Selection::from_native_set([0].into_iter().collect(), 3),
+        &CompressionPlan::uniform(
+            Scheme::Dictionary,
+            false,
+            PlanSource::Heuristic,
+            &Selection::from_native_set([0].into_iter().collect(), 3),
+        ),
     )
     .unwrap();
-    let none = build_compressed(&p, Scheme::Dictionary, false, &Selection::all_native(3)).unwrap();
+    let none = build_planned(
+        &p,
+        &CompressionPlan::uniform(
+            Scheme::Dictionary,
+            false,
+            PlanSource::Heuristic,
+            &Selection::all_native(3),
+        ),
+    )
+    .unwrap();
     assert!(full.sizes.native_text_bytes < half.sizes.native_text_bytes);
     assert!(half.sizes.native_text_bytes < none.sizes.native_text_bytes);
     assert_eq!(none.sizes.compressed_payload_bytes, 0);
@@ -285,9 +327,23 @@ fn profile_native_attributes_work() {
 #[test]
 fn selection_mismatch_is_rejected() {
     let p = test_program();
-    let err =
-        build_compressed(&p, Scheme::Dictionary, false, &Selection::all_compressed(7)).unwrap_err();
-    assert!(matches!(err, BuildError::SelectionMismatch { .. }));
+    let err = build_planned(
+        &p,
+        &CompressionPlan::uniform(
+            Scheme::Dictionary,
+            false,
+            PlanSource::Heuristic,
+            &Selection::all_compressed(7),
+        ),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        BuildError::Plan(PlanError::ProcCountMismatch {
+            plan: 7,
+            program: 3
+        })
+    );
 }
 
 /// §3.1: programs with more than 64K unique instructions cannot be fully
@@ -339,26 +395,28 @@ fn dictionary_overflow_is_surfaced_and_codepack_is_not_limited() {
     };
     let n = program.procedures.len();
 
-    let err = build_compressed(
-        &program,
-        Scheme::Dictionary,
-        false,
-        &Selection::all_compressed(n),
-    )
+    let err = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: false,
+    }
+    .build(&program)
     .unwrap_err();
     assert!(matches!(err, BuildError::Compress(_)), "{err}");
 
     // Selective compression is the paper's escape hatch: native-ize most
     // procedures and the rest fits in 16-bit indices.
     let sel = Selection::from_native_set((1..n).collect(), n);
-    assert!(build_compressed(&program, Scheme::Dictionary, false, &sel).is_ok());
+    assert!(build_planned(
+        &program,
+        &CompressionPlan::uniform(Scheme::Dictionary, false, PlanSource::Heuristic, &sel)
+    )
+    .is_ok());
 
     // CodePack has raw escapes instead of a hard dictionary limit.
-    assert!(build_compressed(
-        &program,
-        Scheme::CodePack,
-        false,
-        &Selection::all_compressed(n)
-    )
+    assert!(ImageSpec::Uniform {
+        scheme: Scheme::CodePack,
+        rf: false
+    }
+    .build(&program)
     .is_ok());
 }

@@ -37,12 +37,11 @@ fn image() -> MemoryImage {
         entry: ProcId(0),
         addr_tables: Vec::new(),
     };
-    build_compressed(
-        &program,
-        Scheme::Dictionary,
-        true,
-        &Selection::all_compressed(1),
-    )
+    ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: true,
+    }
+    .build(&program)
     .expect("build")
 }
 

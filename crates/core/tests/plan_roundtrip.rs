@@ -1,8 +1,7 @@
 //! Compression-plan serialization contract: parse↔display identity for
 //! every registry scheme, typed rejections (never panics) for malformed
 //! input — the `decode_no_panic.rs` discipline applied to the plan IR —
-//! and proof that the legacy build entrypoints are thin wrappers over
-//! `build_planned` (identical images, field for field).
+//! and typed rejections of bad plans by `build_planned`.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;
@@ -164,38 +163,6 @@ fn mutated_plans_never_panic() {
 }
 
 #[test]
-fn legacy_build_compressed_is_a_thin_wrapper() {
-    let program = test_program();
-    for scheme in Scheme::all() {
-        let sel = Selection::from_native_set([1].into_iter().collect(), 3);
-        let legacy = build_compressed(&program, scheme, false, &sel).unwrap();
-        let plan = CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &sel);
-        let planned = build_planned(&program, &plan).unwrap();
-        // MemoryImage has no PartialEq; the Debug rendering covers every
-        // field (segments, bytes, C0 init, digests, CRCs).
-        assert_eq!(
-            format!("{legacy:?}"),
-            format!("{planned:?}"),
-            "scheme {scheme}: wrapper and plan path diverged"
-        );
-    }
-}
-
-#[test]
-fn legacy_ordered_build_is_a_thin_wrapper() {
-    let program = test_program();
-    let sel = Selection::from_native_set([0].into_iter().collect(), 3);
-    let order = [2, 1, 0];
-    let legacy =
-        build_compressed_ordered(&program, Scheme::Dictionary, true, &sel, &order).unwrap();
-    let plan =
-        CompressionPlan::from_order(Scheme::Dictionary, true, PlanSource::Trace, 5, &sel, &order)
-            .unwrap();
-    let planned = build_planned(&program, &plan).unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{planned:?}"));
-}
-
-#[test]
 fn build_planned_rejects_bad_plans_without_panicking() {
     let program = test_program();
     // Plan for the wrong procedure count.
@@ -215,24 +182,6 @@ fn build_planned_rejects_bad_plans_without_panicking() {
     assert_eq!(
         build_planned(&program, &plan).unwrap_err(),
         BuildError::Plan(PlanError::DuplicateRank { rank: 0 })
-    );
-    // Legacy error shapes are preserved by the wrappers.
-    let sel = Selection::all_compressed(2);
-    assert_eq!(
-        build_compressed(&program, Scheme::Dictionary, false, &sel).unwrap_err(),
-        BuildError::SelectionMismatch {
-            program: 3,
-            selection: 2
-        }
-    );
-    let sel = Selection::all_compressed(3);
-    assert_eq!(
-        build_compressed_ordered(&program, Scheme::Dictionary, false, &sel, &[0, 0, 1])
-            .unwrap_err(),
-        BuildError::SelectionMismatch {
-            program: 3,
-            selection: 3
-        }
     );
 }
 

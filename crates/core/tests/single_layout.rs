@@ -1,14 +1,19 @@
-//! Guard: exactly one code path lays out compressed-image segments.
+//! Guard: exactly one code path lays out compressed-image segments, and
+//! exactly one type turns an image family's name into a label and an
+//! image.
 //!
-//! The plan refactor collapsed `build_compressed` /
-//! `build_compressed_ordered` into thin wrappers over `build_planned`;
-//! this test (in the spirit of `no_scheme_match.rs`) keeps it that way.
-//! If a second layout loop reappears — another `codec.compress(...)`
-//! call site, another cursor seeded at the compressed base, another
-//! placement construction — the marker counts change and this fails.
+//! Every compressed build goes through `build_planned`; this test (in
+//! the spirit of `no_scheme_match.rs`) keeps it that way. If a second
+//! layout loop reappears — another `codec.compress(...)` call site,
+//! another cursor seeded at the compressed base, another placement
+//! construction — the marker counts change and this fails. And if a
+//! module outside `plan.rs` (home of `ImageSpec`) formats a `+plan`
+//! label or compares a label to `native` itself, or a second build
+//! entrypoint beside `build_planned` comes back, the workspace walk
+//! fails.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Counts non-overlapping occurrences of `needle` in `text`.
 fn count(text: &str, needle: &str) -> usize {
@@ -55,27 +60,60 @@ fn segment_layout_lives_only_in_build_planned() {
             "layout marker `{marker}` must appear exactly once, in builder.rs; found {hits:?}"
         );
     }
+}
 
-    // And within builder.rs, the legacy entrypoints must stay thin: the
-    // only function allowed to touch the markers is build_planned.
-    let builder = &sources
-        .iter()
-        .find(|(name, _)| name == "builder.rs")
-        .expect("builder.rs exists")
-        .1;
-    for legacy in ["fn build_compressed(", "fn build_compressed_ordered("] {
-        let start = builder.find(legacy).expect("legacy entrypoint exists");
-        let next_fn = builder[start + legacy.len()..]
-            .find("\npub fn ")
-            .map(|o| start + legacy.len() + o)
-            .unwrap_or(builder.len());
-        let body = &builder[start..next_fn];
-        for marker in markers {
-            assert_eq!(
-                count(body, marker),
-                0,
-                "`{legacy}` grew its own layout logic (marker `{marker}`)"
-            );
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable workspace dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            // perfbench is a standalone benchmark that keeps its own copy
+            // of the label → image step.
+            if !matches!(name, "target" | ".git" | "perfbench") {
+                rust_sources(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
         }
     }
+}
+
+#[test]
+fn image_families_are_named_and_built_only_by_image_spec() {
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    rust_sources(&workspace, &mut files);
+    assert!(
+        files.len() > 30,
+        "workspace walk looks broken: only {} .rs files",
+        files.len()
+    );
+    // Each needle is split so this file does not match itself; `true`
+    // marks the label needles, which plan.rs may contain.
+    let needles = [
+        (format!("fn build_{}", "compressed"), false),
+        (format!("Selection{}", "Mismatch"), false),
+        (format!("}}+{}\"", "plan"), true),
+        (format!("\"+{}\"", "plan"), true),
+        (format!("== \"{}\"", "native"), true),
+        (format!("!= \"{}\"", "native"), true),
+    ];
+    let mut offenders = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(&workspace).unwrap_or(file);
+        let in_plan_rs = rel == Path::new("crates/core/src/plan.rs");
+        let text = fs::read_to_string(file).expect("readable source file");
+        for (lineno, line) in text.lines().enumerate() {
+            for (needle, label) in &needles {
+                if line.contains(needle.as_str()) && !(*label && in_plan_rs) {
+                    offenders.push(format!("{}:{}: {}", rel.display(), lineno + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "image families are named and built through rtdc::plan::ImageSpec; found:\n{}",
+        offenders.join("\n")
+    );
 }

@@ -98,6 +98,9 @@ pub enum AsmErrorKind {
     JumpOutOfRange(String),
     /// Malformed directive argument.
     BadDirective(String),
+    /// A section (`.text` or `.data`) runs past the end of the 32-bit
+    /// address space.
+    SectionOverflow(String),
 }
 
 impl fmt::Display for AsmError {
@@ -114,6 +117,7 @@ impl fmt::Display for AsmError {
             BranchOutOfRange(l) => write!(f, "branch target `{l}` out of range"),
             JumpOutOfRange(l) => write!(f, "jump target `{l}` out of range"),
             BadDirective(d) => write!(f, "bad directive: {d}"),
+            SectionOverflow(s) => write!(f, "section {s} runs past the 32-bit address space"),
         }
     }
 }
@@ -476,6 +480,49 @@ mod tests {
             AsmErrorKind::BadDirective(_)
         ));
         assert_eq!(asm(".data\n.space 0x8000\n").data.len(), 0x8000);
+    }
+
+    #[test]
+    fn sections_past_the_address_space_are_typed_errors() {
+        // Words past the end of a data section based just below 2^32,
+        // then a label: the sizing pass stops at the first word that
+        // crosses, so nothing is bound, emitted or allocated.
+        let err = assemble(".data\n.word 1\n.word 2\nend: .word 3\n", 0, u32::MAX - 5).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.kind, AsmErrorKind::SectionOverflow(".data".into()));
+        let err = assemble("nop\nnop\nend: nop\n", u32::MAX - 7, 0x8000).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.kind, AsmErrorKind::SectionOverflow(".text".into()));
+        // Right up to the last address is fine.
+        let out = assemble(".data\n.word 1\nend:\n", 0, u32::MAX - 4).unwrap();
+        assert_eq!(out.symbols["end"], u32::MAX);
+    }
+
+    #[test]
+    fn values_wider_than_their_field_are_rejected() {
+        for src in [
+            ".data\n.word 0x100000000\n",
+            ".data\n.word -0x80000001\n",
+            ".data\n.half 70000\n",
+            ".data\n.byte -129\n",
+            "li $8, 0x100000005\n",
+            "break 0x100000\n",
+        ] {
+            let err = assemble(src, 0, 0x8000).unwrap_err();
+            assert!(
+                matches!(err.kind, AsmErrorKind::BadNumber(_)),
+                "{src:?}: {err}"
+            );
+        }
+        let out = asm(".data\n.word -1, 0xffffffff\n.half -1\n.byte 255, -128\n");
+        assert_eq!(
+            out.data,
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80]
+        );
+        assert!(matches!(
+            assemble("j -4\n", 0, 0x8000).unwrap_err().kind,
+            AsmErrorKind::JumpOutOfRange(_)
+        ));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The two-pass assembler core.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::HashMap;
 
 use crate::asm::operand::{parse_number, parse_operand, Operand};
@@ -130,13 +132,28 @@ fn insn_words(mnemonic: &str, ops: &[Operand]) -> usize {
 }
 
 fn li_words(v: i64) -> usize {
-    let val = v as u32;
-    let fits_i16 = (val as i32) >= i16::MIN as i32 && (val as i32) <= i16::MAX as i32;
-    if fits_i16 || val & 0xffff == 0 {
-        1
-    } else {
-        2
+    match le_bytes::<4>(v).map(u32::from_le_bytes) {
+        Some(val) if li_imm16(val).is_none() && val & 0xffff != 0 => 2,
+        // An out-of-range value is rejected when it is emitted.
+        _ => 1,
     }
+}
+
+/// The `addiu` immediate `li` loads `val` with, if it fits one.
+fn li_imm16(val: u32) -> Option<i16> {
+    // Reinterpreting the word as signed is the point: `li $t0, -1`.
+    i16::try_from(val as i32).ok()
+}
+
+/// The low `N` bytes of `v`, little-endian, if `v` fits `N` bytes as a
+/// signed or an unsigned value (`.word -1` and `.word 0xffffffff` spell
+/// the same word). Anything wider is rejected rather than truncated.
+fn le_bytes<const N: usize>(v: i64) -> Option<[u8; N]> {
+    let bits = 8 * N;
+    if v < -(1i64 << (bits - 1)) || v >= 1i64 << bits {
+        return None;
+    }
+    v.to_le_bytes()[..N].try_into().ok()
 }
 
 /// Tracks the data section; `emit` is false during the sizing pass.
@@ -192,11 +209,24 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    fn bind_pending(&mut self) -> Result<(), AsmError> {
-        let here = match self.section {
-            Section::Text => self.text_base + 4 * self.text_words as u32,
-            Section::Data => self.data_base + self.data.len as u32,
+    /// Where `section`'s next label binds, and its end so far; an error
+    /// at `line` once the section runs past the 32-bit address space.
+    fn cursor(&self, section: Section, line: usize) -> Result<u32, AsmError> {
+        let (base, offset, name) = match section {
+            Section::Text => (self.text_base, self.text_words.checked_mul(4), ".text"),
+            Section::Data => (self.data_base, Some(self.data.len), ".data"),
         };
+        offset
+            .and_then(|o| u32::try_from(o).ok())
+            .and_then(|o| base.checked_add(o))
+            .ok_or_else(|| err(line, AsmErrorKind::SectionOverflow(name.to_string())))
+    }
+
+    fn bind_pending(&mut self) -> Result<(), AsmError> {
+        let Some(&(_, first_line)) = self.pending.first() else {
+            return Ok(());
+        };
+        let here = self.cursor(self.section, first_line)?;
         for (name, line) in self.pending.drain(..) {
             if self.sizing && self.symbols.insert(name.to_string(), here).is_some() {
                 return Err(err(line, AsmErrorKind::DuplicateLabel(name.to_string())));
@@ -229,10 +259,14 @@ impl<'a> Pass<'a> {
 
     fn run(&mut self, elements: &'a [Element]) -> Result<(), AsmError> {
         for el in elements {
-            match el {
-                Element::Label { name, line } => self.pending.push((name, *line)),
+            let line = match el {
+                Element::Label { name, line } => {
+                    self.pending.push((name, *line));
+                    continue;
+                }
                 Element::Directive { name, args, line } => {
                     self.directive(name, args, *line)?;
+                    *line
                 }
                 Element::Insn {
                     mnemonic,
@@ -248,13 +282,16 @@ impl<'a> Pass<'a> {
                         ));
                     }
                     self.bind_pending()?;
-                    if self.sizing {
-                        self.text_words += insn_words(mnemonic, ops);
-                    } else {
+                    if !self.sizing {
                         emit(self, mnemonic, ops, *line)?;
                     }
+                    self.text_words += insn_words(mnemonic, ops);
+                    *line
                 }
-            }
+            };
+            // The sizing pass stops at the element that runs a section
+            // past the address space, before pass 2 allocates any of it.
+            self.cursor(self.section, line)?;
         }
         self.bind_pending()
     }
@@ -281,10 +318,11 @@ impl<'a> Pass<'a> {
                 self.bind_pending()?;
                 for arg in args {
                     let v = self.data_value(arg, line)?;
+                    let bad = || err(line, AsmErrorKind::BadNumber(v.to_string()));
                     match name {
-                        "word" => self.data.push(&(v as u32).to_le_bytes()),
-                        "half" => self.data.push(&(v as u16).to_le_bytes()),
-                        _ => self.data.push(&[v as u8]),
+                        "word" => self.data.push(&le_bytes::<4>(v).ok_or_else(bad)?),
+                        "half" => self.data.push(&le_bytes::<2>(v).ok_or_else(bad)?),
+                        _ => self.data.push(&le_bytes::<1>(v).ok_or_else(bad)?),
                     }
                 }
                 Ok(())
@@ -306,14 +344,13 @@ impl<'a> Pass<'a> {
                     ));
                 }
                 // The section must end inside the 32-bit address space.
-                if n >= (1 << 32) - i64::from(self.data_base) - self.data.len as i64 {
-                    return Err(err(
-                        line,
-                        AsmErrorKind::BadDirective(".space past the address space".into()),
-                    ));
-                }
+                let room = u32::MAX - self.cursor(Section::Data, line)?;
+                let Some(n) = usize::try_from(n).ok().filter(|&n| n <= room as usize) else {
+                    let past = ".space past the address space".into();
+                    return Err(err(line, AsmErrorKind::BadDirective(past)));
+                };
                 self.bind_pending()?;
-                self.data.zeros(n as usize);
+                self.data.zeros(n);
                 Ok(())
             }
             "align" => {
@@ -361,7 +398,7 @@ fn bad_ops(mnemonic: &str, line: usize) -> AsmError {
 /// Emits one (possibly pseudo) instruction during pass 2.
 fn emit(p: &mut Pass<'_>, mnemonic: &str, ops: &[Operand], line: usize) -> Result<(), AsmError> {
     use Operand as O;
-    let pc = p.text_base + 4 * p.text.len() as u32;
+    let pc = p.cursor(Section::Text, line)?;
 
     let branch_offset = |p: &Pass<'_>, target: &Operand| -> Result<i16, AsmError> {
         match target {
@@ -378,7 +415,8 @@ fn emit(p: &mut Pass<'_>, mnemonic: &str, ops: &[Operand], line: usize) -> Resul
     let jump_target = |p: &Pass<'_>, target: &Operand| -> Result<u32, AsmError> {
         let addr = match target {
             O::Sym(s) => p.resolve(s, line)?,
-            O::Imm(v) => *v as u32,
+            O::Imm(v) => u32::try_from(*v)
+                .map_err(|_| err(line, AsmErrorKind::JumpOutOfRange(format!("{v:#x}"))))?,
             _ => return Err(bad_ops(mnemonic, line)),
         };
         if addr % 4 != 0 || (addr & 0xf000_0000) != ((pc + 4) & 0xf000_0000) {
@@ -477,17 +515,17 @@ fn emit(p: &mut Pass<'_>, mnemonic: &str, ops: &[Operand], line: usize) -> Resul
         ("sll", [O::Reg(rd), O::Reg(rt), O::Imm(v)]) if (0..32).contains(v) => I::Sll {
             rd: *rd,
             rt: *rt,
-            shamt: *v as u8,
+            shamt: u8::try_from(*v).map_err(|_| bad_ops(mnemonic, line))?,
         },
         ("srl", [O::Reg(rd), O::Reg(rt), O::Imm(v)]) if (0..32).contains(v) => I::Srl {
             rd: *rd,
             rt: *rt,
-            shamt: *v as u8,
+            shamt: u8::try_from(*v).map_err(|_| bad_ops(mnemonic, line))?,
         },
         ("sra", [O::Reg(rd), O::Reg(rt), O::Imm(v)]) if (0..32).contains(v) => I::Sra {
             rd: *rd,
             rt: *rt,
-            shamt: *v as u8,
+            shamt: u8::try_from(*v).map_err(|_| bad_ops(mnemonic, line))?,
         },
         ("sllv", [O::Reg(rd), O::Reg(rt), O::Reg(rs)]) => I::Sllv {
             rd: *rd,
@@ -525,7 +563,10 @@ fn emit(p: &mut Pass<'_>, mnemonic: &str, ops: &[Operand], line: usize) -> Resul
         ("syscall", []) => I::Syscall,
         ("break", []) => I::Break { code: 0 },
         ("break", [O::Imm(v)]) => I::Break {
-            code: *v as u32 & 0xfffff,
+            code: u32::try_from(*v)
+                .ok()
+                .filter(|&c| c <= 0xfffff)
+                .ok_or_else(|| err(line, AsmErrorKind::BadNumber(v.to_string())))?,
         },
         ("iret", []) => I::Iret,
         ("nop", []) => I::NOP,
@@ -695,16 +736,16 @@ fn emit(p: &mut Pass<'_>, mnemonic: &str, ops: &[Operand], line: usize) -> Resul
             rt: Reg::ZERO,
         },
         ("li", [O::Reg(rt), O::Imm(v)]) => {
-            let val = *v as u32;
-            match li_words(*v) {
-                1 if (val as i32) <= i16::MAX as i32 && (val as i32) >= i16::MIN as i32 => {
-                    I::Addiu {
-                        rt: *rt,
-                        rs: Reg::ZERO,
-                        imm: val as i16,
-                    }
-                }
-                1 => I::Lui {
+            let val = le_bytes::<4>(*v)
+                .map(u32::from_le_bytes)
+                .ok_or_else(|| err(line, AsmErrorKind::BadNumber(v.to_string())))?;
+            match (li_imm16(val), val & 0xffff) {
+                (Some(imm), _) => I::Addiu {
+                    rt: *rt,
+                    rs: Reg::ZERO,
+                    imm,
+                },
+                (None, 0) => I::Lui {
                     rt: *rt,
                     imm: (val >> 16) as u16,
                 },

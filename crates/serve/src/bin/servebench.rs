@@ -44,6 +44,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rtdc::plan::ImageSpec;
 use rtdc_obs::HistogramSnapshot;
 use rtdc_serve::client::{parse_histogram, request_line, Client};
 use rtdc_serve::json::Json;
@@ -53,9 +54,6 @@ use rtdc_serve::server::{ServeConfig, Server};
 /// benchmarks are generated once per process (`generate_cached`), so the
 /// cold phase measures image *layout* cost, not program generation.
 const BENCHES: [&str; 3] = ["tiny-walker", "tiny-loop", "tiny-interp"];
-const LABELS: [&str; 9] = [
-    "native", "d", "d+rf", "cp", "cp+rf", "d2", "d2+rf", "lz", "lz+rf",
-];
 
 struct Args {
     clients: usize,
@@ -104,15 +102,15 @@ fn parse_args() -> Result<Args, String> {
 /// Each client's request stream: `reps` passes over the full workset,
 /// rotated per client so concurrent clients hit different keys at any
 /// instant (maximum cache churn, no lockstep).
-fn build_stream(client_id: usize, reps: usize) -> Vec<String> {
+fn build_stream(client_id: usize, reps: usize, labels: &[String]) -> Vec<String> {
     let mut lines = Vec::new();
     for rep in 0..reps {
         for i in 0..BENCHES.len() {
-            for j in 0..LABELS.len() {
-                let rot = (i * LABELS.len() + j + client_id * 7 + rep * 3)
-                    % (BENCHES.len() * LABELS.len());
-                let b = BENCHES[rot / LABELS.len()];
-                let l = LABELS[rot % LABELS.len()];
+            for j in 0..labels.len() {
+                let rot = (i * labels.len() + j + client_id * 7 + rep * 3)
+                    % (BENCHES.len() * labels.len());
+                let b = BENCHES[rot / labels.len()];
+                let l = &labels[rot % labels.len()];
                 lines.push(request_line("build", b, l, None));
             }
         }
@@ -173,9 +171,10 @@ fn cache_stats(socket: &std::path::Path) -> Result<(u64, u64, u64), String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let socket_dir = std::env::temp_dir();
+    let labels: Vec<String> = ImageSpec::uniform_families().map(|s| s.label()).collect();
     let threads = rtdc_bench::jobs::jobs_from_env();
     let streams: Vec<Vec<String>> = (0..args.clients)
-        .map(|id| build_stream(id, args.reps))
+        .map(|id| build_stream(id, args.reps, &labels))
         .collect();
 
     // Generation is memoized per process; do it before timing anything
@@ -230,7 +229,7 @@ fn run() -> Result<(), String> {
     {
         let mut c = Client::connect(&warm_socket).map_err(|e| e.to_string())?;
         for bench in BENCHES {
-            for label in LABELS {
+            for label in &labels {
                 let resp = c
                     .request_raw(&request_line("build", bench, label, None))
                     .map_err(|e| e.to_string())?;
@@ -253,7 +252,7 @@ fn run() -> Result<(), String> {
         .map(|id| {
             let mut lines = Vec::new();
             for rep in 0..args.reps.min(3) {
-                for (j, label) in LABELS.iter().enumerate() {
+                for (j, label) in labels.iter().enumerate() {
                     let b = BENCHES[(id + rep + j) % BENCHES.len()];
                     lines.push(request_line("run", b, label, None));
                 }
@@ -302,7 +301,7 @@ fn run() -> Result<(), String> {
         let populate = |socket: &std::path::Path| -> Result<(), String> {
             let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
             for bench in BENCHES {
-                for label in LABELS {
+                for label in &labels {
                     let resp = c
                         .request_raw(&request_line("build", bench, label, None))
                         .map_err(|e| e.to_string())?;
@@ -350,12 +349,13 @@ fn run() -> Result<(), String> {
             let handles: Vec<_> = (0..args.clients)
                 .map(|id| {
                     let socket = &shed_socket;
+                    let labels = &labels;
                     scope.spawn(move || {
                         let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
                         let line = request_line(
                             "build",
                             BENCHES[id % BENCHES.len()],
-                            LABELS[id % LABELS.len()],
+                            &labels[id % labels.len()],
                             None,
                         );
                         let (mut total, mut well_formed) = (0u64, 0u64);

@@ -16,6 +16,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
+use rtdc::plan::ImageSpec;
 use rtdc_obs::HistogramSnapshot;
 use rtdc_rng::Rng64;
 
@@ -249,7 +250,7 @@ pub fn request_line_opts(
 ) -> String {
     let mut w = ObjWriter::new();
     w.str("op", op).str("bench", bench);
-    if scheme != "native" {
+    if ImageSpec::parse(scheme) != Some(ImageSpec::Native) {
         w.str("scheme", scheme);
     }
     if let Some(n) = max_insns {

@@ -27,6 +27,7 @@
 use std::fmt;
 
 use rtdc::image::Scheme;
+use rtdc::plan::ImageSpec;
 use rtdc_sim::Stats;
 
 use crate::json::{self, Json, ObjWriter};
@@ -37,19 +38,18 @@ use crate::json::{self, Json, ObjWriter};
 /// benchmark serialize to ~100 KB, so the cap leaves generous headroom.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// What an image is built from: a uniform scheme selection or an
-/// explicit plan.
+/// What an image is built from, as the request spells it: a family
+/// name or an explicit plan. The handler resolves it to an
+/// [`ImageSpec`](rtdc::plan::ImageSpec) after the bench, so an unknown
+/// bench is reported before an unknown scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildSpec {
-    /// Native, uncompressed.
-    Native,
-    /// A registry scheme (with handler variant), all procedures
-    /// compressed — the `--scheme` CLI path.
-    Uniform {
-        /// Registry scheme name (`"d"`, `"cp"`, ...).
-        scheme: String,
-        /// Second-register-file handler variant.
-        rf: bool,
+    /// An image family name, as `rtdc-run --scheme` takes it: `native`
+    /// (also when the request names no scheme) or a registry scheme with
+    /// an optional `+rf` — the `--scheme` CLI path.
+    Family {
+        /// The family name (`"native"`, `"d"`, `"cp+rf"`, ...).
+        name: String,
     },
     /// An explicit `rtdc-plan v1` plan (canonical text, embedded in the
     /// request as a JSON string) — the `--plan` CLI path.
@@ -289,18 +289,15 @@ fn build_spec(obj: &Json) -> Result<BuildSpec, ServeError> {
         (Some(_), Some(_)) => Err(ServeError::BadRequest {
             detail: "`scheme` and `plan` are mutually exclusive".into(),
         }),
-        (None, None) => Ok(BuildSpec::Native),
+        (None, None) => Ok(BuildSpec::Family {
+            name: ImageSpec::Native.label(),
+        }),
         (Some(s), None) => {
-            let arg = s.as_str().ok_or_else(|| ServeError::BadRequest {
+            let name = s.as_str().ok_or_else(|| ServeError::BadRequest {
                 detail: "`scheme` must be a string".into(),
             })?;
-            if arg == "native" {
-                return Ok(BuildSpec::Native);
-            }
-            let (name, rf) = Scheme::split_rf(arg);
-            Ok(BuildSpec::Uniform {
-                scheme: name.to_string(),
-                rf,
+            Ok(BuildSpec::Family {
+                name: name.to_string(),
             })
         }
         (None, Some(p)) => {
@@ -502,9 +499,8 @@ mod tests {
             parse_request(r#"{"op":"run","bench":"sort","scheme":"d+rf"}"#).unwrap(),
             Request::Run {
                 bench: "sort".into(),
-                spec: BuildSpec::Uniform {
-                    scheme: "d".into(),
-                    rf: true
+                spec: BuildSpec::Family {
+                    name: "d+rf".into()
                 },
                 max_insns: None,
                 deadline_ms: None,
@@ -514,7 +510,9 @@ mod tests {
             parse_request(r#"{"op":"build","bench":"sort"}"#).unwrap(),
             Request::Build {
                 bench: "sort".into(),
-                spec: BuildSpec::Native,
+                spec: BuildSpec::Family {
+                    name: "native".into()
+                },
                 deadline_ms: None,
             }
         );

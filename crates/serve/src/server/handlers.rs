@@ -9,7 +9,6 @@ use std::time::Instant;
 
 use rtdc::prelude::*;
 use rtdc_bench::planopt::optimized_plan_cached;
-use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::trace::{TraceEvent, EVENT_KINDS};
 use rtdc_sim::{NoTrace, TraceSink};
 use rtdc_workloads::{resolve_program, resolve_spec};
@@ -21,39 +20,6 @@ use crate::protocol::{stats_json, BuildSpec, MetricsFormat, ServeError};
 
 use super::dispatch::Deadline;
 use super::{sync_ambient, ServeState};
-
-/// Resolves a [`BuildSpec`] to `(cache label, plan)`. `None` plan means
-/// a native build; the label names the image family in the cache key and
-/// in responses (`native`, `d`, `cp+rf`, `d+plan`, ...).
-fn resolve_build(
-    program: &ObjectProgram,
-    spec: &BuildSpec,
-) -> Result<(String, Option<CompressionPlan>), ServeError> {
-    match spec {
-        BuildSpec::Native => Ok(("native".to_string(), None)),
-        BuildSpec::Uniform { scheme, rf } => {
-            let s = Scheme::by_name(scheme).ok_or_else(|| ServeError::UnknownScheme {
-                scheme: scheme.clone(),
-            })?;
-            let n = program.procedures.len();
-            let plan = CompressionPlan::uniform(
-                s,
-                *rf,
-                PlanSource::Heuristic,
-                &Selection::all_compressed(n),
-            );
-            Ok((s.name_rf(*rf), Some(plan)))
-        }
-        BuildSpec::Plan { text } => {
-            let plan: CompressionPlan =
-                text.parse().map_err(|e: PlanError| ServeError::BadPlan {
-                    detail: e.to_string(),
-                })?;
-            let label = format!("{}+plan", plan.scheme.name_rf(plan.second_rf));
-            Ok((label, Some(plan)))
-        }
-    }
-}
 
 /// Builds or fetches the image for `(bench, spec)` through the cache,
 /// verified exactly once on the way out. Returns the image and the
@@ -68,8 +34,21 @@ fn obtain_image(
     let program = resolve_program(bench).ok_or_else(|| ServeError::UnknownBench {
         bench: bench.to_string(),
     })?;
-    let (label, plan) = resolve_build(&program, spec)?;
-    let plan_digest = plan.as_ref().map_or(0, CompressionPlan::digest);
+    let image = match spec {
+        BuildSpec::Family { name } => ImageSpec::parse(name).ok_or_else(|| {
+            let scheme = Scheme::split_rf(name).0.to_string();
+            ServeError::UnknownScheme { scheme }
+        })?,
+        BuildSpec::Plan { text } => {
+            ImageSpec::Plan(text.parse().map_err(|e: PlanError| ServeError::BadPlan {
+                detail: e.to_string(),
+            })?)
+        }
+    };
+    let label = image.label();
+    let plan_digest = image
+        .plan(program.procedures.len())
+        .map_or(0, |plan| plan.digest());
     let mut w = ObjWriter::new();
     w.bool("ok", true)
         .str("op", op)
@@ -81,16 +60,12 @@ fn obtain_image(
         label,
         plan_digest,
     };
-    let (image, _outcome) = state.cache.get_or_build(&key, || {
-        let built = match &plan {
-            None => build_native(&program),
-            Some(p) => build_planned(&program, p),
-        };
-        built.map_err(|e| ServeError::BuildFailed {
+    let (built, _outcome) = state.cache.get_or_build(&key, || {
+        image.build(&program).map_err(|e| ServeError::BuildFailed {
             detail: e.to_string(),
         })
     })?;
-    Ok((image, key.label, w))
+    Ok((built, key.label, w))
 }
 
 pub(super) fn handle_build(

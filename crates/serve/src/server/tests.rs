@@ -93,6 +93,11 @@ fn unknown_targets_are_typed_errors() {
             r#"{"op":"run","bench":"sort","scheme":"zz"}"#,
             "unknown-scheme",
         ),
+        // The bench is resolved before the scheme.
+        (
+            r#"{"op":"run","bench":"nope","scheme":"zz"}"#,
+            "unknown-bench",
+        ),
         (
             r#"{"op":"build","bench":"sort","plan":"not a plan"}"#,
             "bad-plan",
@@ -112,11 +117,11 @@ fn unknown_targets_are_typed_errors() {
             "{line} -> {resp}"
         );
     }
-    assert_eq!(st.ops.errors.get(), 5);
+    assert_eq!(st.ops.errors.get(), 6);
     // Every kind surfaced in the registry too.
     let snap = st.metrics.registry.snapshot();
-    assert_eq!(snap.value("serve.err.total"), Some(5));
-    assert_eq!(snap.value("serve.err.unknown-bench"), Some(2));
+    assert_eq!(snap.value("serve.err.total"), Some(6));
+    assert_eq!(snap.value("serve.err.unknown-bench"), Some(3));
     assert_eq!(snap.value("serve.err.unknown-scheme"), Some(1));
     assert_eq!(snap.value("serve.err.bad-plan"), Some(1));
     assert_eq!(snap.value("serve.err.unsupported"), Some(1));

@@ -10,7 +10,7 @@
 //! --release`).
 
 use rtdc::imagefile::encode_image;
-use rtdc::prelude::{build_compressed, Scheme, Selection};
+use rtdc::prelude::{ImageSpec, Scheme};
 use rtdc_rng::{fuzz, Rng64};
 use rtdc_serve::cache::CacheKey;
 use rtdc_serve::client::Client;
@@ -183,8 +183,12 @@ fn store_file_decode_never_panics_on_mutated_bytes() {
         plan_digest: 0xF025,
     };
     let program = rtdc_workloads::resolve_program("sort").expect("known-answer program");
-    let all = Selection::all_compressed(program.procedures.len());
-    let pristine = build_compressed(&program, Scheme::Dictionary, true, &all).expect("build");
+    let pristine = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: true,
+    }
+    .build(&program)
+    .expect("build");
     let baseline = encode_store_file(&key, &pristine);
     // Sanity: the pristine file round-trips.
     let (k, img) = decode_store_file(&baseline).expect("pristine file decodes");

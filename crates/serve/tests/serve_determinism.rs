@@ -12,30 +12,21 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use rtdc::prelude::Scheme;
+use rtdc::prelude::ImageSpec;
 use rtdc_rng::Rng64;
 use rtdc_serve::client::{request_line, Client};
 use rtdc_serve::server::{handle_line, ServeConfig, ServeState, Server};
-
-/// Every image family: native plus each registry scheme x {plain, +rf}.
-/// Derived from the registry so a newly added codec is covered without
-/// editing this test.
-fn all_labels() -> Vec<String> {
-    let mut labels = vec!["native".to_string()];
-    for s in Scheme::all() {
-        labels.push(s.name().to_string());
-        labels.push(format!("{}+rf", s.name()));
-    }
-    labels
-}
 
 /// The shared request set: run + trace requests over the two fastest
 /// known-answer programs, across every label.
 fn request_set() -> Vec<String> {
     let mut reqs = Vec::new();
     for bench in ["sort", "crc32"] {
-        for label in all_labels() {
-            reqs.push(request_line("run", bench, &label, None));
+        // Every image family: native plus each registry scheme x
+        // {plain, +rf}, so a newly added codec is covered without
+        // editing this test.
+        for image in ImageSpec::uniform_families() {
+            reqs.push(request_line("run", bench, &image.label(), None));
         }
     }
     // A few trace requests ride along: counting sinks must be just as
@@ -141,24 +132,15 @@ fn server_stats_match_direct_runner_for_every_scheme() {
         .into_iter()
         .find(|p| p.name == "sort")
         .expect("sort exists");
-    let n = program.procedures.len();
     let cfg = rtdc_sim::SimConfig::hpca2000_baseline();
-    for scheme in Scheme::all() {
-        for rf in [false, true] {
-            let label = scheme.name_rf(rf);
-            let resp = handle_line(&state, &request_line("run", "sort", &label, None), None);
-            let v = rtdc_serve::json::parse(&resp).expect("response is JSON");
-            let got = rtdc_serve::protocol::parse_stats(v.get("stats").expect("stats"))
-                .expect("stats parse");
-            let plan = CompressionPlan::uniform(
-                scheme,
-                rf,
-                PlanSource::Heuristic,
-                &Selection::all_compressed(n),
-            );
-            let image = build_planned(&program, &plan).expect("build");
-            let want = run_image(&image, cfg, 2_000_000_000).expect("run");
-            assert_eq!(got, want.stats, "stats diverged for sort/{label}");
-        }
+    for family in ImageSpec::uniform_families() {
+        let label = family.label();
+        let resp = handle_line(&state, &request_line("run", "sort", &label, None), None);
+        let v = rtdc_serve::json::parse(&resp).expect("response is JSON");
+        let got =
+            rtdc_serve::protocol::parse_stats(v.get("stats").expect("stats")).expect("stats parse");
+        let image = family.build(&program).expect("build");
+        let want = run_image(&image, cfg, 2_000_000_000).expect("run");
+        assert_eq!(got, want.stats, "stats diverged for sort/{label}");
     }
 }

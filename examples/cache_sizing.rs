@@ -19,8 +19,7 @@ const MAX_INSNS: u64 = 2_000_000_000;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = spec::go();
     let program = generate(&bench);
-    let n = program.procedures.len();
-    let all = Selection::all_compressed(n);
+    let scheme = Scheme::Dictionary;
 
     println!(
         "benchmark: {} ({} KB .text, fully compressed, dictionary)\n",
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = SimConfig::hpca2000_baseline().with_icache_size(size_kb * 1024);
         let native = build_native(&program)?;
         let native_run = run_image(&native, cfg, MAX_INSNS)?;
-        let image = build_compressed(&program, Scheme::Dictionary, false, &all)?;
+        let image = ImageSpec::Uniform { scheme, rf: false }.build(&program)?;
         let run = run_image(&image, cfg, MAX_INSNS)?;
         assert_eq!(run.output, native_run.output);
         // Total memory = compressed program + the cache itself (§5.2:

@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 Selection::by_profile(&profile, SelectBy::Miss, threshold)
             };
-            let image = build_compressed(&program, scheme, true, &sel)?;
+            let plan = CompressionPlan::uniform(scheme, true, PlanSource::Heuristic, &sel);
+            let image = build_planned(&program, &plan)?;
             let run = run_image(&image, cfg, MAX_INSNS)?;
             assert_eq!(run.output, native_run.output);
             let size = image.sizes.total_code_bytes();

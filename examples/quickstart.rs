@@ -66,8 +66,8 @@ loop:    move $a0,$s0
 
     // Dictionary-compressed: every procedure compressed; misses in the
     // compressed region invoke the paper's Figure 2 handler.
-    let selection = Selection::all_compressed(2);
-    let compressed = build_compressed(&program, Scheme::Dictionary, false, &selection)?;
+    let scheme = Scheme::Dictionary;
+    let compressed = ImageSpec::Uniform { scheme, rf: false }.build(&program)?;
     let comp_run = run_image(&compressed, cfg, 1_000_000)?;
     println!(
         "dictionary: {:>8} cycles, output {:?}",

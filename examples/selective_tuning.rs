@@ -22,6 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = spec::mpeg2enc();
     let program = generate(&bench);
     let n = program.procedures.len();
+    let scheme = Scheme::Dictionary;
 
     let (native_run, profile) = profile_native(&program, cfg, MAX_INSNS)?;
     let native_cycles = native_run.stats.cycles as f64;
@@ -56,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         for threshold in [0.05, 0.20, 0.50] {
             let sel = Selection::by_profile(&profile, strategy, threshold);
-            let image = build_compressed(&program, Scheme::Dictionary, false, &sel)?;
+            let plan = CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &sel);
+            let image = build_planned(&program, &plan)?;
             let run = run_image(&image, cfg, MAX_INSNS)?;
             assert_eq!(run.output, native_run.output);
             println!(

@@ -42,12 +42,11 @@ fn assert_cache_transparent(
     cfg: SimConfig,
 ) -> rtdc_repro::sim::Stats {
     let image = match scheme {
-        None => build_native(program).unwrap(),
-        Some(s) => {
-            let n = program.procedures.len();
-            build_compressed(program, s, rf, &Selection::all_compressed(n)).unwrap()
-        }
-    };
+        None => ImageSpec::Native,
+        Some(scheme) => ImageSpec::Uniform { scheme, rf },
+    }
+    .build(program)
+    .unwrap();
     let on = run_image(&image, cfg.with_decode_cache(true), MAX_INSNS).unwrap();
     let off = run_image(&image, cfg.with_decode_cache(false), MAX_INSNS).unwrap();
     let label = format!("{}: {scheme:?} rf={rf}", program.name);

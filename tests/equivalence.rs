@@ -7,17 +7,17 @@ use rtdc_repro::workloads::{generate, spec::tiny, BenchmarkSpec};
 
 const MAX_INSNS: u64 = 50_000_000;
 
-fn native_baseline(spec: &BenchmarkSpec) -> (Vec<u8>, u64, usize) {
+fn native_baseline(spec: &BenchmarkSpec) -> (Vec<u8>, u64) {
     let program = generate(spec);
     let image = build_native(&program).unwrap();
     let run = run_image(&image, SimConfig::hpca2000_baseline(), MAX_INSNS).unwrap();
-    (run.output, run.stats.cycles, program.procedures.len())
+    (run.output, run.stats.cycles)
 }
 
 fn check_all_schemes(spec: &BenchmarkSpec) {
     let cfg = SimConfig::hpca2000_baseline();
     let program = generate(spec);
-    let (native_out, native_cycles, n) = native_baseline(spec);
+    let (native_out, native_cycles) = native_baseline(spec);
     assert!(
         !native_out.is_empty(),
         "{}: workload must produce output",
@@ -26,8 +26,7 @@ fn check_all_schemes(spec: &BenchmarkSpec) {
 
     for scheme in [Scheme::Dictionary, Scheme::CodePack, Scheme::ByteDict] {
         for rf in [false, true] {
-            let image =
-                build_compressed(&program, scheme, rf, &Selection::all_compressed(n)).unwrap();
+            let image = ImageSpec::Uniform { scheme, rf }.build(&program).unwrap();
             let run = run_image(&image, cfg, MAX_INSNS).unwrap();
             assert_eq!(
                 run.output, native_out,
@@ -60,14 +59,18 @@ fn selective_compression_every_threshold_is_correct() {
     let cfg = SimConfig::hpca2000_baseline();
     let spec = tiny::walker();
     let program = generate(&spec);
-    let (native_out, _, _n) = native_baseline(&spec);
+    let (native_out, _) = native_baseline(&spec);
     let (_, profile) = profile_native(&program, cfg, MAX_INSNS).unwrap();
 
     let mut sizes = Vec::new();
     for strategy in [SelectBy::Execution, SelectBy::Miss] {
         for threshold in [0.05, 0.10, 0.15, 0.20, 0.50] {
             let sel = Selection::by_profile(&profile, strategy, threshold);
-            let image = build_compressed(&program, Scheme::Dictionary, false, &sel).unwrap();
+            let image = build_planned(
+                &program,
+                &CompressionPlan::uniform(Scheme::Dictionary, false, PlanSource::Heuristic, &sel),
+            )
+            .unwrap();
             let run = run_image(&image, cfg, MAX_INSNS).unwrap();
             assert_eq!(run.output, native_out, "{strategy} @ {threshold}");
             sizes.push((strategy, threshold, image.sizes.total_code_bytes()));
@@ -91,14 +94,12 @@ fn paper_handler_economics_hold_at_tiny_scale() {
     let cfg = SimConfig::hpca2000_baseline();
     let spec = tiny::interpreter();
     let program = generate(&spec);
-    let n = program.procedures.len();
     for (rf, expected) in [(false, 75.0), (true, 42.0)] {
-        let image = build_compressed(
-            &program,
-            Scheme::Dictionary,
+        let image = ImageSpec::Uniform {
+            scheme: Scheme::Dictionary,
             rf,
-            &Selection::all_compressed(n),
-        )
+        }
+        .build(&program)
         .unwrap();
         let run = run_image(&image, cfg, MAX_INSNS).unwrap();
         assert_eq!(run.stats.handler_insns_per_exception(), expected, "rf={rf}");
@@ -116,7 +117,11 @@ fn miss_based_beats_exec_based_on_loop_code() {
     let (_, profile) = profile_native(&program, cfg, MAX_INSNS).unwrap();
     let slow = |strategy| {
         let sel = Selection::by_profile(&profile, strategy, 0.5);
-        let image = build_compressed(&program, Scheme::Dictionary, false, &sel).unwrap();
+        let image = build_planned(
+            &program,
+            &CompressionPlan::uniform(Scheme::Dictionary, false, PlanSource::Heuristic, &sel),
+        )
+        .unwrap();
         let run = run_image(&image, cfg, MAX_INSNS).unwrap();
         (run.stats.cycles, image.sizes.total_code_bytes())
     };
@@ -143,12 +148,11 @@ fn deterministic_end_to_end() {
     let runs: Vec<_> = (0..2)
         .map(|_| {
             let program = generate(&spec);
-            let image = build_compressed(
-                &program,
-                Scheme::CodePack,
-                true,
-                &Selection::all_compressed(program.procedures.len()),
-            )
+            let image = ImageSpec::Uniform {
+                scheme: Scheme::CodePack,
+                rf: true,
+            }
+            .build(&program)
             .unwrap();
             let run = run_image(&image, cfg, MAX_INSNS).unwrap();
             (run.stats, run.output)

@@ -22,11 +22,6 @@ use rtdc_repro::workloads::{all_benchmarks, generate, spec, BenchmarkSpec};
 
 const GOLDEN: &str = include_str!("golden/images.txt");
 
-/// The uniform image labels, as perfbench and the daemon name them.
-const LABELS: [&str; 9] = [
-    "native", "d", "d+rf", "cp", "cp+rf", "d2", "d2+rf", "lz", "lz+rf",
-];
-
 fn crc_of<T: Copy, const N: usize>(values: &[T], bytes: fn(T) -> [u8; N]) -> u32 {
     let buf: Vec<u8> = values.iter().flat_map(|&v| bytes(v)).collect();
     crc32(&buf)
@@ -79,20 +74,6 @@ fn fingerprint(bench: &str, label: &str, image: &MemoryImage) -> String {
     )
 }
 
-fn build_label(program: &ObjectProgram, label: &str) -> MemoryImage {
-    if label == "native" {
-        return build_native(program).expect("native build");
-    }
-    let (scheme, rf) = Scheme::parse(label).expect("label names a scheme");
-    let plan = CompressionPlan::uniform(
-        scheme,
-        rf,
-        PlanSource::Heuristic,
-        &Selection::all_compressed(program.procedures.len()),
-    );
-    build_planned(program, &plan).expect("uniform build")
-}
-
 /// Every third procedure native, ranks reversed.
 fn build_hybrid(program: &ObjectProgram, scheme: Scheme) -> MemoryImage {
     let n = program.procedures.len();
@@ -106,9 +87,11 @@ fn build_hybrid(program: &ObjectProgram, scheme: Scheme) -> MemoryImage {
 
 fn lines_for(spec: &BenchmarkSpec, hybrid: bool) -> Vec<String> {
     let program = generate(spec);
-    let mut lines: Vec<String> = LABELS
-        .iter()
-        .map(|label| fingerprint(spec.name, label, &build_label(&program, label)))
+    let mut lines: Vec<String> = ImageSpec::uniform_families()
+        .map(|image| {
+            let built = image.build(&program).expect("uniform build");
+            fingerprint(spec.name, &image.label(), &built)
+        })
         .collect();
     if hybrid {
         for scheme in Scheme::all() {

@@ -17,7 +17,6 @@ const MAX_INSNS: u64 = 20_000_000;
 /// expected output and exit code each time.
 fn assert_known_answer(program: &ObjectProgram, expected_output: &str, expected_exit: u32) {
     let cfg = SimConfig::hpca2000_baseline();
-    let n = program.procedures.len();
 
     let native = build_native(program).unwrap();
     let r = run_image(&native, cfg, MAX_INSNS).unwrap();
@@ -31,8 +30,7 @@ fn assert_known_answer(program: &ObjectProgram, expected_output: &str, expected_
 
     for scheme in [Scheme::Dictionary, Scheme::CodePack, Scheme::ByteDict] {
         for rf in [false, true] {
-            let image =
-                build_compressed(program, scheme, rf, &Selection::all_compressed(n)).unwrap();
+            let image = ImageSpec::Uniform { scheme, rf }.build(program).unwrap();
             let r = run_image(&image, cfg, MAX_INSNS).unwrap();
             assert_eq!(
                 String::from_utf8_lossy(&r.output),
@@ -91,7 +89,11 @@ fn known_answers_survive_selective_compression() {
     let (_, profile) = profile_native(&program, cfg, MAX_INSNS).unwrap();
     for strategy in [SelectBy::Execution, SelectBy::Miss] {
         let sel = Selection::by_profile(&profile, strategy, 0.5);
-        let image = build_compressed(&program, Scheme::Dictionary, false, &sel).unwrap();
+        let image = build_planned(
+            &program,
+            &CompressionPlan::uniform(Scheme::Dictionary, false, PlanSource::Heuristic, &sel),
+        )
+        .unwrap();
         let r = run_image(&image, cfg, MAX_INSNS).unwrap();
         assert_eq!(String::from_utf8_lossy(&r.output), "688229491\n");
     }

@@ -128,7 +128,11 @@ fn segments_are_disjoint() {
         } else {
             Scheme::Dictionary
         };
-        let image = build_compressed(&program, scheme, false, &selection).unwrap();
+        let image = build_planned(
+            &program,
+            &CompressionPlan::uniform(scheme, false, PlanSource::Heuristic, &selection),
+        )
+        .unwrap();
         let mut ranges: Vec<(u32, u32, &str)> = image
             .segments
             .iter()
@@ -172,7 +176,11 @@ fn random_programs_run_equivalently() {
             Scheme::Dictionary
         };
         let rf = rng.gen_bool();
-        let image = build_compressed(&program, scheme, rf, &selection).unwrap();
+        let image = build_planned(
+            &program,
+            &CompressionPlan::uniform(scheme, rf, PlanSource::Heuristic, &selection),
+        )
+        .unwrap();
         let run = run_image(&image, cfg, MAX_INSNS).unwrap();
         assert_eq!(run.output, native.output);
         assert_eq!(run.exit_code, native.exit_code);
@@ -194,21 +202,27 @@ fn selective_sizes_are_bounded() {
         let bits: std::collections::BTreeSet<usize> =
             (0..n).filter(|i| sel & (1 << i) != 0).collect();
         let selection = Selection::from_native_set(bits.clone(), n);
-        let full = build_compressed(
+        let full = ImageSpec::Uniform {
+            scheme: Scheme::Dictionary,
+            rf: false,
+        }
+        .build(&program)
+        .unwrap();
+        let none = build_planned(
             &program,
-            Scheme::Dictionary,
-            false,
-            &Selection::all_compressed(n),
+            &CompressionPlan::uniform(
+                Scheme::Dictionary,
+                false,
+                PlanSource::Heuristic,
+                &Selection::all_native(n),
+            ),
         )
         .unwrap();
-        let none = build_compressed(
+        let mid = build_planned(
             &program,
-            Scheme::Dictionary,
-            false,
-            &Selection::all_native(n),
+            &CompressionPlan::uniform(Scheme::Dictionary, false, PlanSource::Heuristic, &selection),
         )
         .unwrap();
-        let mid = build_compressed(&program, Scheme::Dictionary, false, &selection).unwrap();
         // Upper bound: the worse endpoint plus padding/dictionary slack.
         // Slack: region padding (up to 60B of nop words costs index bytes
         // plus a dictionary entry) and per-proc rounding.

@@ -68,12 +68,11 @@ fn assert_translation_transparent(
     cfg: SimConfig,
 ) -> Stats {
     let image = match scheme {
-        None => build_native(program).unwrap(),
-        Some(s) => {
-            let n = program.procedures.len();
-            build_compressed(program, s, rf, &Selection::all_compressed(n)).unwrap()
-        }
-    };
+        None => ImageSpec::Native,
+        Some(scheme) => ImageSpec::Uniform { scheme, rf },
+    }
+    .build(program)
+    .unwrap();
     let on = run_image(&image, cfg.with_translation(true), MAX_INSNS).unwrap();
     let off = run_image(&image, cfg.with_translation(false), MAX_INSNS).unwrap();
     let label = format!("{}: {scheme:?} rf={rf}", program.name);
@@ -374,10 +373,10 @@ fn classify(r: Result<rtdc_repro::core::runner::RunReport, RunError>) -> Outcome
 fn injected_faults_classified_identically_with_translation() {
     let program = generate(&tiny::walker());
     let cfg = SimConfig::hpca2000_baseline();
-    let n = program.procedures.len();
     for scheme in Scheme::all() {
-        let clean =
-            build_compressed(&program, scheme, false, &Selection::all_compressed(n)).unwrap();
+        let clean = ImageSpec::Uniform { scheme, rf: false }
+            .build(&program)
+            .unwrap();
         let reference = run_image(&clean, cfg, MAX_INSNS).unwrap();
         let budget = reference.stats.insns * 4 + 1_000_000;
         for i in 0..10u64 {
