@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the pure algorithm kernels: compression and
 //! decompression throughput for every registered codec (plus raw LZRW1
-//! over the byte stream), the image builders per label, raw simulator
+//! over the byte stream), the image builders per label, the integrity
+//! CRCs every build and verified load pays for, raw simulator
 //! speed, and the set-up layers of program generation. These are the
 //! implementation-performance numbers (host-side), complementing the
 //! simulated-machine results of the table/figure harnesses.
@@ -10,6 +11,7 @@
 
 use std::time::Instant;
 
+use rtdc::integrity;
 use rtdc::prelude::*;
 use rtdc_compress::lzrw1;
 use rtdc_isa::program::ObjectProgram;
@@ -107,6 +109,41 @@ fn bench_builders() {
     }
 }
 
+/// The integrity layer: `crc32` at a block, a verified segment's size
+/// and a whole-text size (each call repeated so the per-call time is
+/// well above the timer's resolution), `line_crcs` over go's text, and
+/// `verify_integrity` of go's `d` image, every segment re-CRCed as a
+/// verified load or daemon hit does it.
+fn bench_integrity() {
+    let program = generate(&spec::go());
+    let words = sample_text(&program);
+    let text: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    println!("== integrity ==");
+    for (name, len, reps) in [
+        ("crc32 4 KiB x256", 4 << 10, 256),
+        ("crc32 10 KiB x100", 10 << 10, 100),
+        ("crc32 1 MiB", 1 << 20, 1),
+    ] {
+        let bytes: Vec<u8> = text.iter().copied().cycle().take(len).collect();
+        bench(name, Some((len * reps) as u64), 20, || {
+            (0..reps).fold(0, |acc, _| acc ^ integrity::crc32(&bytes))
+        });
+    }
+    bench("line_crcs go", Some(text.len() as u64), 20, || {
+        integrity::line_crcs(&words)
+    });
+    let image = ImageSpec::Uniform {
+        scheme: Scheme::Dictionary,
+        rf: false,
+    }
+    .build(&program)
+    .expect("compressed build");
+    let sealed: u64 = image.segments.iter().map(|s| s.bytes.len() as u64).sum();
+    bench("verify_integrity go d", Some(sealed), 20, || {
+        image.verify_integrity().is_ok()
+    });
+}
+
 /// Loads `image` and runs it through the block engine for 100k
 /// instructions (or to exit, if sooner).
 fn run_100k(image: &MemoryImage, cfg: SimConfig) -> u64 {
@@ -154,6 +191,7 @@ fn bench_generate() {
 fn main() {
     bench_compressors();
     bench_builders();
+    bench_integrity();
     bench_simulator();
     bench_generate();
 }

@@ -141,6 +141,12 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
         (ImageSpec::Uniform { .. }, None, Some(_)) => {
             return Err("--threshold requires --select".into())
         }
+        (ImageSpec::Native, Some(_), _) | (ImageSpec::Native, _, Some(_)) => {
+            return Err(
+                "--select/--threshold pick procedures to compress; give a compressed --scheme"
+                    .into(),
+            )
+        }
         (spec, _, _) => spec,
     };
     let mut image = spec.build(&program).map_err(|e| e.to_string())?;

@@ -74,23 +74,30 @@ impl ByteDictCompressed {
         // Frequency-sorted dictionary, ties broken by value: ascending
         // `!count << 32 | word` is descending count, then word.
         let distinct = table.words();
-        let mut entries: Vec<(u64, u32)> = counts
-            .iter()
-            .zip(distinct)
-            .enumerate()
-            .map(|(id, (&count, &w))| (u64::from(!count) << 32 | u64::from(w), id as u32))
-            .collect();
+        let keyed = |repeated: bool| {
+            counts
+                .iter()
+                .zip(distinct)
+                .enumerate()
+                .filter(move |&(_, (&c, _))| (c > 1) == repeated)
+                .map(|(id, (&c, &w))| (u64::from(!c) << 32 | u64::from(w), id as u32))
+        };
+        // Words appearing once compress worse as 2-byte codes than raw
+        // (2-byte code + 4-byte entry = 6B vs 5B escape), so only words
+        // seen twice or more are sorted; singletons are taken, lowest
+        // value first, only to fill the one-byte class.
+        let mut entries: Vec<(u64, u32)> = keyed(true).collect();
         entries.sort_unstable();
-        // Words appearing once compress worse as 2-byte codes than raw?
-        // 2-byte code + 4-byte entry = 6B vs 5B escape: drop singletons
-        // beyond the one-byte class.
         entries.truncate(MAX_DICT);
-        while entries.len() > ONE_BYTE_ENTRIES
-            && entries
-                .last()
-                .is_some_and(|&(_, id)| counts[id as usize] == 1)
-        {
-            entries.pop();
+        let room = ONE_BYTE_ENTRIES.saturating_sub(entries.len());
+        if room > 0 {
+            let mut singles: Vec<(u64, u32)> = keyed(false).collect();
+            if room < singles.len() {
+                singles.select_nth_unstable(room);
+                singles.truncate(room);
+            }
+            singles.sort_unstable();
+            entries.extend(singles);
         }
         // Dictionary index by word id; `NONE` marks a raw escape.
         const NONE: u32 = u32::MAX;

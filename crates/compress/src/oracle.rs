@@ -432,6 +432,26 @@ fn bytedict_large_dictionary_equals_oracle() {
 }
 
 #[test]
+fn bytedict_one_byte_class_filled_by_singletons_equals_oracle() {
+    // Fewer than ONE_BYTE_ENTRIES repeated words, so the lowest-valued
+    // singletons fill the rest of the one-byte class.
+    let mut rng = Rng64::seed_from_u64(0xb7d1_c701);
+    for _ in 0..fuzz::iters(20) {
+        let repeated = rng.gen_range(0..=ONE_BYTE_ENTRIES + 8);
+        let singles = rng.gen_range(0..3000usize);
+        let mut words: Vec<u32> = (0..repeated)
+            .flat_map(|_| {
+                let w = rng.gen_u32();
+                [w, w, w]
+            })
+            .collect();
+        words.extend((0..singles).map(|_| rng.gen_u32()));
+        rng.shuffle(&mut words);
+        check_words(&words);
+    }
+}
+
+#[test]
 fn lzrw1_whole_buffer_equals_oracle() {
     let mut rng = Rng64::seed_from_u64(0x1a77_0001);
     // Repeats farther back than the 4095-byte window, and near it.

@@ -21,6 +21,8 @@
 //!
 //! [`MemoryImage::verify_integrity`]: crate::image::MemoryImage::verify_integrity
 
+#![deny(clippy::cast_possible_truncation)]
+
 use rtdc_isa::C0Reg;
 
 use crate::image::{MemoryImage, Scheme, Segment, SizeReport};
@@ -91,8 +93,13 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
+    /// A length or count prefix. Each one in a [`MemoryImage`] is
+    /// bounded by the 32-bit address space its segments occupy.
+    fn len(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("image lengths fit the 32-bit address space"));
+    }
     fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
+        self.len(b.len());
         self.out.extend_from_slice(b);
     }
     fn str(&mut self, s: &str) {
@@ -174,13 +181,13 @@ pub fn encode_image(image: &MemoryImage) -> Vec<u8> {
     w.u8(u8::from(image.second_regfile));
     w.u32(image.entry);
     w.u32(image.initial_sp);
-    w.u32(image.segments.len() as u32);
+    w.len(image.segments.len());
     for s in &image.segments {
         w.str(&s.name);
         w.u32(s.base);
         w.bytes(&s.bytes);
     }
-    w.u32(image.c0_init.len() as u32);
+    w.len(image.c0_init.len());
     for (reg, val) in &image.c0_init {
         w.u8(reg.number());
         w.u32(*val);
@@ -195,13 +202,13 @@ pub fn encode_image(image: &MemoryImage) -> Vec<u8> {
             }
         }
     }
-    w.u32(image.proc_regions.len() as u32);
+    w.len(image.proc_regions.len());
     for (start, end, id) in &image.proc_regions {
         w.u32(*start);
         w.u32(*end);
         w.u64(*id as u64);
     }
-    w.u32(image.proc_names.len() as u32);
+    w.len(image.proc_names.len());
     for n in &image.proc_names {
         w.str(n);
     }
@@ -209,13 +216,13 @@ pub fn encode_image(image: &MemoryImage) -> Vec<u8> {
     w.u32(image.sizes.native_text_bytes);
     w.u32(image.sizes.compressed_payload_bytes);
     w.u32(image.sizes.handler_bytes);
-    w.u32(image.integrity.len() as u32);
+    w.len(image.integrity.len());
     for d in &image.integrity {
         w.str(&d.name);
         w.u32(d.declared_len);
         w.u32(d.crc);
     }
-    w.u32(image.line_crcs.len() as u32);
+    w.len(image.line_crcs.len());
     for c in &image.line_crcs {
         w.u32(*c);
     }

@@ -82,8 +82,9 @@ pub enum Outcome {
     StoreHit,
     /// Not cached; this request built the image.
     Miss,
-    /// Cached but failed integrity verification; the entry was evicted
-    /// and this request rebuilt the image.
+    /// Cached but failed integrity verification; this request evicted
+    /// the entry and rebuilt the image (or was served by a concurrent
+    /// rebuild of the same key).
     Poisoned,
 }
 
@@ -259,6 +260,12 @@ impl ImageCache {
                 let image = Arc::clone(&entry.image);
                 drop(guard);
                 if let Ok(verified) = Verified::new(Arc::clone(&image)) {
+                    if poisoned_here {
+                        // This lookup evicted a poisoned entry, then
+                        // waited out another thread's rebuild: it is
+                        // already counted as `poisoned`.
+                        return Ok((verified, Outcome::Poisoned));
+                    }
                     let mut g = self.inner.lock().expect("cache lock");
                     g.hits += 1;
                     return Ok((verified, Outcome::Hit));
@@ -266,19 +273,21 @@ impl ImageCache {
                 // Poisoned: evict exactly the entry we verified (another
                 // thread may have already replaced it) and rebuild.
                 guard = self.inner.lock().expect("cache lock");
-                if let Some(entry) = guard.map.get(key) {
-                    if Arc::ptr_eq(&entry.image, &image) {
-                        let removed = guard.map.remove(key).expect("entry present");
-                        guard.bytes -= removed.bytes;
-                        guard.poisoned += 1;
-                        poisoned_here = true;
-                    }
-                }
-                if !poisoned_here {
+                let evicted = guard
+                    .map
+                    .get(key)
+                    .is_some_and(|entry| Arc::ptr_eq(&entry.image, &image));
+                if !evicted {
                     // Someone else already evicted/replaced it; retry the
-                    // lookup from scratch (this lookup is not yet counted
-                    // as any outcome).
+                    // lookup from scratch (this lookup is counted as no
+                    // outcome yet, or as `poisoned` by an earlier pass).
                     continue;
+                }
+                let removed = guard.map.remove(key).expect("entry present");
+                guard.bytes -= removed.bytes;
+                if !poisoned_here {
+                    guard.poisoned += 1;
+                    poisoned_here = true;
                 }
                 // Fall through to the build path below.
             }

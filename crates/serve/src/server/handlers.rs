@@ -35,10 +35,11 @@ fn obtain_image(
         bench: bench.to_string(),
     })?;
     let image = match spec {
-        BuildSpec::Family { name } => ImageSpec::parse(name).ok_or_else(|| {
-            let scheme = Scheme::split_rf(name).0.to_string();
-            ServeError::UnknownScheme { scheme }
-        })?,
+        BuildSpec::Family { name } => {
+            ImageSpec::parse(name).ok_or_else(|| ServeError::UnknownScheme {
+                scheme: name.clone(),
+            })?
+        }
         BuildSpec::Plan { text } => {
             ImageSpec::Plan(text.parse().map_err(|e: PlanError| ServeError::BadPlan {
                 detail: e.to_string(),
@@ -194,8 +195,9 @@ pub(super) fn handle_plan(
             }
         }
     })?;
+    // The detail names the argument the client sent, `+rf` included.
     let s = Scheme::by_name(scheme).ok_or_else(|| ServeError::UnknownScheme {
-        scheme: scheme.to_string(),
+        scheme: format!("{scheme}{}", if rf { "+rf" } else { "" }),
     })?;
     let plan = optimized_plan_cached(&spec, s, rf, state.sim);
     let mut w = ObjWriter::new();

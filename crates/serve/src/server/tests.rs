@@ -99,6 +99,10 @@ fn unknown_targets_are_typed_errors() {
             "unknown-bench",
         ),
         (
+            r#"{"op":"build","bench":"sort","scheme":"native+rf"}"#,
+            "unknown-scheme",
+        ),
+        (
             r#"{"op":"build","bench":"sort","plan":"not a plan"}"#,
             "bad-plan",
         ),
@@ -117,14 +121,29 @@ fn unknown_targets_are_typed_errors() {
             "{line} -> {resp}"
         );
     }
-    assert_eq!(st.ops.errors.get(), 6);
+    assert_eq!(st.ops.errors.get(), 7);
     // Every kind surfaced in the registry too.
     let snap = st.metrics.registry.snapshot();
-    assert_eq!(snap.value("serve.err.total"), Some(6));
+    assert_eq!(snap.value("serve.err.total"), Some(7));
     assert_eq!(snap.value("serve.err.unknown-bench"), Some(3));
-    assert_eq!(snap.value("serve.err.unknown-scheme"), Some(1));
+    assert_eq!(snap.value("serve.err.unknown-scheme"), Some(2));
     assert_eq!(snap.value("serve.err.bad-plan"), Some(1));
     assert_eq!(snap.value("serve.err.unsupported"), Some(1));
+    // The detail names the whole argument the client sent, not the
+    // scheme with `+rf` split off (`native` is a valid family).
+    for (line, detail) in [
+        (
+            r#"{"op":"build","bench":"sort","scheme":"native+rf"}"#,
+            "unknown scheme `native+rf`",
+        ),
+        (
+            r#"{"op":"plan","bench":"tiny-loop","scheme":"zz+rf"}"#,
+            "unknown scheme `zz+rf`",
+        ),
+    ] {
+        let resp = handle_line(&st, line, None);
+        assert!(resp.contains(detail), "{line} -> {resp}");
+    }
 }
 
 #[test]
