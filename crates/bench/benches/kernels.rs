@@ -6,10 +6,11 @@
 //! implementation-performance numbers (host-side), complementing the
 //! simulated-machine results of the table/figure harnesses.
 //!
-//! Uses a tiny self-contained timing harness (median of repeated runs)
-//! instead of criterion so the workspace builds with no network access.
+//! Uses a tiny self-contained timing harness (each row warmed up for a
+//! fixed time, then the median and quartiles of repeated runs) instead
+//! of criterion so the workspace builds with no network access.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rtdc::integrity;
 use rtdc::prelude::*;
@@ -20,25 +21,52 @@ use rtdc_workloads::idioms::Idioms;
 use rtdc_workloads::vocab::Vocabulary;
 use rtdc_workloads::{all_benchmarks, filler_target, generate, spec};
 
+/// How long each row runs its kernel untimed before the timed runs: a
+/// single warm-up call left a row's first runs bimodal (cold caches,
+/// page faults, frequency ramp), so a row's median could move ±40%
+/// between identical runs.
+const WARMUP: Duration = Duration::from_millis(200);
+
 /// Times `f` over `iters` runs and reports the median per-run time.
 fn bench<T>(name: &str, throughput_bytes: Option<u64>, iters: usize, mut f: impl FnMut() -> T) {
-    // One warm-up run, then timed runs.
-    std::hint::black_box(f());
+    bench_setup(name, throughput_bytes, iters, || (), |()| f());
+}
+
+/// Times `f` on a fresh `setup()` value (built untimed) over `iters`
+/// runs, after calling it for at least [`WARMUP`], and reports the
+/// median per-run time with the quartiles beside it.
+fn bench_setup<S, T>(
+    name: &str,
+    throughput_bytes: Option<u64>,
+    iters: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) {
+    let warm = Instant::now();
+    while warm.elapsed() < WARMUP {
+        std::hint::black_box(f(setup()));
+    }
     let mut samples: Vec<f64> = (0..iters.max(3))
         .map(|_| {
+            let input = setup();
             let t0 = Instant::now();
-            std::hint::black_box(f());
+            std::hint::black_box(f(input));
             t0.elapsed().as_secs_f64()
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = samples[samples.len() / 2];
+    let n = samples.len();
+    let (p25, median, p75) = (samples[n / 4], samples[n / 2], samples[3 * n / 4]);
+    let spread = format!("({:.3} … {:.3})", p25 * 1e3, p75 * 1e3);
     match throughput_bytes {
         Some(bytes) => {
             let mibps = bytes as f64 / median / (1024.0 * 1024.0);
-            println!("{name:<28} {:>10.3} ms   {mibps:>9.1} MiB/s", median * 1e3);
+            println!(
+                "{name:<28} {:>10.3} ms {spread:<21} {mibps:>9.1} MiB/s",
+                median * 1e3
+            );
         }
-        None => println!("{name:<28} {:>10.3} ms", median * 1e3),
+        None => println!("{name:<28} {:>10.3} ms {spread}", median * 1e3),
     }
 }
 
@@ -169,6 +197,28 @@ fn bench_simulator() {
     });
 }
 
+/// The handler-trace layer: `Machine::run` of go under the two codecs
+/// whose handlers dominate a suite pass's simulation time (CodePack and
+/// LZ), the load untimed, then one run's engine counters.
+fn bench_traces() {
+    let program = generate(&spec::go());
+    let cfg = SimConfig::hpca2000_baseline();
+    println!("== handler traces ==");
+    for scheme in [Scheme::CodePack, Scheme::LzChunk] {
+        let image = ImageSpec::Uniform { scheme, rf: false }
+            .build(&program)
+            .expect("compressed build");
+        let load = || load_image(&image, cfg).expect("image verifies");
+        let name = format!("go {} Machine::run", scheme.name());
+        bench_setup(&name, None, 10, load, |mut m| {
+            m.run(u64::MAX).expect("runs to exit").exit_code
+        });
+        let mut m = load();
+        m.run(u64::MAX).expect("runs to exit");
+        println!("  {:?}", m.engine());
+    }
+}
+
 /// The set-up layers per analog: the master vocabulary, the idiom
 /// table (drawn beside it on a second thread by `generate`), and a whole
 /// `generate`.
@@ -193,5 +243,6 @@ fn main() {
     bench_builders();
     bench_integrity();
     bench_simulator();
+    bench_traces();
     bench_generate();
 }

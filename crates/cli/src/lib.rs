@@ -126,24 +126,30 @@ pub fn format_stats(stats: &rtdc_sim::Stats) -> String {
 }
 
 /// Formats the engine part of `rtdc-run`'s stderr sim-MIPS line: ops
-/// per program-block and per handler-trace dispatch, and the share of
-/// dispatches that single-stepped, by reason. Empty for a single-stepped
-/// run, which has no dispatches to describe.
+/// per program-block and per handler-trace dispatch, the side-exit share
+/// of trace dispatches, the share of dispatches that single-stepped, by
+/// reason, and the block-table conflicts and generation invalidations.
+/// Empty for a single-stepped run, which has no dispatches to describe.
 pub fn format_engine(e: &rtdc_sim::EngineCounters) -> String {
     if e.dispatches() == 0 {
         return String::new();
     }
     let pct = |n: u64| 100.0 * e.share(n);
     format!(
-        "; {:.2} ops/block, {:.2} ops/trace; fallbacks {:.1}% (first sighting {:.1}%, \
-         no block {:.1}%, not resident {:.1}%, budget {:.1}%)",
+        "; {:.2} ops/block, {:.2} ops/trace, side exits {:.1}% of traces; fallbacks {:.1}% \
+         (first sighting {:.1}%, no block {:.1}%, not resident {:.1}%, budget {:.1}%, \
+         recording {:.1}%); {} conflicts, {} invalidations",
         e.ops_per_block(),
         e.ops_per_trace(),
+        100.0 * e.side_exit_share(),
         pct(e.fallbacks()),
         pct(e.fallback_first_sighting),
         pct(e.fallback_no_block),
         pct(e.fallback_not_resident),
         pct(e.fallback_budget),
+        pct(e.fallback_record),
+        e.block_conflicts,
+        e.invalidations,
     )
 }
 
@@ -236,5 +242,25 @@ mod tests {
         assert!(s.contains("25.00%"), "{s}");
         assert!(s.contains("stall imiss"), "{s}");
         assert!(s.contains("50.000 per K-insn"), "{s}");
+    }
+
+    #[test]
+    fn engine_format_reports_side_exits_recording_and_table_events() {
+        assert_eq!(format_engine(&rtdc_sim::EngineCounters::default()), "");
+        let e = rtdc_sim::EngineCounters {
+            trace_dispatches: 8,
+            trace_ops: 160,
+            side_exits: 2,
+            block_conflicts: 5,
+            invalidations: 7,
+            fallback_record: 2,
+            fallback_insns: 2,
+            ..Default::default()
+        };
+        let s = format_engine(&e);
+        assert!(s.contains("20.00 ops/trace"), "{s}");
+        assert!(s.contains("side exits 25.0% of traces"), "{s}");
+        assert!(s.contains("recording 20.0%"), "{s}");
+        assert!(s.contains("5 conflicts, 7 invalidations"), "{s}");
     }
 }

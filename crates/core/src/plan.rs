@@ -35,6 +35,8 @@
 //!
 //! [`build_planned`]: crate::builder::build_planned
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -160,6 +162,11 @@ pub enum PlanError {
         /// The repeated id.
         id: usize,
     },
+    /// More procedures than 32-bit layout ranks can order.
+    TooManyProcs {
+        /// The procedure count asked for.
+        procs: usize,
+    },
     /// A layout rank is outside `0..procs`.
     RankOutOfRange {
         /// The offending rank.
@@ -210,6 +217,9 @@ impl fmt::Display for PlanError {
                 write!(f, "procedure id {id} out of range (plan has {procs})")
             }
             PlanError::DuplicateProc { id } => write!(f, "procedure id {id} appears twice"),
+            PlanError::TooManyProcs { procs } => {
+                write!(f, "{procs} procedures do not fit 32-bit layout ranks")
+            }
             PlanError::RankOutOfRange { rank, procs } => {
                 write!(
                     f,
@@ -264,9 +274,11 @@ impl CompressionPlan {
     ///
     /// # Errors
     ///
-    /// [`PlanError::WrongProcCount`] if `order`'s length differs from the
-    /// selection's procedure count, [`PlanError::ProcOutOfRange`] /
-    /// [`PlanError::DuplicateProc`] if it is not a permutation.
+    /// [`PlanError::TooManyProcs`] if the selection has more procedures
+    /// than 32-bit ranks can order, [`PlanError::WrongProcCount`] if
+    /// `order`'s length differs from the selection's procedure count,
+    /// [`PlanError::ProcOutOfRange`] / [`PlanError::DuplicateProc`] if
+    /// it is not a permutation.
     pub fn from_order(
         scheme: Scheme,
         second_rf: bool,
@@ -276,6 +288,7 @@ impl CompressionPlan {
         order: &[usize],
     ) -> Result<CompressionPlan, PlanError> {
         let n = selection.proc_count();
+        let ranks = u32::try_from(n).map_err(|_| PlanError::TooManyProcs { procs: n })?;
         if order.len() != n {
             return Err(PlanError::WrongProcCount {
                 declared: n,
@@ -289,7 +302,8 @@ impl CompressionPlan {
             })
             .collect();
         let mut seen = vec![false; n];
-        for (rank, &id) in order.iter().enumerate() {
+        // `order` has exactly `n` entries, so the ranks cover it.
+        for (rank, &id) in (0..ranks).zip(order) {
             if id >= n {
                 return Err(PlanError::ProcOutOfRange { id, procs: n });
             }
@@ -297,7 +311,7 @@ impl CompressionPlan {
                 return Err(PlanError::DuplicateProc { id });
             }
             seen[id] = true;
-            procs[id].rank = rank as u32;
+            procs[id].rank = rank;
         }
         Ok(CompressionPlan {
             scheme,
@@ -647,6 +661,21 @@ mod tests {
             &[1, 0, 2, 3],
         )
         .unwrap()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn more_procedures_than_32_bit_ranks_are_rejected() {
+        let sel = Selection::all_compressed(1 << 32);
+        let plan = CompressionPlan::from_order(
+            Scheme::Dictionary,
+            false,
+            PlanSource::Heuristic,
+            0,
+            &sel,
+            &[],
+        );
+        assert_eq!(plan, Err(PlanError::TooManyProcs { procs: 1 << 32 }));
     }
 
     #[test]

@@ -203,22 +203,22 @@ fn engine_since(cur: &EngineCounters, earlier: &EngineCounters) -> EngineCounter
 }
 
 /// The simulator line: ops per dispatch, the side-exit share of trace
-/// dispatches, and the fallback share of all dispatches.
+/// dispatches, the fallback share of all dispatches (and the recording
+/// part of it), and the table conflicts and invalidations.
 fn render_engine(e: &EngineCounters) -> String {
     if e.dispatches() == 0 {
         return "sim    no translated runs\n".to_string();
     }
-    let side_exits = if e.trace_dispatches > 0 {
-        100.0 * e.side_exits as f64 / e.trace_dispatches as f64
-    } else {
-        0.0
-    };
     format!(
-        "sim    {:.2} ops/dispatch ({:.2} per block, {:.2} per trace)  side exits {side_exits:.1}% of traces  fallbacks {:.1}% of dispatches\n",
+        "sim    {:.2} ops/dispatch ({:.2} per block, {:.2} per trace)  side exits {:.1}% of traces  fallbacks {:.1}% of dispatches ({:.1}% recording)  {} conflicts  {} invalidations\n",
         e.ops_per_dispatch(),
         e.ops_per_block(),
         e.ops_per_trace(),
+        100.0 * e.side_exit_share(),
         100.0 * e.share(e.fallbacks()),
+        100.0 * e.share(e.fallback_record),
+        e.block_conflicts,
+        e.invalidations,
     )
 }
 

@@ -151,8 +151,9 @@ pub struct ServeMetrics {
     op_us: Vec<(&'static str, Arc<Histogram>)>,
     /// `serve.sim.engine.<field>` counters, one per
     /// [`EngineCounters::FIELDS`] entry: how the simulator's translated
-    /// loop split every run (block and trace ops, side exits, fallback
-    /// steps by reason).
+    /// loop split every run (block and trace ops, side exits, builds,
+    /// table conflicts and invalidations, fallback steps by reason,
+    /// trace recording among them).
     sim_engine: [Arc<Counter>; EngineCounters::FIELDS.len()],
     /// Each image label's sim handles, registered on its first run.
     sim_labels: Mutex<HashMap<String, SimLabel>>,

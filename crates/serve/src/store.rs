@@ -34,6 +34,8 @@
 //!
 //! [`MemoryImage::verify_integrity`]: rtdc::image::MemoryImage::verify_integrity
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -99,6 +101,14 @@ pub enum StoreError {
         /// The key embedded in the file.
         found: CacheKey,
     },
+    /// A key field or the payload is too long for its 32-bit length
+    /// prefix (the file is not written).
+    TooLong {
+        /// Which part: `bench`, `label` or `payload`.
+        field: &'static str,
+        /// Its length in bytes.
+        len: usize,
+    },
 }
 
 impl StoreError {
@@ -113,6 +123,7 @@ impl StoreError {
             StoreError::BadImage { .. } => "bad-image",
             StoreError::Poisoned { .. } => "poisoned",
             StoreError::KeyMismatch { .. } => "key-mismatch",
+            StoreError::TooLong { .. } => "too-long",
         }
     }
 }
@@ -132,6 +143,9 @@ impl std::fmt::Display for StoreError {
             StoreError::BadImage { detail } => write!(f, "bad payload: {detail}"),
             StoreError::Poisoned { detail } => write!(f, "integrity failure: {detail}"),
             StoreError::KeyMismatch { found } => write!(f, "file belongs to key {found}"),
+            StoreError::TooLong { field, len } => {
+                write!(f, "{field} of {len} bytes overflows its u32 length prefix")
+            }
         }
     }
 }
@@ -195,23 +209,35 @@ pub struct DiskStore {
     spill_seq: AtomicU64,
 }
 
+/// `len` as the little-endian u32 length prefix of `field`.
+fn len_prefix(field: &'static str, len: usize) -> Result<[u8; 4], StoreError> {
+    u32::try_from(len)
+        .map(u32::to_le_bytes)
+        .map_err(|_| StoreError::TooLong { field, len })
+}
+
 /// Serializes `key` + `image` into the store file format (envelope +
 /// payload + CRC trailer).
-pub fn encode_store_file(key: &CacheKey, image: &MemoryImage) -> Vec<u8> {
+///
+/// # Errors
+///
+/// [`StoreError::TooLong`] when a key field or the encoded image does
+/// not fit its 32-bit length prefix.
+pub fn encode_store_file(key: &CacheKey, image: &MemoryImage) -> Result<Vec<u8>, StoreError> {
     let payload = encode_image(image);
     let mut out = Vec::with_capacity(payload.len() + 64);
     out.extend_from_slice(&STORE_MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    for s in [&key.bench, &key.label] {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    for (field, s) in [("bench", &key.bench), ("label", &key.label)] {
+        out.extend_from_slice(&len_prefix(field, s.len())?);
         out.extend_from_slice(s.as_bytes());
     }
     out.extend_from_slice(&key.plan_digest.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len_prefix("payload", payload.len())?);
     out.extend_from_slice(&payload);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Validates a store file's envelope — magic, version, field lengths,
@@ -513,7 +539,7 @@ impl DiskStore {
             std::process::id(),
             file_name(key)
         ));
-        let bytes = encode_store_file(key, image);
+        let bytes = encode_store_file(key, image)?;
         let write = (|| -> std::io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -565,7 +591,7 @@ mod tests {
         }
     }
 
-    fn image(len: usize) -> MemoryImage {
+    fn image(len: u32) -> MemoryImage {
         let mut img = MemoryImage {
             name: "t".into(),
             scheme: None,
@@ -575,7 +601,7 @@ mod tests {
             segments: vec![Segment {
                 name: ".native".into(),
                 base: 0x1000,
-                bytes: vec![0x5A; len],
+                bytes: vec![0x5A; len as usize],
             }],
             c0_init: Vec::new(),
             handler_range: None,
@@ -583,8 +609,8 @@ mod tests {
             proc_regions: Vec::new(),
             proc_names: Vec::new(),
             sizes: SizeReport {
-                original_text_bytes: len as u32,
-                native_text_bytes: len as u32,
+                original_text_bytes: len,
+                native_text_bytes: len,
                 compressed_payload_bytes: 0,
                 handler_bytes: 0,
             },
@@ -665,9 +691,24 @@ mod tests {
     }
 
     #[test]
+    fn length_prefixes_refuse_what_u32_cannot_hold() {
+        assert_eq!(len_prefix("label", 5), Ok(5u32.to_le_bytes()));
+        let max = u32::MAX as usize;
+        assert_eq!(len_prefix("payload", max), Ok(u32::MAX.to_le_bytes()));
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            len_prefix("bench", max + 1),
+            Err(StoreError::TooLong {
+                field: "bench",
+                len: max + 1
+            })
+        );
+    }
+
+    #[test]
     fn truncation_and_stale_version_are_typed() {
         let k = key("sort", "d");
-        let bytes = encode_store_file(&k, &image(64));
+        let bytes = encode_store_file(&k, &image(64)).expect("encodes");
         for cut in 0..bytes.len() {
             let err = check_envelope(&bytes[..cut]).expect_err("truncated");
             assert!(

@@ -189,7 +189,7 @@ fn store_file_decode_never_panics_on_mutated_bytes() {
     }
     .build(&program)
     .expect("build");
-    let baseline = encode_store_file(&key, &pristine);
+    let baseline = encode_store_file(&key, &pristine).expect("encodes");
     // Sanity: the pristine file round-trips.
     let (k, img) = decode_store_file(&baseline).expect("pristine file decodes");
     assert_eq!(

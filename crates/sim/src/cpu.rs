@@ -36,8 +36,8 @@ use crate::mem::MainMemory;
 use crate::stats::Stats;
 use crate::trace::{MissKind, NoTrace, StallCause, TraceEvent, TraceSink};
 use crate::translate::{
-    build_block_ops, build_trace, granule_end, Block, BlockCache, EngineCounters, Fallback, Unit,
-    BLOCK_OPS, FILLER,
+    build_block_ops, build_trace, ends_trace, granule_end, Block, BlockCache, EngineCounters,
+    Fallback, Unit, BLOCK_OPS, FILLER, TRACE_OPS,
 };
 
 /// Processor privilege/context mode.
@@ -1109,12 +1109,18 @@ impl<S: TraceSink> Machine<S> {
     /// residency, then run it in place.
     fn program_step(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
         let slot = BlockCache::slot_index(pc);
-        let bc = self.block_cache();
+        let bc = self
+            .blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks");
         let blk = &bc.blocks[slot];
         if blk.pc != pc || blk.gen != bc.gens[BlockCache::gen_index(pc)] {
             // Everything below may write `blocks` or `seen`; the next
             // run's entry must wipe them.
             bc.touched = true;
+            if blk.pc == pc {
+                self.engine.invalidations += 1;
+            }
             // Blocks build on the *second* sighting: a first-time PC is
             // noted in the `seen` side table and single-stepped. Cold
             // code (most of a large text) then never pays
@@ -1157,16 +1163,11 @@ impl<S: TraceSink> Machine<S> {
         step
     }
 
-    /// Dispatches the handler trace entered at `pc`: look it up,
-    /// rebuild it when missing or stale, check the budget, then run it
-    /// in place.
+    /// Dispatches the handler trace entered at `pc`: look it up, record
+    /// it when missing or stale, check the budget, then run it in place.
     fn trace_step(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
-        let Some(i) = self
-            .block_cache()
-            .trace_at(pc)
-            .or_else(|| self.build_trace(pc))
-        else {
-            return self.fallback(Fallback::NoBlock);
+        let Some(i) = self.block_cache().trace_at(pc) else {
+            return self.record_trace(pc, max_insns);
         };
         let len = self.block_cache().traces[i].len;
         if self.stats.insns + len as u64 > max_insns {
@@ -1176,6 +1177,65 @@ impl<S: TraceSink> Machine<S> {
         let step = self.exec_ops(&traces[i]);
         self.block_cache().traces = traces;
         step
+    }
+
+    /// Records the handler trace entered at `pc`: single-steps the
+    /// handler from `pc`, noting each PC it commits, then builds and
+    /// installs the trace along that path, which runs from the next
+    /// dispatch at `pc` on. Recording stops after an op that
+    /// [`ends_trace`], when execution leaves handler RAM or exception
+    /// mode, at the instruction budget, or at [`TRACE_OPS`] ops. A store
+    /// into handler RAM (the generation moves) stops it with nothing
+    /// installed: the path ahead may no longer be the code that ran, and
+    /// the next dispatch records again. An error stops it likewise. A
+    /// `pc` outside handler RAM single-steps once, which raises the
+    /// interpreter's error.
+    #[cold]
+    #[inline(never)]
+    fn record_trace(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
+        if !Self::in_range(self.handler_range, pc) {
+            return self.fallback(Fallback::NoBlock);
+        }
+        let bc = self
+            .blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks");
+        // Everything below writes `traces`; the next run's entry must
+        // wipe them.
+        bc.touched = true;
+        if bc.trace_stale(pc) {
+            self.engine.invalidations += 1;
+        }
+        let gen = bc.hgen;
+        let mut path = [0u32; TRACE_OPS];
+        let mut len = 0;
+        let step = loop {
+            let at = self.pc;
+            let step = self.fallback(Fallback::Record)?;
+            if self.block_cache().hgen != gen {
+                return Ok(step);
+            }
+            path[len] = at;
+            len += 1;
+            let ended = decode(self.mem.read_u32(at)).is_ok_and(|insn| ends_trace(&insn));
+            if ended
+                || len == TRACE_OPS
+                || self.mode != Mode::Exception
+                || !Self::in_range(self.handler_range, self.pc)
+                || self.stats.insns >= max_insns
+            {
+                break step;
+            }
+        };
+        let mem = &self.mem;
+        let bc = self
+            .blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks");
+        if build_trace(&path[..len], |a| mem.read_u32(a), gen, bc.trace_entry(pc)) > 0 {
+            self.engine.trace_builds += 1;
+        }
+        Ok(step)
     }
 
     /// Builds and installs a program block starting at `pc` into
@@ -1211,7 +1271,14 @@ impl<S: TraceSink> Machine<S> {
             return false;
         }
         self.engine.block_builds += 1;
-        let bc = self.block_cache();
+        let bc = self
+            .blocks
+            .as_deref_mut()
+            .expect("translated loop has blocks");
+        // The slot held another PC's block (a stale block for `pc`
+        // itself was counted as an invalidation at dispatch).
+        let old = bc.blocks[slot].pc;
+        self.engine.block_conflicts += u64::from(old != u32::MAX && old != pc);
         bc.blocks[slot] = Block {
             pc,
             gen: bc.gens[BlockCache::gen_index(pc)],
@@ -1222,28 +1289,6 @@ impl<S: TraceSink> Machine<S> {
             insns,
         };
         true
-    }
-
-    /// Builds the handler trace entered at `pc` from handler RAM and
-    /// returns its position, or `None` when no trace can be built (`pc`
-    /// outside handler RAM, or its word undecodable) — the caller
-    /// single-steps, which raises the interpreter's error.
-    fn build_trace(&mut self, pc: u32) -> Option<usize> {
-        let range = self.handler_range?;
-        let mem = &self.mem;
-        let bc = self
-            .blocks
-            .as_deref_mut()
-            .expect("translated loop has blocks");
-        // Everything below writes `traces`; the next run's entry must
-        // wipe them.
-        bc.touched = true;
-        let gen = bc.hgen;
-        if build_trace(pc, range, |a| mem.read_u32(a), gen, bc.trace_entry(pc)) == 0 {
-            return None;
-        }
-        self.engine.trace_builds += 1;
-        self.block_cache().trace_at(pc)
     }
 
     /// Charges the base per-instruction counters for `n` instructions
@@ -1343,11 +1388,11 @@ impl<S: TraceSink> Machine<S> {
             // handler RAM is as it was built from: a store there may
             // have rewritten the ops ahead (handler fetches read main
             // memory, so the interpreter would fetch the new bytes).
-            // Only a conditional branch can leave the path and only a
-            // store can change the generation, so only those ops are
-            // checked. Otherwise leave here: the interpreter commits
-            // `next` — a branch or a store, never a load, so
-            // `last_load_dest` is clear.
+            // Only a conditional branch or a register jump can leave
+            // the path and only a store can change the generation, so
+            // only those ops are checked. Otherwise leave here: the
+            // interpreter commits `next` — a branch, a jump or a store,
+            // never a load, so `last_load_dest` is clear.
             if U::HANDLER
                 && unit.checked(i)
                 && (next != unit.op_pc(i + 1) || self.block_cache().hgen != unit.gen())

@@ -15,6 +15,8 @@
 //! typed [`JsonError`] — and for fidelity second (numbers are kept as
 //! `f64`, and integral fields are range-checked at extraction time).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -65,7 +67,11 @@ impl Json {
     /// silently rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            Json::Num(n) if n >= 0.0 && n < 2f64.powi(53) && n.fract() == 0.0 => Some(n as u64),
+            Json::Num(n) if n >= 0.0 && n < 2f64.powi(53) && n.fract() == 0.0 => {
+                // A whole number in [0, 2^53): the cast is exact.
+                #[allow(clippy::cast_possible_truncation)]
+                Some(n as u64)
+            }
             _ => None,
         }
     }

@@ -34,6 +34,8 @@
 //! | `commit`  | [`TraceEvent::Commit`]        | `insns`, program/handler split |
 //! | `region`  | [`TraceEvent::RegionEntry`]   | region entry trace           |
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::io::Write;
 
 use crate::json::{self, Json};

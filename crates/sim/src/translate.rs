@@ -32,28 +32,45 @@
 //!
 //! The decompression handler is most of what a compressed run executes,
 //! and it is branchy: every `jal read_bits`, loop branch and `swic`
-//! would end a block after two or three ops. A trace instead follows the
-//! handler's *static path* through its RAM: the target of `j`/`jal`
-//! (when it stays in handler RAM), the fall-through of forward
-//! conditional branches, the target of backward ones (loops run again),
-//! and straight on through `swic` (which writes the I-cache, never the
-//! handler RAM the trace was read from). A trace ends after
-//! `jr`/`jalr`/`iret`/`syscall`/`break`, at [`TRACE_OPS`] ops, at the end
-//! of handler RAM, or before an undecodable word. Every op records its
-//! own PC, and the interlock, check and hi/lo facts are computed in trace
-//! order, which is execution order for as long as the trace is followed.
+//! would end a block after two or three ops. A trace instead holds the
+//! *path the handler took* from its entry PC the first time that PC was
+//! dispatched (next-executing-tail selection, as in Dynamo). A dispatch
+//! with no valid trace *records*: it single-steps the interpreter from
+//! the entry PC and notes each PC it commits, through `j`/`jal`, taken
+//! and untaken branches, `jr $ra` returns and `swic` (which writes the
+//! I-cache, never the handler RAM the trace is read from) alike. The
+//! recording stops after `iret`/`syscall`/`break`, when execution
+//! leaves handler RAM or exception mode, at the instruction budget, or
+//! at [`TRACE_OPS`] ops; [`build_trace`] then decodes the trace along
+//! that PC list, and it runs from the next dispatch on. A store into
+//! handler RAM during the recording stops it with nothing installed.
+//! Every op records its own PC, and the interlock, check and hi/lo facts
+//! are computed in path order, which is execution order for as long as
+//! the trace is followed. A trace is recorded once per entry PC and
+//! handler generation: there is no re-recording policy.
 //!
-//! Only a conditional branch can leave the path, so a build-time *check
-//! mask* ([`Trace::checks`]) marks the conditional branches and the
-//! plain stores. After a marked op, and only then, the op's next PC
-//! (what `execute` returned) is compared with the trace's next PC, and
-//! the handler generation is re-checked. Every other op's next PC is
-//! the trace's by construction: `j`/`jal` targets are followed, and
-//! register jumps, `iret`, `syscall` and `break` are always a trace's
-//! last op, whose next PC is committed as is. A branch that goes the
-//! other way is a *side exit*: the machine commits the PC it really
-//! went to, uncharges the ops it did not execute, and returns to the
-//! dispatch loop, which looks up (or builds) the trace starting there.
+//! Only a conditional branch or a register jump can leave the path, so
+//! a build-time *check mask* ([`Trace::checks`]) marks the conditional
+//! branches, `jr`/`jalr`, and the plain stores. After a marked op, and
+//! only then, the op's next PC (what `execute` returned) is compared
+//! with the trace's next PC, and the handler generation is re-checked.
+//! Every other op's next PC is the trace's by construction: `j`/`jal`
+//! always go where they went when recorded, and `iret`, `syscall` and
+//! `break` are always a trace's last op, whose next PC is committed as
+//! is. A branch that goes the other way, or a return to another caller,
+//! is a *side exit*: the machine commits the PC it really went to,
+//! uncharges the ops it did not execute, and returns to the dispatch
+//! loop, which looks up (or records) the trace starting there.
+//!
+//! Over one suite pass (8 analogs × 9 labels) this runs handler code in
+//! 16.5M trace dispatches at 22.7 ops each (CodePack 20.3, LZ 23.5, the
+//! dictionary handler 37.5), where the static path it replaced — forward
+//! branches bet to fall through, backward ones taken, a stop at every
+//! `jr` — took 36.9M at 10.1 (CodePack 7.9). 1,306 recordings of 77.6K
+//! steps in all build every trace the pass runs. 87% of trace
+//! dispatches still leave by a side exit: each one enters the trace
+//! recorded at its exit PC, so leaving early costs a dispatch, not a
+//! rebuild. [`EngineCounters`] reports each of these figures.
 //!
 //! Every unit, trace or block, returns to the dispatch loop when it
 //! ends. Looping from one handler trace straight into the next was
@@ -139,10 +156,11 @@
 //! than the interpreter). Conflict evictions of cold blocks are the
 //! cheap side of that trade.
 //!
-//! Traces are ≈400 bytes each, so a full 1024-slot table would cost a
-//! fresh machine ≈400KB of initialisation. Instead a 2KB index, exact
+//! Traces are ≈800 bytes each, so a full 1024-slot table would cost a
+//! fresh machine ≈800KB of initialisation. Instead a 2KB index, exact
 //! for any 4KB of handler RAM, points into a trace list that grows only
-//! as entry points are first dispatched (a few dozen per handler).
+//! as entry points are first dispatched (≈45 per CodePack run, 2 per
+//! dictionary run).
 //!
 //! The run loop falls back to single-stepping whenever exactness needs
 //! the interpreter's per-instruction machinery: traced sinks and
@@ -150,16 +168,18 @@
 //! for one step when no unit can be built (a miss, an undecodable word,
 //! an unaligned or mode-mismatched PC), the first time a program PC is
 //! seen, when a program block's backing line is no longer resident, or
-//! when executing a whole unit could overshoot the instruction budget.
-//! [`EngineCounters`] counts each of these next to the ops the units ran.
+//! when executing a whole unit could overshoot the instruction budget;
+//! a trace miss single-steps for the length of its recording.
+//! [`EngineCounters`] counts each of these next to the ops the units ran,
+//! with the block-table conflicts and the generation invalidations.
 
 use rtdc_isa::{Instruction, Reg};
 
 /// Maximum instructions per program block: one 32-byte granule.
 pub(crate) const BLOCK_OPS: usize = 8;
 
-/// Maximum ops per handler trace.
-pub(crate) const TRACE_OPS: usize = 32;
+/// Maximum ops per handler trace (and per recording).
+pub(crate) const TRACE_OPS: usize = 64;
 
 /// log2 of the granule size tracked by the generation table.
 const GRAN_SHIFT: u32 = 5;
@@ -251,8 +271,9 @@ const EMPTY: Block = Block {
     insns: [FILLER; BLOCK_OPS],
 };
 
-/// One handler trace: the ops along the handler's static path from
-/// `pc`, each with its own PC (see "Handler traces" above).
+/// One handler trace: the ops along the path the handler took from
+/// `pc` when the trace was recorded, each with its own PC (see
+/// "Handler traces" above).
 #[derive(Debug, Clone)]
 pub(crate) struct Trace {
     /// Entry PC.
@@ -266,14 +287,14 @@ pub(crate) struct Trace {
     /// See [`Block::ends_load`].
     pub ends_load: bool,
     /// See [`Block::interlocks`], in trace order.
-    pub interlocks: u32,
+    pub interlocks: u64,
     /// The check mask. Bit `i` set: op `i` is one where the trace can
-    /// leave early — a conditional branch (it may go the other way) or
-    /// a plain store (`sb`/`sh`/`sw`: it may rewrite handler RAM) — so
-    /// the op loop compares its next PC and the handler generation
-    /// after it. See "Handler traces" above for why no other op needs
-    /// either check.
-    pub checks: u32,
+    /// leave early — a conditional branch (it may go the other way), a
+    /// register jump (it may go elsewhere) or a plain store
+    /// (`sb`/`sh`/`sw`: it may rewrite handler RAM) — so the op loop
+    /// compares its next PC and the handler generation after it. See
+    /// "Handler traces" above for why no other op needs either check.
+    pub checks: u64,
     /// `pcs[i]` is op `i`'s PC; `pcs[i + 1]` is the next PC op `i`
     /// must produce for the trace to continue.
     pub pcs: [u32; TRACE_OPS],
@@ -408,8 +429,14 @@ pub struct EngineCounters {
     pub side_exits: u64,
     /// Program blocks built.
     pub block_builds: u64,
-    /// Handler traces built.
+    /// Handler traces built (recordings that installed a trace).
     pub trace_builds: u64,
+    /// Program-block builds that replaced another PC's block in its
+    /// slot (the direct-mapped table's conflict evictions).
+    pub block_conflicts: u64,
+    /// Dispatches whose program block or handler trace for the PC was
+    /// there but stale by generation (its bytes may have changed).
+    pub invalidations: u64,
     /// Fallback steps at a program PC dispatched for the first time
     /// (blocks are built on the second sighting).
     pub fallback_first_sighting: u64,
@@ -423,6 +450,10 @@ pub struct EngineCounters {
     /// Fallback steps near the instruction budget, where a whole unit
     /// could overshoot it.
     pub fallback_budget: u64,
+    /// Fallback steps that recorded a handler trace's path (a trace
+    /// miss single-steps the handler and builds from the PCs it
+    /// committed).
+    pub fallback_record: u64,
     /// Instructions committed by fallback steps (a step that takes the
     /// decompression exception commits none).
     pub fallback_insns: u64,
@@ -431,7 +462,7 @@ pub struct EngineCounters {
 impl EngineCounters {
     /// The field names, in declaration order: what exporters name each
     /// counter after (see [`EngineCounters::to_array`]).
-    pub const FIELDS: [&'static str; 12] = [
+    pub const FIELDS: [&'static str; 15] = [
         "block_dispatches",
         "block_ops",
         "trace_dispatches",
@@ -439,15 +470,18 @@ impl EngineCounters {
         "side_exits",
         "block_builds",
         "trace_builds",
+        "block_conflicts",
+        "invalidations",
         "fallback_first_sighting",
         "fallback_no_block",
         "fallback_not_resident",
         "fallback_budget",
+        "fallback_record",
         "fallback_insns",
     ];
 
     /// The counters in [`EngineCounters::FIELDS`] order.
-    pub fn to_array(&self) -> [u64; 12] {
+    pub fn to_array(&self) -> [u64; 15] {
         [
             self.block_dispatches,
             self.block_ops,
@@ -456,17 +490,20 @@ impl EngineCounters {
             self.side_exits,
             self.block_builds,
             self.trace_builds,
+            self.block_conflicts,
+            self.invalidations,
             self.fallback_first_sighting,
             self.fallback_no_block,
             self.fallback_not_resident,
             self.fallback_budget,
+            self.fallback_record,
             self.fallback_insns,
         ]
     }
 
     /// The inverse of [`EngineCounters::to_array`].
-    pub fn from_array(v: [u64; 12]) -> EngineCounters {
-        let [block_dispatches, block_ops, trace_dispatches, trace_ops, side_exits, block_builds, trace_builds, fallback_first_sighting, fallback_no_block, fallback_not_resident, fallback_budget, fallback_insns] =
+    pub fn from_array(v: [u64; 15]) -> EngineCounters {
+        let [block_dispatches, block_ops, trace_dispatches, trace_ops, side_exits, block_builds, trace_builds, block_conflicts, invalidations, fallback_first_sighting, fallback_no_block, fallback_not_resident, fallback_budget, fallback_record, fallback_insns] =
             v;
         EngineCounters {
             block_dispatches,
@@ -476,10 +513,13 @@ impl EngineCounters {
             side_exits,
             block_builds,
             trace_builds,
+            block_conflicts,
+            invalidations,
             fallback_first_sighting,
             fallback_no_block,
             fallback_not_resident,
             fallback_budget,
+            fallback_record,
             fallback_insns,
         }
     }
@@ -497,6 +537,7 @@ impl EngineCounters {
             + self.fallback_no_block
             + self.fallback_not_resident
             + self.fallback_budget
+            + self.fallback_record
     }
 
     /// All dispatches: block and trace dispatches plus fallback steps.
@@ -518,6 +559,12 @@ impl EngineCounters {
     pub fn share(&self, count: u64) -> f64 {
         ratio(count, self.dispatches())
     }
+
+    /// Side exits as a share of handler-trace dispatches (0.0 when there
+    /// were none).
+    pub fn side_exit_share(&self) -> f64 {
+        ratio(self.side_exits, self.trace_dispatches)
+    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -535,6 +582,7 @@ pub(crate) enum Fallback {
     NoBlock,
     NotResident,
     Budget,
+    Record,
 }
 
 impl EngineCounters {
@@ -546,6 +594,7 @@ impl EngineCounters {
             Fallback::NoBlock => &mut self.fallback_no_block,
             Fallback::NotResident => &mut self.fallback_not_resident,
             Fallback::Budget => &mut self.fallback_budget,
+            Fallback::Record => &mut self.fallback_record,
         } += 1;
     }
 }
@@ -631,6 +680,15 @@ impl BlockCache {
         let i = self.trace_slots[Self::trace_slot(pc)];
         let t = self.traces.get(i as usize)?;
         (t.pc == pc && t.gen == self.hgen).then_some(i as usize)
+    }
+
+    /// Is there a trace entered at `pc` built at an earlier handler
+    /// generation (one a handler-RAM store invalidated)?
+    pub fn trace_stale(&self, pc: u32) -> bool {
+        let i = self.trace_slots[Self::trace_slot(pc)];
+        self.traces
+            .get(i as usize)
+            .is_some_and(|t| t.pc == pc && t.gen != self.hgen)
     }
 
     /// The trace entry to build into for `pc`: its slot's current trace
@@ -781,29 +839,15 @@ pub(crate) fn is_terminator(insn: &Instruction) -> bool {
     )
 }
 
-/// Where a handler trace goes after `insn` at `pc`: the jump target of
-/// `j`/`jal`, the fall-through of a forward conditional branch, the
-/// target of a backward one, the next word otherwise. `None` ends the
-/// trace after `insn` (register jumps, `iret`, `syscall`, `break`, or
-/// the top of the address space). The caller ends the trace before a
-/// next PC outside handler RAM.
-pub(crate) fn trace_next(pc: u32, insn: &Instruction) -> Option<u32> {
-    use Instruction::*;
-    match *insn {
-        J { target } | Jal { target } => Some((pc.wrapping_add(4) & 0xf000_0000) | (target << 2)),
-        Beq { offset, .. }
-        | Bne { offset, .. }
-        | Blez { offset, .. }
-        | Bgtz { offset, .. }
-        | Bltz { offset, .. }
-        | Bgez { offset, .. }
-            if offset < 0 =>
-        {
-            Some(pc.wrapping_add(4).wrapping_add((offset as i32 as u32) << 2))
-        }
-        Jr { .. } | Jalr { .. } | Iret | Syscall | Break { .. } => None,
-        _ => pc.checked_add(4),
-    }
+/// Does `insn` end a handler trace? `iret` leaves exception mode,
+/// `syscall` may exit the program, and `break` always faults: the
+/// op loop commits the last op's next PC as is, so each of these must
+/// be a trace's last op (a recording stops right after it).
+pub(crate) fn ends_trace(insn: &Instruction) -> bool {
+    matches!(
+        insn,
+        Instruction::Iret | Instruction::Syscall | Instruction::Break { .. }
+    )
 }
 
 /// The destination register `insn` loads into, if it is a load (the
@@ -818,10 +862,12 @@ pub(crate) fn load_dest(insn: &Instruction) -> Option<Reg> {
 }
 
 /// Can a handler trace leave right after `insn`? A conditional branch
-/// may go the other way than the trace followed, and a plain store
-/// (`sb`/`sh`/`sw`) may rewrite the handler RAM the trace was built
-/// from. `swic` writes the I-cache, never memory, and every other op's
-/// next PC is the trace's by construction. See [`Trace::checks`].
+/// may go the other way than the recording went, a register jump
+/// (`jr`/`jalr`) somewhere else, and a plain store (`sb`/`sh`/`sw`) may
+/// rewrite the handler RAM the trace was built from. `swic` writes the
+/// I-cache, never memory, `j`/`jal` always go where they went when
+/// recorded, and every other op's next PC is the next word. See
+/// [`Trace::checks`].
 pub(crate) fn is_checked(insn: &Instruction) -> bool {
     use Instruction::*;
     matches!(
@@ -832,6 +878,8 @@ pub(crate) fn is_checked(insn: &Instruction) -> bool {
             | Bgtz { .. }
             | Bltz { .. }
             | Bgez { .. }
+            | Jr { .. }
+            | Jalr { .. }
             | Sb { .. }
             | Sh { .. }
             | Sw { .. }
@@ -855,9 +903,9 @@ pub(crate) struct BuiltOps {
     /// Number of ops built (0: no unit).
     pub len: usize,
     /// See [`Block::interlocks`].
-    pub interlocks: u32,
+    pub interlocks: u64,
     /// See [`Trace::checks`].
-    pub checks: u32,
+    pub checks: u64,
     /// See [`Block::hilo`].
     pub hilo: bool,
     /// See [`Block::ends_load`].
@@ -872,7 +920,7 @@ pub(crate) struct BuiltOps {
 fn build<const N: usize>(
     pc: u32,
     mut read: impl FnMut(u32) -> Option<u32>,
-    next: impl Fn(u32, &Instruction) -> Option<u32>,
+    mut next: impl FnMut(u32, &Instruction) -> Option<u32>,
     insns: &mut [Instruction; N],
     pcs: &mut [u32; N],
 ) -> BuiltOps {
@@ -886,10 +934,10 @@ fn build<const N: usize>(
         };
         let (a, b) = insn.src_regs();
         if prev_load.is_some() && (a == prev_load || b == prev_load) {
-            built.interlocks |= 1 << built.len;
+            built.interlocks |= 1u64 << built.len;
         }
         if is_checked(&insn) {
-            built.checks |= 1 << built.len;
+            built.checks |= 1u64 << built.len;
         }
         built.hilo |= is_hilo(&insn);
         insns[built.len] = insn;
@@ -930,21 +978,28 @@ pub(crate) fn build_block_ops(
     )
 }
 
-/// Builds a handler trace entered at `pc` into `t` from the handler-RAM
-/// words in `[start, end)` (read through `read`), stamped with the
-/// handler generation `gen`. Returns the number of ops (0: no trace —
-/// `pc` is outside handler RAM or its word does not decode).
+/// Builds a handler trace into `t` along `path`, the PCs a recording
+/// committed in order (at most [`TRACE_OPS`]; `path[0]` is the entry
+/// PC), reading each op's word through `read` and stamping the trace
+/// with the handler generation `gen` the recording ran at. The trace
+/// stops early after an op that [`ends_trace`] or before an
+/// undecodable word. Returns the number of ops (0: no trace — `path`
+/// is empty or its first word does not decode).
 pub(crate) fn build_trace(
-    pc: u32,
-    (start, end): (u32, u32),
+    path: &[u32],
     read: impl Fn(u32) -> u32,
     gen: u64,
     t: &mut Trace,
 ) -> usize {
+    let Some((&pc, rest)) = path.split_first() else {
+        t.pc = u32::MAX;
+        return 0;
+    };
+    let mut rest = rest.iter().copied();
     let built = build(
         pc,
-        |a| (start..end).contains(&a).then(|| read(a)),
-        trace_next,
+        |a| Some(read(a)),
+        |_, insn| if ends_trace(insn) { None } else { rest.next() },
         &mut t.insns,
         &mut t.pcs,
     );
@@ -978,7 +1033,7 @@ mod tests {
 
     #[test]
     fn engine_counter_fields_round_trip_in_declaration_order() {
-        let v: [u64; 12] = std::array::from_fn(|i| i as u64 + 1);
+        let v: [u64; 15] = std::array::from_fn(|i| i as u64 + 1);
         let e = EngineCounters::from_array(v);
         assert_eq!(e.to_array(), v);
         // Each name is its field's, in declaration order: the derived
@@ -1072,7 +1127,7 @@ mod tests {
         assert!(!bc.touched);
         bc.touched = true;
         bc.blocks[3].pc = 12;
-        build_trace(4, (0, 8), |_| word(add()), 0, bc.trace_entry(4));
+        build_trace(&[4], |_| word(add()), 0, bc.trace_entry(4));
         assert_eq!(bc.trace_at(4), Some(0));
         bc.seen[5] = 20;
         bc.reset();
@@ -1169,17 +1224,17 @@ mod tests {
         assert_eq!(built.checks & 2, 0, "swic writes the I-cache, not memory");
     }
 
-    /// Handler RAM for the trace-builder tests.
+    /// Handler RAM for the path-builder tests.
     const H: u32 = 0x0ff0_0000;
 
-    /// Builds the trace entered at `pc` over `words` placed at `H`
-    /// (handler RAM is exactly `words`), returning it.
-    fn trace(words: &[Instruction], pc: u32) -> Trace {
+    /// Builds the trace along `path` (word indices into `words`, placed
+    /// at `H`), returning it.
+    fn trace(words: &[Instruction], path: &[u32]) -> Trace {
         let mut bc = BlockCache::new();
-        let end = H + 4 * words.len() as u32;
+        let path: Vec<u32> = path.iter().map(|w| H + 4 * w).collect();
+        let pc = path.first().copied().unwrap_or(H);
         build_trace(
-            pc,
-            (H, end),
+            &path,
             |a| word(words[((a - H) / 4) as usize]),
             7,
             bc.trace_entry(pc),
@@ -1187,6 +1242,7 @@ mod tests {
         bc.traces.pop().expect("an entry")
     }
 
+    /// The trace's op PCs as word indices.
     fn pcs(t: &Trace) -> Vec<u32> {
         t.pcs[..t.len as usize]
             .iter()
@@ -1208,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_follows_jal_into_the_callee_and_stops_at_its_return() {
+    fn trace_follows_its_path_through_a_call_and_its_return() {
         use Instruction::*;
         // 0: add; 1: jal 4; 2: add; 3: iret; 4: add; 5: jr $ra
         let words = [
@@ -1219,15 +1275,16 @@ mod tests {
             add(),
             Jr { rs: Reg::RA },
         ];
-        let t = trace(&words, H);
-        assert_eq!(pcs(&t), [0, 1, 4, 5], "jal target followed, jr ends");
+        let t = trace(&words, &[0, 1, 4, 5, 2, 3]);
+        assert_eq!(pcs(&t), [0, 1, 4, 5, 2, 3], "through the return to iret");
         assert_eq!((t.pc, t.gen), (H, 7));
-        // Entered at the return point, the trace runs to `iret`.
-        assert_eq!(pcs(&trace(&words, H + 8)), [2, 3]);
+        assert_eq!(t.checks, 1 << 3, "only the jr may go elsewhere");
+        // Entered at the return point, the trace is just the tail.
+        assert_eq!(pcs(&trace(&words, &[2, 3])), [2, 3]);
     }
 
     #[test]
-    fn trace_falls_through_forward_branches_and_takes_backward_ones() {
+    fn trace_keeps_the_direction_each_branch_took() {
         use Instruction::*;
         // 0: beq +1 (forward, to 2); 1: add; 2: add; 3: bne -2 (back to 2)
         let words = [
@@ -1244,14 +1301,20 @@ mod tests {
                 offset: -2,
             },
         ];
-        let t = trace(&words, H);
-        // Fall through 0 → 1, then loop 2 → 3 → 2 → 3 … to the cap.
-        let mut expect = vec![0, 1];
-        while expect.len() < TRACE_OPS {
-            expect.push(2 + (expect.len() as u32 % 2));
+        // A recording that took the forward branch and left the loop
+        // after two trips keeps exactly that path.
+        let t = trace(&words, &[0, 2, 3, 2, 3]);
+        assert_eq!(pcs(&t), [0, 2, 3, 2, 3]);
+        assert_eq!(t.checks, 0b10101, "every branch, taken or not");
+        // One that fell through and looped to the cap unrolls the loop.
+        let mut path = vec![0, 1];
+        while path.len() < TRACE_OPS {
+            path.push(2 + (path.len() as u32 % 2));
         }
-        assert_eq!(pcs(&t), expect);
-        assert_eq!(t.len as usize, TRACE_OPS, "the loop runs to the op cap");
+        let t = trace(&words, &path);
+        assert_eq!(pcs(&t), path);
+        assert_eq!(t.len as usize, TRACE_OPS);
+        assert_ne!(t.checks & (1 << (TRACE_OPS - 1)), 0, "the mask is 64 bits");
     }
 
     #[test]
@@ -1268,13 +1331,13 @@ mod tests {
             offset: 0,
         };
         let words = [sw, swic, sw, Iret];
-        let t = trace(&words, H);
+        let t = trace(&words, &[0, 1, 2, 3]);
         assert_eq!(pcs(&t), [0, 1, 2, 3], "swic does not end a trace");
         assert_eq!(t.checks, 0b101, "plain stores, not swic");
     }
 
     #[test]
-    fn check_mask_marks_exactly_conditional_branches_and_plain_stores() {
+    fn check_mask_marks_exactly_branches_register_jumps_and_plain_stores() {
         use Instruction::*;
         let (rs, rt, base) = (Reg::T0, Reg::T1, Reg::SP);
         let marked = [
@@ -1284,6 +1347,8 @@ mod tests {
             Bgtz { rs, offset: 1 },
             Bltz { rs, offset: 1 },
             Bgez { rs, offset: 1 },
+            Jr { rs: Reg::RA },
+            Jalr { rd: Reg::RA, rs },
             Sb {
                 rt,
                 base,
@@ -1308,8 +1373,6 @@ mod tests {
                 base,
                 offset: 0,
             },
-            Jr { rs: Reg::RA },
-            Jalr { rd: Reg::RA, rs },
             Iret,
             Syscall,
             Break { code: 1 },
@@ -1351,8 +1414,9 @@ mod tests {
         use Instruction::*;
         let (rs, rt, base) = (Reg::T0, Reg::T1, Reg::SP);
         // 0: add; 1: sw; 2: j 5; 3: sb (skipped); 4: add (skipped);
-        // 5: swic; 6: beq +1 (falls through); 7: jal 9; 8: iret;
-        // 9: sh; 10: lw; 11: bne -3 (taken, back to 9) …
+        // 5: swic; 6: beq +1 (fell through); 7: jal 9; 8: iret;
+        // 9: sh; 10: lw; 11: bne -3 (taken once, back to 9), then
+        // 12: jr $ra back to 8.
         let words = [
             add(),
             Sw {
@@ -1386,46 +1450,41 @@ mod tests {
                 offset: 0,
             },
             Bne { rs, rt, offset: -3 },
+            Jr { rs: Reg::RA },
         ];
-        let t = trace(&words, H);
-        let path = pcs(&t);
-        assert_eq!(path[..9], [0, 1, 2, 5, 6, 7, 9, 10, 11]);
+        let path = [0, 1, 2, 5, 6, 7, 9, 10, 11, 9, 10, 11, 12, 8];
+        let t = trace(&words, &path);
+        assert_eq!(pcs(&t), path);
         for (i, &w) in path.iter().enumerate() {
-            let want = matches!(w, 1 | 6 | 9 | 11);
+            let want = matches!(w, 1 | 6 | 9 | 11 | 12);
             assert_eq!(t.checks & (1 << i) != 0, want, "op {i} (word {w})");
         }
     }
 
     #[test]
-    fn trace_stops_at_the_end_of_handler_ram_and_before_bad_words() {
+    fn trace_ends_after_iret_syscall_and_break_and_before_bad_words() {
         use Instruction::*;
-        // Straight-line code running off the end of handler RAM.
-        assert_eq!(pcs(&trace(&[add(), add(), add()], H)), [0, 1, 2]);
-        // A forward branch falling through past the end, and a jump out.
-        let fwd = Beq {
-            rs: Reg::T0,
-            rt: Reg::T1,
-            offset: 4,
-        };
-        assert_eq!(pcs(&trace(&[add(), fwd], H)), [0, 1]);
-        let out = J {
-            target: 0x2000 >> 2,
-        };
-        assert_eq!(pcs(&trace(&[add(), out, add()], H)), [0, 1]);
-        // An entry point outside handler RAM builds nothing.
-        let t = trace(&[add()], H + 4);
+        // A path running on past an op that must end a trace is cut
+        // right after it.
+        for end in [Iret, Syscall, Break { code: 2 }] {
+            let words = [add(), end, add()];
+            assert_eq!(pcs(&trace(&words, &[0, 1, 2])), [0, 1], "{end:?}");
+        }
+        // An empty path builds nothing.
+        let t = trace(&[add()], &[]);
         assert_eq!((t.len, t.pc), (0, u32::MAX));
-        // An undecodable word ends the trace before it.
+        // An undecodable word ends the trace before it; one at the
+        // entry builds nothing.
         let mut bc = BlockCache::new();
         let words = [word(add()), 0xFFFF_FFFF, word(add())];
-        let n = build_trace(
-            H,
-            (H, H + 12),
-            |a| words[((a - H) / 4) as usize],
-            0,
-            bc.trace_entry(H),
+        let read = |a: u32| words[((a - H) / 4) as usize];
+        assert_eq!(
+            build_trace(&[H, H + 4, H + 8], read, 0, bc.trace_entry(H)),
+            1
         );
-        assert_eq!(n, 1);
+        let t = bc.trace_entry(H + 4);
+        assert_eq!(build_trace(&[H + 4, H + 8], read, 0, t), 0);
+        assert_eq!(t.pc, u32::MAX);
     }
 
     #[test]
@@ -1438,31 +1497,36 @@ mod tests {
             offset: 0,
         };
         let words = [lw, J { target: to(3) }, lw, add(), Iret];
-        let t = trace(&words, H);
-        assert_eq!(pcs(&t), [0, 1, 3, 4]);
+        let t = trace(&words, &[0, 1, 3, 4]);
         assert_eq!(t.interlocks, 0, "the j sits between the load and its use");
         let words = [add(), J { target: to(3) }, add(), lw, add(), Iret];
-        let t = trace(&words, H);
-        assert_eq!(pcs(&t), [0, 1, 3, 4, 5]);
+        let t = trace(&words, &[0, 1, 3, 4, 5]);
         assert_eq!(t.interlocks, 0b1000, "op 3 uses op 2's load");
         assert!(!t.ends_load);
+        // A load that ends a path (a recording cut at the cap) is noted.
+        let t = trace(&words, &[0, 1, 3]);
+        assert!(t.ends_load);
     }
 
     #[test]
     fn traces_are_valid_at_their_generation_only() {
         let mut bc = BlockCache::new();
         let nop = |_| word(add());
-        build_trace(H, (H, H + 16), nop, bc.hgen, bc.trace_entry(H));
+        build_trace(&[H, H + 4], nop, bc.hgen, bc.trace_entry(H));
         assert_eq!(bc.trace_at(H), Some(0));
+        assert!(!bc.trace_stale(H));
         assert_eq!(
             bc.trace_at(H + 4),
             None,
             "other entry points need their own"
         );
+        assert!(!bc.trace_stale(H + 4), "missing, not stale");
         bc.hgen += 1;
         assert_eq!(bc.trace_at(H), None, "a handler-RAM store invalidates it");
+        assert!(bc.trace_stale(H));
         // Rebuilding reuses the slot's entry.
-        build_trace(H, (H, H + 16), nop, bc.hgen, bc.trace_entry(H));
+        build_trace(&[H], nop, bc.hgen, bc.trace_entry(H));
         assert_eq!((bc.trace_at(H), bc.traces.len()), (Some(0), 1));
+        assert!(!bc.trace_stale(H));
     }
 }

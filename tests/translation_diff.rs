@@ -26,11 +26,16 @@
 //! * **harness edits between runs** — memory rewritten through
 //!   `mem_mut()` behind the simulator's back must never be served from
 //!   a block built in an earlier run of the same machine.
-//! * **handler traces** — a trace follows the handler's static path and
-//!   must leave it at exactly the op the interpreter would: a branch
-//!   going the other way (both directions, forward and backward), a
-//!   store rewriting handler RAM ahead of the running trace, a jump out
-//!   of handler RAM, and an instruction budget running out mid-trace.
+//! * **handler traces** — a trace is recorded along the path the
+//!   handler took the first time it ran from its entry PC, and must
+//!   leave it at exactly the op the interpreter would: a branch going
+//!   the other way (both directions, forward and backward), a `jr`
+//!   returning somewhere else, a store rewriting handler RAM ahead of
+//!   the running trace, a jump out of handler RAM, and an instruction
+//!   budget running out mid-trace. A recording must stop exactly where
+//!   the interpreter would too: at the budget, and (installing nothing)
+//!   at a store into handler RAM. A seeded generator of small branchy
+//!   handlers drives all of these at once.
 
 use rtdc_isa::program::ObjectProgram;
 use rtdc_isa::{encode, Instruction, Reg};
@@ -38,6 +43,7 @@ use rtdc_repro::core::fault::FaultPlan;
 use rtdc_repro::core::prelude::*;
 use rtdc_repro::sim::{map, EngineCounters, Machine, SimError, Stats};
 use rtdc_repro::workloads::{generate, programs, spec::tiny};
+use rtdc_rng::{fuzz, Rng64};
 
 const MAX_INSNS: u64 = 50_000_000;
 
@@ -572,7 +578,12 @@ patch:
         Ok(lines * (lines + 1) / 2 + lines),
         "patched words ran"
     );
-    assert!(engine.side_exits >= 16, "{engine:?}");
+    // A recording cut by a handler-RAM store installs nothing, so no
+    // trace ever holds the store: each exception records its way up to
+    // it afresh (≥ 4 ops), and the store leaves the tail trace the
+    // previous exception recorded stale.
+    assert!(engine.fallback_record >= 16 * 4, "{engine:?}");
+    assert_eq!(engine.invalidations, 15, "{engine:?}");
     assert!(
         engine.trace_builds >= 16,
         "every store invalidates: {engine:?}"
@@ -600,5 +611,214 @@ fn budget_running_out_inside_a_trace_stops_identically() {
             "budget {budget} of {total}"
         );
         assert_eq!(end.stats.insns, budget);
+    }
+}
+
+/// A handler whose first exception takes the rare direction of a
+/// branch (`$s1` is 0 only then): the entry trace is recorded along the
+/// rare path, and every later exception side-exits at that branch into
+/// a trace of its own.
+#[test]
+fn handler_first_run_takes_the_rare_direction() {
+    let handler = handler_words(&format!(
+        "
+        bne  $s1, $0, common  # taken on every exception but the first
+        addiu $s5, $s5, 100
+common:
+        addiu $s1, $s1, 1
+{HANDLER_CASE_FILL}"
+    ));
+    let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "rare first");
+    assert_eq!(end.result, Ok(HANDLER_CASE_LINES));
+    assert_eq!(end.regs[Reg::S5.number() as usize], 100);
+    assert_eq!(engine.side_exits, 15, "{engine:?}");
+    assert_eq!(engine.trace_builds, 2, "the rare path and the common one");
+}
+
+/// A leaf called from two sites, with a branch inside it: the trace
+/// entered at the branch's target (after a side exit) holds the leaf's
+/// `jr $ra` and the return the recording took, and a later call from
+/// the other site reaches that `jr` with a different `$ra`, which must
+/// side-exit there.
+#[test]
+fn handler_return_elsewhere_than_recorded_side_exits() {
+    let handler = handler_words(&format!(
+        "
+        move $25, $31
+        andi $8, $s1, 1
+        beq  $8, $0, site_b   # even exceptions call from site b
+        jal  leaf
+        addiu $s5, $s5, 1
+        j    join
+site_b:
+        jal  leaf
+        addiu $s5, $s5, 2
+join:
+        addiu $s1, $s1, 1
+        move $31, $25
+{HANDLER_CASE_FILL}
+leaf:
+        andi $10, $s1, 2
+        beq  $10, $0, ret     # bit 1 of $s1: 0, 0, 1, 1, 0, ...
+        addiu $s6, $s6, 1
+ret:
+        jr   $ra
+"
+    ));
+    let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "jr elsewhere");
+    assert_eq!(end.result, Ok(HANDLER_CASE_LINES));
+    let lines = HANDLER_CASE_LINES;
+    assert_eq!(end.regs[Reg::S5.number() as usize], lines / 2 * 3);
+    assert_eq!(end.regs[Reg::S6.number() as usize], lines / 2);
+    assert!(engine.side_exits > 0, "{engine:?}");
+}
+
+/// Every budget that ends inside the first exception's recordings
+/// stops both engines at the same instruction, and the translated one
+/// has run every handler instruction so far as a recording step. The
+/// first exception runs 137 handler instructions, so it records three
+/// traces: two cut at the 64-op cap, then one that ends at `iret`.
+#[test]
+fn budget_running_out_at_every_point_of_a_recording_stops_identically() {
+    let handler = handler_words(&format!(
+        "
+        li   $10, 30
+spin:
+        addiu $s6, $s6, 1
+        addiu $10, $10, -1
+        bgtz $10, spin
+{HANDLER_CASE_FILL}"
+    ));
+    // Instructions the program commits before its first exception.
+    let mut before = 1;
+    while run_handler_case(&handler, before + 1, false)
+        .0
+        .stats
+        .handler_insns
+        == 0
+    {
+        before += 1;
+    }
+    for budget in before + 1..=before + 137 {
+        let (end, engine) = assert_handler_case_identical(&handler, budget, "recording budget");
+        assert_eq!(
+            end.result,
+            Err(SimError::InsnLimitExceeded { limit: budget })
+        );
+        assert_eq!(end.stats.handler_insns, budget - before);
+        assert_eq!(engine.fallback_record, budget - before, "{engine:?}");
+        assert_eq!(engine.trace_dispatches, 0, "{engine:?}");
+    }
+}
+
+/// A store into handler RAM in the middle of a recording (here over
+/// the op the recording started at, behind it) stops the recording with
+/// nothing installed; odd exceptions store, even ones do not, so traces
+/// are installed, invalidated and recorded again in turn.
+#[test]
+fn handler_store_during_a_recording_installs_nothing() {
+    let handler = handler_words(&format!(
+        "
+entry:
+        addiu $s5, $s5, 1     # the store bumps this immediate
+        addiu $s1, $s1, 1
+        andi $8, $s1, 1
+        beq  $8, $0, nostore
+        la   $10, entry
+        lw   $11, 0($10)
+        addiu $11, $11, 1
+        sw   $11, 0($10)
+        addiu $s6, $s6, 1
+nostore:
+{HANDLER_CASE_FILL}"
+    ));
+    let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "store mid-recording");
+    assert_eq!(end.result, Ok(HANDLER_CASE_LINES));
+    assert_eq!(end.regs[Reg::S6.number() as usize], HANDLER_CASE_LINES / 2);
+    // Immediates 1, 2, 2, 3, 3, …, 8, 8, 9: each odd exception's store
+    // takes effect from the next exception on.
+    assert_eq!(end.regs[Reg::S5.number() as usize], 80);
+    assert!(engine.invalidations > 0, "{engine:?}");
+    assert!(engine.trace_dispatches > 0, "{engine:?}");
+}
+
+/// Scratch memory the generated handlers load from and store to.
+const SCRATCH: u32 = HANDLER_CASE_TEMPLATE + 0x100;
+
+/// A seeded branchy handler: a body of random fragments — forward
+/// branches and bounded backward loops on `$s1` (which changes every
+/// exception), `jal`s to leaf subroutines (each with its own branch and
+/// called from several sites), loads and stores into scratch memory,
+/// `mult`/`mflo`, and stores that patch an immediate in handler RAM —
+/// then [`HANDLER_CASE_FILL`], then the leaves.
+fn random_handler(rng: &mut Rng64) -> String {
+    let simple = |rng: &mut Rng64| -> String {
+        let off = 4 * rng.gen_range(0..8u32);
+        match rng.gen_range(0..6u32) {
+            0 => format!("addiu $s5, $s5, {}\n", rng.gen_range(1..100u32)),
+            1 => "addu $s6, $s6, $s1\nxor $s7, $s7, $s6\n".to_string(),
+            2 => "sll $13, $s1, 2\naddu $s5, $s5, $13\n".to_string(),
+            3 => "mult $s1, $s6\nmflo $13\naddu $s7, $s7, $13\n".to_string(),
+            4 => format!("lw $11, {off}($24)\naddu $s5, $s5, $11\n"),
+            _ => format!("sw $s6, {off}($24)\n"),
+        }
+    };
+    let leaves = rng.gen_range(1..4usize);
+    let mut body = format!("move $25, $31\nli $24, {SCRATCH}\naddiu $s1, $s1, 1\n");
+    for k in 0..rng.gen_range(2..10usize) {
+        match rng.gen_range(0..6u32) {
+            0 => {
+                let (op, mask) = (*rng.choose(&["beq", "bne"]), rng.gen_range(1..8u32));
+                body += &format!("andi $8, $s1, {mask}\n{op} $8, $0, f{k}\n");
+                for _ in 0..rng.gen_range(1..3usize) {
+                    body += &simple(rng);
+                }
+                body += &format!("f{k}:\n");
+            }
+            1 => {
+                body += &format!(
+                    "andi $10, $s1, 3\naddiu $10, $10, 1\nl{k}:\n{}addiu $10, $10, -1\nbgtz $10, l{k}\n",
+                    simple(rng)
+                );
+            }
+            2 => body += &format!("jal leaf{}\n", rng.gen_range(0..leaves)),
+            3 => {
+                body += &format!(
+                    "la $14, p{k}\nlw $15, 0($14)\naddiu $15, $15, 1\nsw $15, 0($14)\np{k}:\naddiu $s7, $s7, 1\n"
+                );
+            }
+            _ => body += &simple(rng),
+        }
+    }
+    body += "move $31, $25\n";
+    body += HANDLER_CASE_FILL;
+    for j in 0..leaves {
+        let mask = rng.gen_range(1..8u32);
+        body += &format!(
+            "leaf{j}:\nandi $8, $s1, {mask}\nbeq $8, $0, r{j}\n{}r{j}:\n{}jr $ra\n",
+            simple(rng),
+            simple(rng)
+        );
+    }
+    body
+}
+
+/// Generated handlers run identically on both engines, to completion
+/// and under a random budget, with every instruction accounted for.
+#[test]
+fn generated_handlers_identical_with_translation() {
+    let mut rng = Rng64::seed_from_u64(29);
+    for i in 0..fuzz::iters(200) {
+        let src = random_handler(&mut rng);
+        let handler = handler_words(&src);
+        let label = format!("iter {i}:\n{src}");
+        let (full, _) = assert_handler_case_identical(&handler, MAX_INSNS, &label);
+        assert_eq!(
+            full.result,
+            Ok(full.regs[Reg::S1.number() as usize]),
+            "{label}"
+        );
+        let budget = rng.gen_range(1..=full.stats.insns);
+        assert_handler_case_identical(&handler, budget, &label);
     }
 }
