@@ -1187,15 +1187,12 @@ impl<S: TraceSink> Machine<S> {
     /// mode, at the instruction budget, or at [`TRACE_OPS`] ops. A store
     /// into handler RAM (the generation moves) stops it with nothing
     /// installed: the path ahead may no longer be the code that ran, and
-    /// the next dispatch records again. An error stops it likewise. A
-    /// `pc` outside handler RAM single-steps once, which raises the
-    /// interpreter's error.
+    /// the next dispatch records again. An error stops it likewise: a
+    /// `pc` outside handler RAM raises the interpreter's error at the
+    /// first step.
     #[cold]
     #[inline(never)]
     fn record_trace(&mut self, pc: u32, max_insns: u64) -> Result<Step, SimError> {
-        if !Self::in_range(self.handler_range, pc) {
-            return self.fallback(Fallback::NoBlock);
-        }
         let bc = self
             .blocks
             .as_deref_mut()

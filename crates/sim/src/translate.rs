@@ -440,8 +440,8 @@ pub struct EngineCounters {
     /// Fallback steps at a program PC dispatched for the first time
     /// (blocks are built on the second sighting).
     pub fallback_first_sighting: u64,
-    /// Fallback steps where no unit could be built (a non-resident or
-    /// undecodable word, a PC outside the unit kind's region).
+    /// Fallback steps where no program block could be built (a
+    /// non-resident or undecodable word, a PC in handler RAM).
     pub fallback_no_block: u64,
     /// Fallback steps at a valid program block whose backing line was
     /// evicted (the step refills it or takes the decompression

@@ -557,37 +557,42 @@ fn handler_trace_side_exits_match_the_interpreter() {
 
 #[test]
 fn handler_store_ahead_of_its_trace_is_fetched() {
-    // Each exception bumps the immediate of the `addiu` right after the
-    // store before running it: a trace built from the old word must
-    // leave right after the store.
+    // Each exception increments the immediate of the `addiu` right
+    // after the store, and stores the new word by address: into scratch
+    // on odd exceptions (`$s2`, the lines done so far, is even), over
+    // `patch` on even ones. The address is picked without a branch, so
+    // the trace recorded on an odd exception holds the store, and the
+    // next exception runs that trace into handler RAM: it must leave
+    // right after the store, because the op ahead was built from the
+    // old word.
     let handler = handler_words(&format!(
         "
         la   $8, patch
         lw   $9, 0($8)
         addiu $9, $9, 1
-        sw   $9, 0($8)
+        li   $10, {SCRATCH}
+        andi $11, $s2, 1
+        subu $11, $0, $11     # all ones on even exceptions
+        xor  $12, $8, $10
+        and  $12, $12, $11
+        xor  $10, $10, $12    # `patch` on even exceptions, else scratch
+        sw   $9, 0($10)
 patch:
         addiu $s1, $s1, 1
 {HANDLER_CASE_FILL}"
     ));
     let (end, engine) = assert_handler_case_identical(&handler, MAX_INSNS, "self-patching");
-    // Exception k adds k + 1 (stale words would add k).
-    let lines = HANDLER_CASE_LINES;
-    assert_eq!(
-        end.result,
-        Ok(lines * (lines + 1) / 2 + lines),
-        "patched words ran"
-    );
-    // A recording cut by a handler-RAM store installs nothing, so no
-    // trace ever holds the store: each exception records its way up to
-    // it afresh (≥ 4 ops), and the store leaves the tail trace the
-    // previous exception recorded stale.
-    assert!(engine.fallback_record >= 16 * 4, "{engine:?}");
-    assert_eq!(engine.invalidations, 15, "{engine:?}");
-    assert!(
-        engine.trace_builds >= 16,
-        "every store invalidates: {engine:?}"
-    );
+    // Exception k adds 1 + k / 2 (stale words would add k / 2 on even
+    // exceptions): 16 + (0 + 1 + 1 + … + 7 + 7 + 8).
+    assert_eq!(end.result, Ok(80), "patched words ran");
+    // Odd exceptions record the whole handler (59 ops, the store into
+    // scratch included); even ones run that trace, side-exit right
+    // after its store, and record the rest from `patch`. From the third
+    // exception on, each dispatch finds its trace stale.
+    let lines = u64::from(HANDLER_CASE_LINES);
+    assert_eq!(engine.side_exits, lines / 2, "{engine:?}");
+    assert_eq!(engine.trace_builds, lines, "{engine:?}");
+    assert_eq!(engine.invalidations, lines - 2, "{engine:?}");
 }
 
 #[test]
@@ -740,6 +745,10 @@ nostore:
     assert_eq!(end.regs[Reg::S5.number() as usize], 80);
     assert!(engine.invalidations > 0, "{engine:?}");
     assert!(engine.trace_dispatches > 0, "{engine:?}");
+    // Each exception installs what it recorded without a store, and
+    // nothing from the recordings the store cut.
+    assert_eq!(engine.trace_builds, 16, "{engine:?}");
+    assert_eq!(engine.trace_dispatches, 7, "{engine:?}");
 }
 
 /// Scratch memory the generated handlers load from and store to.
@@ -749,8 +758,9 @@ const SCRATCH: u32 = HANDLER_CASE_TEMPLATE + 0x100;
 /// branches and bounded backward loops on `$s1` (which changes every
 /// exception), `jal`s to leaf subroutines (each with its own branch and
 /// called from several sites), loads and stores into scratch memory,
-/// `mult`/`mflo`, and stores that patch an immediate in handler RAM —
-/// then [`HANDLER_CASE_FILL`], then the leaves.
+/// `mult`/`mflo`, and stores that patch an immediate in handler RAM on
+/// some exceptions and hit scratch on the others — then
+/// [`HANDLER_CASE_FILL`], then the leaves.
 fn random_handler(rng: &mut Rng64) -> String {
     let simple = |rng: &mut Rng64| -> String {
         let off = 4 * rng.gen_range(0..8u32);
@@ -783,8 +793,16 @@ fn random_handler(rng: &mut Rng64) -> String {
             }
             2 => body += &format!("jal leaf{}\n", rng.gen_range(0..leaves)),
             3 => {
+                // Bump `p{k}`'s immediate and store the word, without a
+                // branch, over `p{k}` when `$s1 & mask` is non-zero and
+                // into scratch otherwise: a trace recorded on a scratch
+                // store later runs the store into handler RAM.
+                let mask = rng.gen_range(1..8u32);
                 body += &format!(
-                    "la $14, p{k}\nlw $15, 0($14)\naddiu $15, $15, 1\nsw $15, 0($14)\np{k}:\naddiu $s7, $s7, 1\n"
+                    "la $14, p{k}\nlw $15, 0($14)\naddiu $15, $15, 1\n\
+                     andi $13, $s1, {mask}\nsltu $13, $0, $13\nsubu $13, $0, $13\n\
+                     xor $12, $14, $24\nand $12, $12, $13\nxor $12, $24, $12\n\
+                     sw $15, 0($12)\np{k}:\naddiu $s7, $s7, 1\n"
                 );
             }
             _ => body += &simple(rng),
