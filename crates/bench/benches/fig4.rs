@@ -126,10 +126,10 @@ fn shape_checks(label: &str, points: &[Point], limit: f64) -> [String; 3] {
 }
 
 fn main() {
+    let jobs = jobs_from_env();
     println!("== Figure 4: Effect of I-cache miss ratio on execution time ==\n");
     let sizes = [4 * 1024u32, 16 * 1024, 64 * 1024];
     let specs = all_benchmarks();
-    let jobs = jobs_from_env();
 
     let mut checks = Vec::new();
     for (i, scheme) in Scheme::paper_schemes().enumerate() {

@@ -76,12 +76,13 @@ fn bench_block(spec: &BenchmarkSpec, cfg: SimConfig) -> String {
 }
 
 fn main() {
+    let jobs = jobs_from_env();
     let cfg = SimConfig::hpca2000_baseline();
     println!("== Figure 5: selective compression size/speed curves ==");
     println!("(each point: compression ratio % -> slowdown vs native)\n");
 
     let specs = all_benchmarks();
-    for block in parallel_map(&specs, jobs_from_env(), |spec| bench_block(spec, cfg)) {
+    for block in parallel_map(&specs, jobs, |spec| bench_block(spec, cfg)) {
         println!("{block}");
     }
     println!("Shape checks: curves run from fully-compressed (left, slow) to native");

@@ -107,12 +107,13 @@ fn bench_block(spec: &BenchmarkSpec, cfg: SimConfig) -> String {
 }
 
 fn main() {
+    let jobs = jobs_from_env();
     let cfg = SimConfig::hpca2000_baseline();
     println!("== Policy: closed-loop plans vs fig. 5 selection heuristics ==");
     println!("(plan budget = best heuristic point's native bytes; equal-size comparison)\n");
 
     let specs = all_benchmarks();
-    let blocks = parallel_map(&specs, jobs_from_env(), |spec| bench_block(spec, cfg));
+    let blocks = parallel_map(&specs, jobs, |spec| bench_block(spec, cfg));
     let mut wins = 0;
     let mut ties = 0;
     let mut losses = 0;

@@ -18,6 +18,7 @@ use rtdc_sim::SimConfig;
 use rtdc_workloads::all_benchmarks;
 
 fn main() {
+    let jobs = jobs_from_env();
     let cfg = SimConfig::hpca2000_baseline();
     println!("== Table 2: Compression ratio of .text section ==");
     println!("(paper values in parentheses; dynamic counts intentionally ~25-100x shorter)\n");
@@ -34,7 +35,7 @@ fn main() {
         "LZRW1 ratio",
     );
     let specs = all_benchmarks();
-    let rows = table2_rows(&specs, cfg, jobs_from_env());
+    let rows = table2_rows(&specs, cfg, jobs);
     for (spec, r) in specs.iter().zip(&rows) {
         let p = spec.paper;
         let mut line = format!(

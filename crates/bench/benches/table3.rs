@@ -18,6 +18,7 @@ use rtdc_sim::SimConfig;
 use rtdc_workloads::all_benchmarks;
 
 fn main() {
+    let jobs = jobs_from_env();
     let cfg = SimConfig::hpca2000_baseline();
     println!("== Table 3: Slowdown compared to native code ==");
     println!("(paper values in parentheses)\n");
@@ -33,7 +34,7 @@ fn main() {
     }
     println!("{header}");
     let specs = all_benchmarks();
-    let rows = table3_rows(&specs, cfg, jobs_from_env());
+    let rows = table3_rows(&specs, cfg, jobs);
     for (spec, r) in specs.iter().zip(&rows) {
         let p = spec.paper;
         let mut line = format!("{:<12} {:>14}", r.name, r.native_cycles);

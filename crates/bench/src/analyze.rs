@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::io::BufRead;
 
-use rtdc_sim::trace::{parse_line, RegionDef, TraceLine};
+use rtdc_sim::trace::{parse_line, RegionDef, StallCause, TraceLine};
 use rtdc_sim::{StallBreakdown, Stats, TraceEvent};
 
 /// A parsed trace: preamble metadata plus the event stream.
@@ -348,16 +348,8 @@ pub fn report(a: &TraceAnalysis) -> String {
         o.commit_cycles,
         pct(o.commit_cycles, o.cycles)
     );
-    for (name, cyc) in [
-        ("imiss", o.stalls.imiss),
-        ("dmiss", o.stalls.dmiss),
-        ("branch", o.stalls.branch),
-        ("regjump", o.stalls.reg_jump),
-        ("loaduse", o.stalls.load_use),
-        ("hilo", o.stalls.hilo),
-        ("swic", o.stalls.swic),
-        ("exception", o.stalls.exception),
-    ] {
+    for cause in StallCause::ALL {
+        let (name, cyc) = (cause.name(), o.stalls.get(cause));
         if cyc > 0 {
             let _ = writeln!(out, "  {name:<9} {cyc:>11}  {:5.1}%", pct(cyc, o.cycles));
         }

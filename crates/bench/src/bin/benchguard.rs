@@ -59,7 +59,17 @@
 
 use std::process::ExitCode;
 
+use rtdc_bench::args::Cli;
 use rtdc_sim::json::{self, Json};
+use rtdc_sim::trace::StallCause;
+use rtdc_sim::StallBreakdown;
+
+const CLI: Cli = Cli {
+    usage: "usage: benchguard <baseline.json> <current.json> [--config FILE]",
+    values: "config",
+    switches: "",
+    operands: 2..=2,
+};
 
 /// The guard's thresholds, from `benchguard.toml` (or defaults).
 #[derive(Debug, Clone)]
@@ -171,8 +181,7 @@ struct RowMetrics {
     cycles: u64,
     handler_share: f64,
     exc_per_kinsn: f64,
-    /// `(name, cycles)` per stall cause, in simperf's field order.
-    stalls: [(&'static str, u64); 8],
+    stalls: StallBreakdown,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -181,17 +190,6 @@ struct SchemeRow {
     mips: f64,
     metrics: Option<RowMetrics>,
 }
-
-const STALL_KEYS: [&str; 8] = [
-    "stall_imiss",
-    "stall_dmiss",
-    "stall_branch",
-    "stall_regjump",
-    "stall_loaduse",
-    "stall_hilo",
-    "stall_swic",
-    "stall_exception",
-];
 
 /// The non-empty rows of the array named `key` in a parsed report.
 fn rows<'a>(report: &'a Json, key: &str) -> Result<&'a [Json], String> {
@@ -219,9 +217,9 @@ fn scheme_rows(report: &Json) -> Result<Vec<SchemeRow>, String> {
             // The phase metrics arrived later; a row without them is an
             // old baseline, not an error.
             let metrics = (|| -> Option<RowMetrics> {
-                let mut stalls = [("", 0u64); 8];
-                for (slot, key) in stalls.iter_mut().zip(STALL_KEYS) {
-                    *slot = (key.strip_prefix("stall_").expect("key shape"), int(key)?);
+                let mut stalls = StallBreakdown::default();
+                for cause in StallCause::ALL {
+                    stalls.add(cause, int(&format!("stall_{}", cause.name()))?);
                 }
                 Some(RowMetrics {
                     cycles: int("cycles")?,
@@ -316,37 +314,28 @@ fn print_metrics_diff(scheme: &str, base: &RowMetrics, cur: &RowMetrics) {
             base.exc_per_kinsn, cur.exc_per_kinsn
         );
     }
-    for ((name, b), (_, c)) in base.stalls.iter().zip(cur.stalls.iter()) {
+    for cause in StallCause::ALL {
+        let (b, c) = (base.stalls.get(cause), cur.stalls.get(cause));
         if b != c {
-            println!("  stall {name:<9} {b:>12} -> {c:>12} cycles");
+            println!("  stall {:<9} {b:>12} -> {c:>12} cycles", cause.name());
         }
     }
 }
 
 fn run() -> Result<bool, String> {
-    const USAGE: &str = "usage: benchguard <baseline.json> <current.json> [--config FILE]";
-    let mut paths: Vec<String> = Vec::new();
-    let mut config = GuardConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--config" {
-            let path = args.next().ok_or("--config needs a file")?;
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            config = GuardConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        } else if arg.starts_with('-') {
-            return Err(format!("unexpected option `{arg}`\n{USAGE}"));
-        } else {
-            paths.push(arg);
+    let args = CLI.from_env();
+    let config = match args.opt("config") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            GuardConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?
         }
-    }
-    let (baseline_path, current_path) = match paths.as_slice() {
-        [b, c] => (b.clone(), c.clone()),
-        _ => return Err(USAGE.into()),
+        None => GuardConfig::default(),
     };
+    let (baseline_path, current_path) = (&args.operands()[0], &args.operands()[1]);
     let baseline =
-        std::fs::read_to_string(&baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
+        std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
     let current =
-        std::fs::read_to_string(&current_path).map_err(|e| format!("{current_path}: {e}"))?;
+        std::fs::read_to_string(current_path).map_err(|e| format!("{current_path}: {e}"))?;
     let baseline = parse_report(&baseline).map_err(|e| format!("{baseline_path}: {e}"))?;
     let current = parse_report(&current).map_err(|e| format!("{current_path}: {e}"))?;
     match (baseline, current) {

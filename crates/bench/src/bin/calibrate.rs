@@ -11,11 +11,19 @@
 //! cargo run --release -p rtdc-bench --bin calibrate [bench]
 //! ```
 
+use rtdc_bench::args::Cli;
 use rtdc_bench::experiments::{pct, table2_row};
 use rtdc_sim::SimConfig;
 use rtdc_workloads::idioms::{calibrate_vocab_size, CodeSampler};
 use rtdc_workloads::vocab::Vocabulary;
 use rtdc_workloads::{all_benchmarks, filler_target, BenchmarkSpec};
+
+const CLI: Cli = Cli {
+    usage: "usage: calibrate [BENCH]",
+    values: "",
+    switches: "",
+    operands: 0..=1,
+};
 
 /// Prints one spec's fit row.
 fn fit_row(spec: &BenchmarkSpec) {
@@ -41,10 +49,11 @@ fn fit_row(spec: &BenchmarkSpec) {
 
 fn main() {
     let cfg = SimConfig::hpca2000_baseline();
-    let only: Option<String> = std::env::args().nth(1);
+    let args = CLI.from_env();
+    let only = args.operands().first();
     let specs: Vec<BenchmarkSpec> = all_benchmarks()
         .into_iter()
-        .filter(|s| only.as_deref().is_none_or(|f| s.name == f))
+        .filter(|s| only.is_none_or(|f| s.name == f))
         .collect();
 
     println!(

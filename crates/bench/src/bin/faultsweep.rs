@@ -48,7 +48,15 @@ use std::process::ExitCode;
 
 use rtdc::fault::FaultPlan;
 use rtdc::prelude::*;
+use rtdc_bench::args::Cli;
 use rtdc_workloads::resolve_program;
+
+const CLI: Cli = Cli {
+    usage: "usage: faultsweep [--bench NAME] [--faults N] [--seed S]",
+    values: "bench faults seed",
+    switches: "",
+    operands: 0..=0,
+};
 
 /// Bounds corrupted runs: corrupt code may spin, so give each run a
 /// generous multiple of the clean run's instruction count.
@@ -71,40 +79,12 @@ struct Tally {
 }
 
 fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench = "sort".to_string();
-    let mut n_faults: u64 = 40;
-    let mut seed: u64 = 1;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--bench" => bench = value(&mut i)?,
-            "--faults" => {
-                n_faults = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--faults: not a number".to_string())?
-            }
-            "--seed" => {
-                seed = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--seed: not a number".to_string())?
-            }
-            "--help" | "-h" => {
-                println!("usage: faultsweep [--bench NAME] [--faults N] [--seed S]");
-                return Ok(true);
-            }
-            arg => return Err(format!("unexpected argument `{arg}`")),
-        }
-        i += 1;
-    }
+    let args = CLI.from_env();
+    let bench = args.opt("bench").unwrap_or("sort");
+    let n_faults: u64 = args.num("faults")?.unwrap_or(40);
+    let seed: u64 = args.num("seed")?.unwrap_or(1);
 
-    let program = resolve_program(&bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
+    let program = resolve_program(bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
     let cfg = SimConfig::hpca2000_baseline();
 
     println!("faultsweep: {bench}, {n_faults} faults/scheme, seed {seed}");

@@ -16,103 +16,50 @@
 use std::process::ExitCode;
 
 use rtdc::prelude::*;
+use rtdc_bench::args::Cli;
 use rtdc_bench::planopt::{budget_from_pct, optimize, PlanOptConfig};
 use rtdc_sim::SimConfig;
 use rtdc_workloads::{by_name, generate_cached};
 
-struct Args {
-    bench: String,
-    scheme: Scheme,
-    rf: bool,
-    budget_pct: f64,
-    max_iters: u32,
-    emit: Option<String>,
-}
+const CLI: Cli = Cli {
+    usage: "usage: planopt --bench <name> --scheme <scheme[+rf]> \
+            [--budget-pct N] [--max-iters N] [--emit FILE]",
+    values: "bench scheme budget-pct max-iters emit",
+    switches: "",
+    operands: 0..=0,
+};
 
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench = None;
-    let mut scheme = None;
-    let mut budget_pct = 10.0;
-    let mut max_iters = PlanOptConfig::default().max_iters;
-    let mut emit = None;
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let value = |i: usize| -> Result<&str, String> {
-            argv.get(i + 1)
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag {
-            "--bench" => bench = Some(value(i)?.to_string()),
-            "--scheme" => scheme = Some(value(i)?.to_string()),
-            "--budget-pct" => {
-                let v = value(i)?;
-                budget_pct = v.parse().map_err(|_| format!("bad --budget-pct `{v}`"))?
-            }
-            "--max-iters" => {
-                let v = value(i)?;
-                max_iters = v.parse().map_err(|_| format!("bad --max-iters `{v}`"))?
-            }
-            "--emit" => emit = Some(value(i)?.to_string()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-        i += 2;
-    }
-    let bench = bench.ok_or("--bench is required")?;
-    let label = scheme.ok_or("--scheme is required")?;
-    let (scheme, rf) = Scheme::parse(&label)
+fn run() -> Result<(), String> {
+    let args = CLI.from_env();
+    let (Some(bench), Some(label)) = (args.opt("bench"), args.opt("scheme")) else {
+        return Err(format!("--bench and --scheme are required\n{}", CLI.usage));
+    };
+    let (scheme, rf) = Scheme::parse(label)
         .ok_or_else(|| format!("unknown scheme `{label}` (try: d, d+rf, cp, cp+rf, d2, lz)"))?;
-    Ok(Args {
-        bench,
-        scheme,
-        rf,
-        budget_pct,
-        max_iters,
-        emit,
-    })
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("planopt: {e}");
-            eprintln!(
-                "usage: planopt --bench <name> --scheme <scheme[+rf]> \
-                 [--budget-pct N] [--max-iters N] [--emit FILE]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(spec) = by_name(&args.bench) else {
-        eprintln!("planopt: unknown benchmark `{}`", args.bench);
-        return ExitCode::FAILURE;
-    };
+    let budget_pct = args.num("budget-pct")?.unwrap_or(10.0);
+    if !(0.0..=100.0).contains(&budget_pct) {
+        return Err(format!("bad --budget-pct `{budget_pct}` (want 0 to 100)"));
+    }
+    let max_iters = args.num("max-iters")?;
+    let spec = by_name(bench).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
 
     let cfg = SimConfig::hpca2000_baseline();
     let program = generate_cached(&spec);
+    let defaults = PlanOptConfig::default();
     let opt = PlanOptConfig {
-        max_iters: args.max_iters,
-        native_budget_bytes: budget_from_pct(&program, args.budget_pct),
-        ..PlanOptConfig::default()
+        max_iters: max_iters.unwrap_or(defaults.max_iters),
+        native_budget_bytes: budget_from_pct(&program, budget_pct),
+        ..defaults
     };
     println!(
         "== planopt: {} under {} (native budget {} bytes = {:.0}% of text) ==",
         spec.name,
-        args.scheme.name_rf(args.rf),
+        scheme.name_rf(rf),
         opt.native_budget_bytes,
-        args.budget_pct,
+        budget_pct,
     );
 
-    let result = match optimize(&program, args.scheme, args.rf, cfg, &opt) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("planopt: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = optimize(&program, scheme, rf, cfg, &opt).map_err(|e| e.to_string())?;
 
     let base = &result.iterations[0];
     for (i, it) in result.iterations.iter().enumerate() {
@@ -140,12 +87,20 @@ fn main() -> ExitCode {
         100.0 * best.ratio,
     );
 
-    if let Some(path) = args.emit {
-        if let Err(e) = std::fs::write(&path, result.plan.to_string()) {
-            eprintln!("planopt: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.opt("emit") {
+        std::fs::write(path, result.plan.to_string())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote plan to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("planopt: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

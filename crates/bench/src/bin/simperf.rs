@@ -1,7 +1,7 @@
 //! `simperf` — simulator-throughput baseline (sim-MIPS).
 //!
 //! Runs every benchmark analog natively and under every registered
-//! scheme (both handler variants), then prints a hand-rolled JSON report
+//! scheme (both handler variants), then prints a JSON report
 //! of simulated instructions, host wall-clock, and sim-MIPS (millions of
 //! simulated instructions per host second) per scheme and per benchmark.
 //!
@@ -25,9 +25,12 @@
 use std::time::{Duration, Instant};
 
 use rtdc::prelude::*;
+use rtdc_bench::args::Cli;
 use rtdc_bench::experiments::{build_and_run, Runner};
-use rtdc_bench::jobs::{jobs_from_env, parallel_map};
+use rtdc_bench::jobs::{parallel_map, resolve_jobs};
 use rtdc_bench::planopt::optimized_plan_cached;
+use rtdc_sim::json::ObjWriter;
+use rtdc_sim::trace::StallCause;
 use rtdc_sim::{SimConfig, StallBreakdown, Stats};
 use rtdc_workloads::{all_benchmarks, BenchmarkSpec};
 
@@ -65,15 +68,9 @@ impl Metrics {
         self.cycles += other.cycles;
         self.handler_cycles += other.handler_cycles;
         self.exceptions += other.exceptions;
-        let (a, b) = (&mut self.stalls, &other.stalls);
-        a.imiss += b.imiss;
-        a.dmiss += b.dmiss;
-        a.branch += b.branch;
-        a.reg_jump += b.reg_jump;
-        a.load_use += b.load_use;
-        a.hilo += b.hilo;
-        a.swic += b.swic;
-        a.exception += b.exception;
+        for cause in StallCause::ALL {
+            self.stalls.add(cause, other.stalls.get(cause));
+        }
     }
 }
 
@@ -86,8 +83,10 @@ enum Row {
     /// reference, so the translation engine's speedup is in the report.
     NativeInterp,
     /// A uniform image under the `--verify-lines` runner: identical
-    /// simulated stats, so its sim-MIPS delta vs the plain row is the
-    /// verification overhead.
+    /// simulated stats, but the runner single-steps, so its sim-MIPS
+    /// delta vs the plain row is the block engine's speedup plus the
+    /// fill checks, not the checks alone (compare `native` against
+    /// `native-interp` for the engine's part).
     VerifyLines(ImageSpec),
     /// The closed-loop optimizer's plan at the default 10%-of-text
     /// native budget, computed once per benchmark × scheme and cached;
@@ -133,9 +132,8 @@ impl Row {
     }
 }
 
-fn json_row(indent: &str, c: &Cell) -> String {
+fn json_row(c: &Cell) -> String {
     let m = &c.metrics;
-    let b = &m.stalls;
     let handler_share = if m.cycles == 0 {
         0.0
     } else {
@@ -146,37 +144,33 @@ fn json_row(indent: &str, c: &Cell) -> String {
     } else {
         1000.0 * m.exceptions as f64 / c.insns as f64
     };
-    format!(
-        "{indent}{{\"name\": \"{}\", \"scheme\": \"{}\", \"insns\": {}, \"wall_secs\": {:.4}, \"sim_mips\": {:.2}, \
-         \"cycles\": {}, \"handler_share\": {handler_share:.4}, \"exc_per_kinsn\": {exc_per_kinsn:.3}, \
-         \"stall_imiss\": {}, \"stall_dmiss\": {}, \"stall_branch\": {}, \"stall_regjump\": {}, \
-         \"stall_loaduse\": {}, \"stall_hilo\": {}, \"stall_swic\": {}, \"stall_exception\": {}}}",
-        c.name,
-        c.scheme,
-        c.insns,
-        c.wall.as_secs_f64(),
-        c.mips,
-        m.cycles,
-        b.imiss,
-        b.dmiss,
-        b.branch,
-        b.reg_jump,
-        b.load_use,
-        b.hilo,
-        b.swic,
-        b.exception,
-    )
+    let mut w = ObjWriter::new();
+    w.str("name", c.name)
+        .str("scheme", &c.scheme)
+        .u64("insns", c.insns)
+        .f64("wall_secs", c.wall.as_secs_f64(), 4)
+        .f64("sim_mips", c.mips, 2)
+        .u64("cycles", m.cycles)
+        .f64("handler_share", handler_share, 4)
+        .f64("exc_per_kinsn", exc_per_kinsn, 3);
+    for cause in StallCause::ALL {
+        w.u64(&format!("stall_{}", cause.name()), m.stalls.get(cause));
+    }
+    w.finish()
 }
 
-/// `--repeat N` argument (default 3, clamped to at least 1): how many
-/// times each serial cell is run; the row reports the median wall-clock.
-fn repeat_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--repeat")
-        .and_then(|w| w[1].parse::<usize>().ok())
-        .unwrap_or(3)
-        .max(1)
+/// Simulated instructions per host second, in millions (0 for no time).
+fn mips(insns: u64, wall: Duration) -> f64 {
+    match wall.as_secs_f64() {
+        secs if secs > 0.0 => insns as f64 / secs / 1e6,
+        _ => 0.0,
+    }
+}
+
+/// A JSON array with one row per line.
+fn json_rows(cells: &[Cell]) -> String {
+    let rows: Vec<String> = cells.iter().map(json_row).collect();
+    format!("[\n{}\n]", rows.join(",\n"))
 }
 
 /// Runs one cell `repeat` times and returns it with the median
@@ -204,27 +198,33 @@ fn run_cell_median(
     }
     walls.sort();
     let wall = walls[walls.len() / 2];
-    let secs = wall.as_secs_f64();
     let insns = first.stats.insns;
     let cell = Cell {
         name: spec.name,
         scheme: label,
         insns,
         wall,
-        mips: if secs > 0.0 {
-            insns as f64 / secs / 1e6
-        } else {
-            0.0
-        },
+        mips: mips(insns, wall),
         metrics: Metrics::from_stats(&first.stats),
     };
     (cell, first.output)
 }
 
+const CLI: Cli = Cli {
+    usage: "usage: simperf [--repeat N] [--jobs N] > BENCH_sim.json",
+    values: "repeat jobs",
+    switches: "",
+    operands: 0..=0,
+};
+
 fn main() {
+    let args = CLI.from_env();
+    let (repeat, jobs) = match (args.num::<usize>("repeat"), args.num("jobs")) {
+        (Ok(repeat), Ok(jobs)) => (repeat.unwrap_or(3).max(1), resolve_jobs(jobs)),
+        (Err(e), _) | (_, Err(e)) => CLI.fail(e),
+    };
     let cfg = SimConfig::hpca2000_baseline();
     let rows = Row::all();
-    let repeat = repeat_from_args();
     let mut cells: Vec<Cell> = Vec::new();
 
     // Serial pass: the sim-MIPS baseline proper (median of `repeat`
@@ -257,17 +257,12 @@ fn main() {
                 wall += c.wall;
                 metrics.accumulate(&c.metrics);
             }
-            let secs = wall.as_secs_f64();
             Cell {
                 name: "all",
                 scheme: label,
                 insns,
                 wall,
-                mips: if secs > 0.0 {
-                    insns as f64 / secs / 1e6
-                } else {
-                    0.0
-                },
+                mips: mips(insns, wall),
                 metrics,
             }
         })
@@ -275,7 +270,6 @@ fn main() {
 
     // Parallel pass: the same work items fanned out across workers; one
     // aggregate measures end-to-end wall-clock scaling.
-    let jobs = jobs_from_env();
     let work: Vec<(BenchmarkSpec, Row)> = all_benchmarks()
         .into_iter()
         .flat_map(|spec| rows.iter().map(move |row| (spec, row.clone())))
@@ -287,31 +281,27 @@ fn main() {
     });
     let par_wall = t0.elapsed();
     let par_insns: u64 = par_cells.iter().map(|c| c.insns).sum();
-    let par_secs = par_wall.as_secs_f64();
-    let par_mips = if par_secs > 0.0 {
-        par_insns as f64 / par_secs / 1e6
-    } else {
-        0.0
-    };
 
-    println!("{{");
-    println!("  \"note\": \"sim-MIPS baseline; wall-clock numbers are host-dependent\",");
-    println!(
-        "  \"config\": \"hpca2000_baseline (16KB I-cache, decode cache on, block translation on)\","
-    );
-    println!("  \"repeat\": {repeat},");
-    println!("  \"schemes\": [");
-    let rows: Vec<String> = totals.iter().map(|c| json_row("    ", c)).collect();
-    println!("{}", rows.join(",\n"));
-    println!("  ],");
-    println!(
-        "  \"parallel\": {{\"jobs\": {jobs}, \"runs\": {}, \"wall_secs\": {:.4}, \"insns\": {par_insns}, \"sim_mips\": {par_mips:.2}}},",
-        work.len(),
-        par_secs,
-    );
-    println!("  \"benchmarks\": [");
-    let rows: Vec<String> = cells.iter().map(|c| json_row("    ", c)).collect();
-    println!("{}", rows.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    let parallel = ObjWriter::new()
+        .u64("jobs", jobs as u64)
+        .u64("runs", work.len() as u64)
+        .f64("wall_secs", par_wall.as_secs_f64(), 4)
+        .u64("insns", par_insns)
+        .f64("sim_mips", mips(par_insns, par_wall), 2)
+        .finish();
+    let report = ObjWriter::new()
+        .str(
+            "note",
+            "sim-MIPS baseline; wall-clock numbers are host-dependent",
+        )
+        .str(
+            "config",
+            "hpca2000_baseline (16KB I-cache, decode cache on, block translation on)",
+        )
+        .u64("repeat", repeat as u64)
+        .raw("schemes", &json_rows(&totals))
+        .raw("parallel", &parallel)
+        .raw("benchmarks", &json_rows(&cells))
+        .finish();
+    println!("{report}");
 }

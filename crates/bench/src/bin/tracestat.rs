@@ -11,35 +11,22 @@ use std::io::BufReader;
 use std::process::ExitCode;
 
 use rtdc_bench::analyze;
+use rtdc_bench::args::Cli;
+
+const CLI: Cli = Cli {
+    usage: "usage: tracestat <trace.jsonl> [--line-bytes N]",
+    values: "line-bytes",
+    switches: "",
+    operands: 1..=1,
+};
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<&str> = None;
-    let mut line_bytes: u32 = 32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--line-bytes" => {
-                i += 1;
-                line_bytes = args
-                    .get(i)
-                    .ok_or("--line-bytes needs a value")?
-                    .parse()
-                    .map_err(|_| "--line-bytes: not a number".to_string())?;
-                if !line_bytes.is_power_of_two() {
-                    return Err("--line-bytes must be a power of two".into());
-                }
-            }
-            "--help" | "-h" => {
-                println!("usage: tracestat <trace.jsonl> [--line-bytes N]");
-                return Ok(());
-            }
-            arg if path.is_none() && !arg.starts_with('-') => path = Some(arg),
-            arg => return Err(format!("unexpected argument `{arg}`")),
-        }
-        i += 1;
+    let args = CLI.from_env();
+    let path = args.operands()[0].as_str();
+    let line_bytes: u32 = args.num("line-bytes")?.unwrap_or(32);
+    if !line_bytes.is_power_of_two() {
+        return Err("--line-bytes must be a power of two".into());
     }
-    let path = path.ok_or("usage: tracestat <trace.jsonl> [--line-bytes N]")?;
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = analyze::parse_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
     let analysis = analyze::analyze(&trace, line_bytes);

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
+use crate::args::Cli;
+
 /// Worker count to use when the user does not ask for one: the host's
 /// available parallelism (1 if that cannot be determined).
 pub fn default_jobs() -> usize {
@@ -23,19 +25,32 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves the worker count for a harness binary: a `--jobs N` argument
-/// wins, then the `RTDC_JOBS` environment variable, then
-/// [`default_jobs`]. Zero is clamped to 1.
+/// The command line of a `harness = false` bench target: `--jobs N`,
+/// and the bare `--bench` that `cargo bench` passes to every such
+/// target.
+const HARNESS: Cli = Cli {
+    usage: "usage: cargo bench -p rtdc-bench --bench NAME [-- --jobs N]",
+    values: "jobs",
+    switches: "bench",
+    operands: 0..=0,
+};
+
+/// Resolves the worker count for a harness binary from its command line
+/// ([`resolve_jobs`] of its `--jobs N`). Any other argument ends the
+/// process with a usage error.
 pub fn jobs_from_env() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let from_flag = args
-        .windows(2)
-        .find(|w| w[0] == "--jobs")
-        .and_then(|w| w[1].parse::<usize>().ok());
+    let args = HARNESS.from_env();
+    resolve_jobs(args.num("jobs").unwrap_or_else(|e| HARNESS.fail(e)))
+}
+
+/// The worker count: `flag` (a tool's `--jobs N`) wins, then the
+/// `RTDC_JOBS` environment variable, then [`default_jobs`]. Zero is
+/// clamped to 1.
+pub fn resolve_jobs(flag: Option<usize>) -> usize {
     let from_env = std::env::var("RTDC_JOBS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
-    from_flag.or(from_env).unwrap_or_else(default_jobs).max(1)
+    flag.or(from_env).unwrap_or_else(default_jobs).max(1)
 }
 
 /// Applies `f` to every item on up to `jobs` worker threads and returns
@@ -136,6 +151,8 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-        assert!(jobs_from_env() >= 1);
+        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(resolve_jobs(Some(0)), 1);
+        assert_eq!(resolve_jobs(Some(3)), 3);
     }
 }

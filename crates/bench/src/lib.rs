@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod args;
 pub mod experiments;
 pub mod jobs;
 pub mod planopt;

@@ -10,46 +10,23 @@
 
 use std::process::ExitCode;
 
-use rtdc_cli::Args;
+use rtdc_bench::args::Cli;
 use rtdc_isa::asm::assemble;
 
-fn parse_addr(s: &str) -> Option<u32> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u32::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
+const CLI: Cli = Cli {
+    usage: "usage: rtdc-asm <input.s> [--out code.bin] [--text-base ADDR] [--data-base ADDR] [--symbols]",
+    values: "out text-base data-base",
+    switches: "symbols",
+    operands: 1..=1,
+};
 
-fn main() -> ExitCode {
-    let args = Args::from_env();
-    let Some(&input) = args.positional().first() else {
-        eprintln!("usage: rtdc-asm <input.s> [--out code.bin] [--text-base ADDR] [--data-base ADDR] [--symbols]");
-        return ExitCode::FAILURE;
-    };
-    let text_base = args
-        .opt("text-base")
-        .and_then(parse_addr)
-        .unwrap_or(rtdc_sim::map::TEXT_BASE);
-    let data_base = args
-        .opt("data-base")
-        .and_then(parse_addr)
-        .unwrap_or(rtdc_sim::map::DATA_BASE);
-
-    let source = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rtdc-asm: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out = match assemble(&source, text_base, data_base) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("rtdc-asm: {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run() -> Result<(), String> {
+    let args = CLI.from_env();
+    let input = args.operands()[0].as_str();
+    let text_base = args.addr("text-base")?.unwrap_or(rtdc_sim::map::TEXT_BASE);
+    let data_base = args.addr("data-base")?.unwrap_or(rtdc_sim::map::DATA_BASE);
+    let source = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let out = assemble(&source, text_base, data_base).map_err(|e| format!("{input}: {e}"))?;
 
     eprintln!(
         "{}: {} instructions ({} bytes text, {} bytes data)",
@@ -69,10 +46,7 @@ fn main() -> ExitCode {
     let words = out.encoded_text();
     if let Some(path) = args.opt("out") {
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("rtdc-asm: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
     } else if !args.has("symbols") {
         for (i, w) in words.iter().enumerate() {
             println!(
@@ -82,5 +56,15 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("rtdc-asm: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -6,34 +6,25 @@
 
 use std::process::ExitCode;
 
-use rtdc_cli::Args;
+use rtdc_bench::args::Cli;
 use rtdc_isa::decode;
 
-fn main() -> ExitCode {
-    let args = Args::from_env();
-    let Some(&input) = args.positional().first() else {
-        eprintln!("usage: rtdc-dis <code.bin> [--base ADDR]");
-        return ExitCode::FAILURE;
-    };
-    let base = args
-        .opt("base")
-        .and_then(|s| {
-            s.strip_prefix("0x")
-                .map(|h| u32::from_str_radix(h, 16).ok())
-                .unwrap_or_else(|| s.parse().ok())
-        })
-        .unwrap_or(rtdc_sim::map::TEXT_BASE);
+const CLI: Cli = Cli {
+    usage: "usage: rtdc-dis <code.bin> [--base ADDR]",
+    values: "base",
+    switches: "",
+    operands: 1..=1,
+};
 
-    let bytes = match std::fs::read(input) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("rtdc-dis: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run() -> Result<(), String> {
+    let args = CLI.from_env();
+    let input = args.operands()[0].as_str();
+    let base = args.addr("base")?.unwrap_or(rtdc_sim::map::TEXT_BASE);
+    let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     for (i, chunk) in bytes.chunks_exact(4).enumerate() {
         let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let addr = base + 4 * i as u32;
+        // The address space wraps, like the simulated PC.
+        let addr = base.wrapping_add(4 * i as u32);
         match decode(word) {
             Ok(insn) => println!("{addr:#010x}: {word:08x}  {insn}"),
             Err(_) => println!("{addr:#010x}: {word:08x}  <invalid>"),
@@ -45,5 +36,15 @@ fn main() -> ExitCode {
             bytes.len() % 4
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("rtdc-dis: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

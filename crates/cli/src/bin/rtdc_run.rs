@@ -68,14 +68,28 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rtdc::prelude::*;
+use rtdc_bench::args::{Args, Cli};
 use rtdc_bench::jobs::parallel_map;
-use rtdc_cli::{format_engine, format_metrics, format_stats, Args};
+use rtdc_cli::{format_engine, format_metrics, format_stats};
 use rtdc_isa::program::ObjectProgram;
 use rtdc_sim::trace::RegionDef;
 use rtdc_sim::{JsonlTracer, SimConfig, TraceFilter};
 use rtdc_workloads::{all_benchmarks, programs, resolve_program};
 
 const MAX_INSNS: u64 = 2_000_000_000;
+
+const CLI: Cli = Cli {
+    usage: "usage: rtdc-run --bench NAME[,NAME...] [--scheme FAMILY] [--select exec|miss] [--threshold PCT]\n\
+            \x20               [--plan FILE] [--emit-plan FILE] [--icache KB] [--jobs N] [--no-translate]\n\
+            \x20               [--layout] [--metrics] [--disasm N] [--trace FILE] [--trace-filter KINDS]\n\
+            \x20               [--inject SPEC] [--inject-fixup] [--verify-lines]\n\
+            \x20               [--serve SOCKET] [--deadline-ms N] [--retry-seed N]\n\
+            \x20      rtdc-run --list | --list-schemes",
+    values: "bench scheme select threshold plan emit-plan icache jobs disasm trace trace-filter \
+             inject serve deadline-ms retry-seed",
+    switches: "list list-schemes layout metrics no-translate inject-fixup verify-lines",
+    operands: 0..=0,
+};
 
 /// Parses `--scheme` (default `native`) as an image family.
 fn scheme_arg(args: &Args) -> Result<(String, ImageSpec), String> {
@@ -120,17 +134,19 @@ fn build_image(name: &str, args: &Args, cfg: SimConfig) -> Result<(String, Memor
     };
     // A heuristic selection keeps its family's label (`d`, not `d+plan`).
     let label = spec.label();
-    let spec = match (spec, args.opt("select"), args.opt("threshold")) {
+    let spec = match (spec, args.opt("select"), args.num::<f64>("threshold")?) {
         (ImageSpec::Uniform { scheme, rf }, Some(strategy), threshold) => {
             let strategy = match strategy {
                 "exec" => SelectBy::Execution,
                 "miss" => SelectBy::Miss,
                 other => return Err(format!("unknown --select `{other}` (exec|miss)")),
             };
-            let pct: f64 = threshold
-                .unwrap_or("20")
-                .parse()
-                .map_err(|_| "bad --threshold".to_string())?;
+            let pct = threshold.unwrap_or(20.0);
+            if !(0.0..=100.0).contains(&pct) {
+                return Err(format!(
+                    "bad --threshold `{pct}` (want a percentage, 0 to 100)"
+                ));
+            }
             eprintln!("profiling (native run) for {strategy}-based selection...");
             let (_, profile) =
                 profile_native(&program, cfg, MAX_INSNS).map_err(|e| e.to_string())?;
@@ -290,7 +306,7 @@ fn disasm_one(name: &str, args: &Args, cfg: SimConfig, ncount: u64) -> Result<()
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env();
+    let args = CLI.from_env();
     if args.has("list-schemes") {
         println!(
             "{:<8} {:<6} {:<12} description",
@@ -338,22 +354,18 @@ fn run() -> Result<(), String> {
     }
 
     let mut cfg = SimConfig::hpca2000_baseline();
-    if let Some(kb) = args.opt("icache") {
-        let kb: u32 = kb.parse().map_err(|_| format!("bad --icache `{kb}`"))?;
-        cfg = cfg.with_icache_size(kb * 1024);
+    if let Some(kb) = args.num::<u32>("icache")? {
+        let bytes = kb
+            .checked_mul(1024)
+            .ok_or_else(|| format!("bad --icache `{kb}` (above 4 GiB)"))?;
+        cfg = cfg.with_icache_size(bytes);
     }
     if args.has("no-translate") {
         // Reference path: single-step interpretation, bit-identical
         // stats to the (default) block-translated run loop.
         cfg = cfg.with_translation(false);
     }
-    let jobs: usize = match args.opt("jobs") {
-        Some(j) => j
-            .parse::<usize>()
-            .map_err(|_| format!("bad --jobs `{j}`"))?
-            .max(1),
-        None => 1,
-    };
+    let jobs = args.num::<usize>("jobs")?.unwrap_or(1).max(1);
 
     if let Some(socket) = args.opt("serve") {
         return serve_run(socket, &names, &args);
@@ -368,11 +380,10 @@ fn run() -> Result<(), String> {
     if args.opt("trace-filter").is_some() {
         return Err("--trace-filter requires --trace FILE".into());
     }
-    if let Some(ncount) = args.opt("disasm") {
+    if let Some(ncount) = args.num::<u64>("disasm")? {
         if names.len() > 1 {
             return Err("--disasm only applies to a single --bench".into());
         }
-        let ncount: u64 = ncount.parse().map_err(|_| "bad --disasm".to_string())?;
         return disasm_one(names[0], &args, cfg, ncount);
     }
     let with_layout = args.has("layout");
@@ -428,21 +439,12 @@ fn serve_run(socket: &str, names: &[&str], args: &Args) -> Result<(), String> {
     }
     // Validate locally for a friendly error before bothering the daemon.
     let (scheme_arg, _) = scheme_arg(args)?;
-    let deadline_ms = match args.opt("deadline-ms") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .ok()
-                .filter(|&ms| ms > 0)
-                .ok_or_else(|| format!("bad --deadline-ms `{v}` (positive integer ms)"))?,
-        ),
-        None => None,
+    let deadline_ms = match args.num::<u64>("deadline-ms")? {
+        Some(0) => return Err("bad --deadline-ms `0` (positive integer ms)".into()),
+        ms => ms,
     };
-    let seed = match args.opt("retry-seed") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("bad --retry-seed `{v}`"))?,
-        None => 0x52_45_54_52, // fixed default: retries stay reproducible
-    };
+    // Fixed default: retries stay reproducible.
+    let seed = args.num::<u64>("retry-seed")?.unwrap_or(0x52_45_54_52);
     let mut rng = rtdc_rng::Rng64::seed_from_u64(seed);
     let policy = rtdc_serve::client::RetryPolicy::default();
     let path = std::path::Path::new(socket);

@@ -5,65 +5,7 @@
 
 use std::fmt::Write as _;
 
-/// Minimal `--flag value` argument scanner (the tools have few options;
-/// a full parser dependency is not warranted).
-#[derive(Debug)]
-pub struct Args {
-    args: Vec<String>,
-}
-
-impl Args {
-    /// Captures the process arguments (excluding the program name).
-    pub fn from_env() -> Args {
-        Args {
-            args: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Builds from an explicit list (tests).
-    pub fn from_vec(args: Vec<String>) -> Args {
-        Args { args }
-    }
-
-    /// The value following `--name`, if present.
-    pub fn opt(&self, name: &str) -> Option<&str> {
-        let flag = format!("--{name}");
-        self.args
-            .windows(2)
-            .find(|w| w[0] == flag)
-            .map(|w| w[1].as_str())
-    }
-
-    /// Whether the bare flag `--name` is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.args.contains(&flag)
-    }
-
-    /// Positional arguments (everything not part of a `--flag value` pair
-    /// or a bare `--flag`).
-    pub fn positional(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in self.args.iter().enumerate() {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if let Some(stripped) = a.strip_prefix("--") {
-                // A flag with a value unless it's the last token or the
-                // next token is itself a flag.
-                let _ = stripped;
-                if i + 1 < self.args.len() && !self.args[i + 1].starts_with("--") {
-                    skip = true;
-                }
-                continue;
-            }
-            out.push(a.as_str());
-        }
-        out
-    }
-}
+use rtdc_sim::trace::StallCause;
 
 /// Formats a stats block for human consumption.
 pub fn format_stats(stats: &rtdc_sim::Stats) -> String {
@@ -117,11 +59,8 @@ pub fn format_stats(stats: &rtdc_sim::Stats) -> String {
     }
     let b = stats.stalls;
     let _ = writeln!(s, "stall cycles    {:>14} total", b.sum());
-    let _ = writeln!(
-        s,
-        "  imiss {} / dmiss {} / branch {} / regjump {} / loaduse {} / hilo {} / swic {} / exception {}",
-        b.imiss, b.dmiss, b.branch, b.reg_jump, b.load_use, b.hilo, b.swic, b.exception
-    );
+    let causes = StallCause::ALL.map(|c| format!("{} {}", c.name(), b.get(c)));
+    let _ = writeln!(s, "  {}", causes.join(" / "));
     s
 }
 
@@ -179,17 +118,8 @@ pub fn format_metrics(stats: &rtdc_sim::Stats) -> String {
         share(stats.insns),
         stats.cpi()
     );
-    let b = stats.stalls;
-    for (name, cyc) in [
-        ("imiss", b.imiss),
-        ("dmiss", b.dmiss),
-        ("branch", b.branch),
-        ("regjump", b.reg_jump),
-        ("loaduse", b.load_use),
-        ("hilo", b.hilo),
-        ("swic", b.swic),
-        ("exception", b.exception),
-    ] {
+    for cause in StallCause::ALL {
+        let (name, cyc) = (cause.name(), stats.stalls.get(cause));
         if cyc > 0 {
             let _ = writeln!(s, "  stall {name:<9} {:>8.2}% ({cyc} cycles)", share(cyc));
         }
@@ -200,25 +130,6 @@ pub fn format_metrics(stats: &rtdc_sim::Stats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(v: &[&str]) -> Args {
-        Args::from_vec(v.iter().map(|s| s.to_string()).collect())
-    }
-
-    #[test]
-    fn opt_and_has() {
-        let a = args(&["--bench", "cc1", "--verbose", "file.s"]);
-        assert_eq!(a.opt("bench"), Some("cc1"));
-        assert!(a.has("verbose"));
-        assert_eq!(a.opt("missing"), None);
-        assert!(!a.has("missing"));
-    }
-
-    #[test]
-    fn positionals_skip_flag_values() {
-        let a = args(&["in.s", "--out", "out.bin", "extra"]);
-        assert_eq!(a.positional(), vec!["in.s", "extra"]);
-    }
 
     #[test]
     fn stats_format_is_nonempty() {

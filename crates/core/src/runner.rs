@@ -167,6 +167,9 @@ fn run_loaded<S: TraceSink>(mut m: Machine<S>, max_insns: u64) -> Result<(RunRep
 /// Runs `image` to completion re-verifying every handler fill — the
 /// `--verify-lines` mode.
 ///
+/// It single-steps: `config.translate` is not read, and the block
+/// engine never runs, so its host speed is the interpreter's.
+///
 /// After each decompression exception returns (`iret`), the 32-byte
 /// lines of the decode unit around the faulting address are read back
 /// from the I-cache, CRC32'd, and compared against the build-time

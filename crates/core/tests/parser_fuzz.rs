@@ -125,3 +125,55 @@ fn fault_plans_never_panic_on_mutated_specs() {
         }
     }
 }
+
+/// A fault spec whose one number sits past a 32- or 64-bit field is
+/// rejected with a typed error or kept exactly: an explicit fault's
+/// rendering carries the number as given, never a truncation of it.
+#[test]
+fn fault_specs_keep_or_reject_boundary_numbers() {
+    let image = image();
+    let corpus = [
+        "flip:.indices:4:7",
+        "stuck:.dictionary:0x10:255,trunc:.decompressor:3",
+        "flip:.data:0:0,flip:.decompressor:1:1",
+        "rand:7",
+        "rand:0x2a:3",
+    ];
+    let mut rng = Rng64::seed_from_u64(0xF025_0004);
+    for i in 0..fuzz::iters(300) {
+        let mut bytes = rng.choose(&corpus).as_bytes().to_vec();
+        let value = fuzz::boundary(&mut rng, &mut bytes).expect("every spec has a number");
+        let spec = String::from_utf8_lossy(&bytes);
+        let parsed = fuzz::check(i, &*spec, |s: &str| FaultPlan::parse(s, &image));
+        if let (Ok(plan), false) = (parsed, spec.starts_with("rand:")) {
+            let text: Vec<String> = plan.faults.iter().map(|f| f.to_string()).collect();
+            assert!(
+                text.join(",").contains(&value.to_string()),
+                "iter {i}: {spec:?} parsed as {text:?}"
+            );
+        }
+    }
+}
+
+/// Assembly whose one number sits past a 32- or 64-bit field assembles
+/// or fails with a typed `AsmError`, never a panic.
+#[test]
+fn assembler_never_panics_on_boundary_numbers() {
+    let mut corpus: Vec<String> = Scheme::all()
+        .flat_map(|s| [false, true].map(|rf| registry::entry(s).handler.source_text(rf)))
+        .collect();
+    corpus.push(
+        ".data\nbuf: .space 16\n.align 3\nval: .word 0xdeadbeef, -2\n.half 7\n.byte 1\n\
+         .text\nmain: la $t0,val\nlw $t1,0($t0)\nbeq $t1,$zero,main\nj main\nbreak 3\n"
+            .into(),
+    );
+    let mut rng = Rng64::seed_from_u64(0xF025_0005);
+    for i in 0..fuzz::iters(300) {
+        let mut bytes = rng.choose(&corpus).clone().into_bytes();
+        fuzz::boundary(&mut rng, &mut bytes);
+        let source = String::from_utf8_lossy(&bytes);
+        let _ = fuzz::check(i, &*source, |s: &str| {
+            assemble(s, map::HANDLER_BASE, map::DATA_BASE)
+        });
+    }
+}

@@ -162,6 +162,23 @@ fn mutated_plans_never_panic() {
     }
 }
 
+/// A plan whose one number sits past a 32- or 64-bit field is rejected
+/// with a typed error or kept exactly: the canonical text it parses to
+/// is the mutant itself, so no count, rank or index was truncated.
+#[test]
+fn boundary_numbers_in_plans_are_kept_or_rejected() {
+    let mut rng = Rng64::seed_from_u64(0x9e37_79b9_7f4a_7c16);
+    let base = sample_plan(Scheme::CodePack, true).to_string();
+    for i in 0..fuzz::iters(500) {
+        let mut bytes = base.clone().into_bytes();
+        fuzz::boundary(&mut rng, &mut bytes);
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(plan) = fuzz::check(i, &*text, str::parse::<CompressionPlan>) {
+            assert_eq!(plan.to_string(), text, "iter {i}");
+        }
+    }
+}
+
 #[test]
 fn build_planned_rejects_bad_plans_without_panicking() {
     let program = test_program();

@@ -5,7 +5,10 @@
 //!
 //! A target seeds an [`Rng64`], takes a valid input, edits a copy with
 //! [`mutate`] and runs its parser on the mutant under [`check`]; its own
-//! properties (round trips, rejection floors) stay in the target.
+//! properties (round trips, rejection floors) stay in the target. A
+//! text parser also runs a second loop over [`boundary`] mutants, whose
+//! one number sits just past a 32- or 64-bit field: the parser must
+//! keep that number exactly or reject it, never wrap or truncate it.
 //!
 //! A plain `cargo test` runs each target's smoke count; set
 //! `RTDC_FUZZ_ITERS` to fuzz longer (e.g. `RTDC_FUZZ_ITERS=20000 cargo
@@ -52,6 +55,50 @@ pub fn mutate(rng: &mut Rng64, bytes: &mut Vec<u8>, tokens: &[&[u8]]) {
     }
 }
 
+/// The values [`boundary`] writes: 2^31, 2^32−1, 2^32+1 and 2^64−1,
+/// at or just past the edge of a signed 32-bit, an unsigned 32-bit and
+/// an unsigned 64-bit field.
+pub const BOUNDARY_VALUES: [u64; 4] = [1 << 31, 0xffff_ffff, (1 << 32) + 1, u64::MAX];
+
+/// Replaces one numeric token of `bytes`, chosen at random, with one of
+/// [`BOUNDARY_VALUES`] and returns the value written, or `None` (and
+/// leaves `bytes` alone) if there is no token. A token is a `0x` hex
+/// number, rewritten in hex, or a run of decimal digits, rewritten in
+/// decimal. Kept apart from [`mutate`], so every existing target's
+/// seeded mutant stream stays as it is.
+pub fn boundary(rng: &mut Rng64, bytes: &mut Vec<u8>) -> Option<u64> {
+    let mut tokens = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let hex = bytes[i] == b'0'
+            && bytes.get(i + 1) == Some(&b'x')
+            && bytes.get(i + 2).is_some_and(u8::is_ascii_hexdigit);
+        let (start, digit): (usize, fn(&u8) -> bool) = match bytes[i] {
+            _ if hex => (i + 2, u8::is_ascii_hexdigit),
+            b'0'..=b'9' => (i, u8::is_ascii_digit),
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let end = start + bytes[start..].iter().take_while(|b| digit(b)).count();
+        tokens.push((i, end, hex));
+        i = end;
+    }
+    if tokens.is_empty() {
+        return None;
+    }
+    let (at, end, hex) = *rng.choose(&tokens);
+    let value = *rng.choose(&BOUNDARY_VALUES);
+    let text = if hex {
+        format!("{value:#x}")
+    } else {
+        value.to_string()
+    };
+    bytes.splice(at..end, text.into_bytes());
+    Some(value)
+}
+
 /// Runs `f` on `input` twice and returns its result. Fails, naming
 /// `case` (the iteration, plus whatever else the target adds) and the
 /// input, if a call panics instead of returning or the two calls
@@ -90,6 +137,25 @@ mod tests {
             .filter(|&s| run(s) != b"{\"op\":\"stats\"}")
             .count();
         assert!(changed > 90, "only {changed} of 100 mutants differ");
+    }
+
+    #[test]
+    fn boundary_rewrites_one_number_in_its_radix() {
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..200 {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let mut bytes = b"flip:.text:0x10:7".to_vec();
+            let value = boundary(&mut rng, &mut bytes).unwrap();
+            let text = String::from_utf8(bytes).unwrap();
+            let hex = format!("flip:.text:{value:#x}:7");
+            let dec = format!("flip:.text:0x10:{value}");
+            assert!(text == hex || text == dec, "{text}");
+            seen.insert((value, text == hex));
+        }
+        assert_eq!(seen.len(), 8, "every value in both tokens");
+        let mut bytes = b"abc".to_vec();
+        assert_eq!(boundary(&mut Rng64::seed_from_u64(1), &mut bytes), None);
+        assert_eq!(bytes, b"abc");
     }
 
     #[test]

@@ -31,13 +31,19 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use rtdc_bench::args::Cli;
 use rtdc_rng::Rng64;
 use rtdc_serve::client::{connect_with_retry, request_line, Client, RetryPolicy};
 use rtdc_serve::json::{self, Json};
 use rtdc_serve::pool::WorkerPool;
 use rtdc_serve::server::{ServeConfig, Server};
 
-const USAGE: &str = "usage: chaosweep [--quick] [--seed N]";
+const CLI: Cli = Cli {
+    usage: "usage: chaosweep [--quick] [--seed N]",
+    values: "seed",
+    switches: "quick",
+    operands: 0..=0,
+};
 
 /// How a fault family resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,31 +515,12 @@ fn run_family(
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut seed = 0xC4A0_5EEDu64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                seed = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed needs a number\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unexpected argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let args = CLI.from_env();
+    let quick = args.has("quick");
+    let seed = match args.num::<u64>("seed") {
+        Ok(seed) => seed.unwrap_or(0xC4A0_5EED),
+        Err(e) => CLI.fail(e),
+    };
     let timeout = Duration::from_secs(if quick { 90 } else { 240 });
     let pids: PidRegistry = Arc::new(Mutex::new(Vec::new()));
     let ctx = |p: &PidRegistry| Ctx {

@@ -31,12 +31,18 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use rtdc_bench::args::Cli;
 use rtdc_obs::log::{self, Level};
 use rtdc_serve::client::Client;
 use rtdc_serve::json::Json;
 use rtdc_serve::server::{ServeConfig, Server};
 
-const USAGE: &str = "usage: rtdc-serve <socket-path> [--threads N] [--cache-mb N] [--max-insns N] [--cache-dir PATH] [--max-queue N]\n       rtdc-serve --metrics-dump <socket-path>";
+const CLI: Cli = Cli {
+    usage: "usage: rtdc-serve <socket-path> [--threads N] [--cache-mb N] [--max-insns N] [--cache-dir PATH] [--max-queue N]\n       rtdc-serve --metrics-dump <socket-path>",
+    values: "threads cache-mb max-insns max-queue cache-dir",
+    switches: "metrics-dump",
+    operands: 1..=1,
+};
 
 /// Client mode: fetch one Prometheus-text snapshot from a running
 /// daemon and print it.
@@ -55,45 +61,27 @@ fn metrics_dump(path: &Path) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let mut path: Option<PathBuf> = None;
-    let mut dump = false;
-    let mut config = ServeConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))?
-                .parse()
-                .map_err(|_| format!("{name} needs a number\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--threads" => config.threads = num("--threads")?.max(1) as usize,
-            "--cache-mb" => config.cache_bytes = num("--cache-mb")? << 20,
-            "--max-insns" => config.max_insns = num("--max-insns")?,
-            "--max-queue" => config.max_queue = num("--max-queue")?.max(1),
-            "--cache-dir" => {
-                let dir = args
-                    .next()
-                    .ok_or_else(|| format!("--cache-dir needs a path\n{USAGE}"))?;
-                config.cache_dir = Some(PathBuf::from(dir));
-            }
-            "--metrics-dump" => dump = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unexpected option `{other}`\n{USAGE}"));
-            }
-            other => {
-                if path.replace(PathBuf::from(other)).is_some() {
-                    return Err(format!("more than one socket path\n{USAGE}"));
-                }
-            }
-        }
-    }
-    let path = path.ok_or_else(|| USAGE.to_string())?;
-    if dump {
+    let args = CLI.from_env();
+    let path = PathBuf::from(&args.operands()[0]);
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        threads: args
+            .num("threads")?
+            .map_or(defaults.threads, |n: usize| n.max(1)),
+        cache_bytes: match args.num::<u64>("cache-mb")? {
+            None => defaults.cache_bytes,
+            Some(mb) => mb
+                .checked_mul(1 << 20)
+                .ok_or_else(|| format!("bad --cache-mb `{mb}` (above 2^64 bytes)"))?,
+        },
+        max_insns: args.num("max-insns")?.unwrap_or(defaults.max_insns),
+        max_queue: args
+            .num("max-queue")?
+            .map_or(defaults.max_queue, |n: u64| n.max(1)),
+        cache_dir: args.opt("cache-dir").map(PathBuf::from),
+        ..defaults
+    };
+    if args.has("metrics-dump") {
         return metrics_dump(&path);
     }
     log::init(Level::Info);

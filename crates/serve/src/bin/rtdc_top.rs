@@ -25,12 +25,18 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rtdc_bench::args::Cli;
 use rtdc_obs::HistogramSnapshot;
 use rtdc_serve::client::{parse_histogram, Client};
 use rtdc_serve::json::Json;
 use rtdc_sim::EngineCounters;
 
-const USAGE: &str = "usage: rtdc-top <socket-path> [--interval-ms N] [--iters N] [--once]";
+const CLI: Cli = Cli {
+    usage: "usage: rtdc-top <socket-path> [--interval-ms N] [--iters N] [--once]",
+    values: "interval-ms iters",
+    switches: "once",
+    operands: 1..=1,
+};
 
 /// The ops rendered as table rows, in display order.
 const OPS: [&str; 6] = ["build", "run", "trace", "plan", "stats", "metrics"];
@@ -223,37 +229,11 @@ fn render_engine(e: &EngineCounters) -> String {
 }
 
 fn run() -> Result<(), String> {
-    let mut path: Option<PathBuf> = None;
-    let mut interval = Duration::from_millis(1000);
-    let mut iters: Option<u64> = None;
-    let mut once = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))?
-                .parse()
-                .map_err(|_| format!("{name} needs a number\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--interval-ms" => interval = Duration::from_millis(num("--interval-ms")?.max(10)),
-            "--iters" => iters = Some(num("--iters")?),
-            "--once" => once = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unexpected option `{other}`\n{USAGE}"));
-            }
-            other => {
-                if path.replace(PathBuf::from(other)).is_some() {
-                    return Err(format!("more than one socket path\n{USAGE}"));
-                }
-            }
-        }
-    }
-    let path = path.ok_or_else(|| USAGE.to_string())?;
+    let args = CLI.from_env();
+    let path = PathBuf::from(&args.operands()[0]);
+    let interval = Duration::from_millis(args.num("interval-ms")?.unwrap_or(1000).max(10));
+    let iters: Option<u64> = args.num("iters")?;
+    let once = args.has("once");
     let mut client =
         Client::connect(&path).map_err(|e| format!("{}: connect: {e}", path.display()))?;
     if once {

@@ -40,14 +40,15 @@
 //! compares ratios against a checked-in baseline plus absolute bounds
 //! (the ≥5x build speedup, loose latency ceilings), not raw numbers.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rtdc::plan::ImageSpec;
+use rtdc_bench::args::Cli;
 use rtdc_obs::HistogramSnapshot;
 use rtdc_serve::client::{parse_histogram, request_line, Client};
-use rtdc_serve::json::Json;
+use rtdc_serve::json::{Json, ObjWriter};
 use rtdc_serve::server::{ServeConfig, Server};
 
 /// The request workset: every tiny benchmark x every image family. Tiny
@@ -55,49 +56,13 @@ use rtdc_serve::server::{ServeConfig, Server};
 /// cold phase measures image *layout* cost, not program generation.
 const BENCHES: [&str; 3] = ["tiny-walker", "tiny-loop", "tiny-interp"];
 
-struct Args {
-    clients: usize,
-    reps: usize,
-    out: PathBuf,
-}
-
-fn parse_args() -> Result<Args, String> {
-    const USAGE: &str = "usage: servebench [--clients N] [--reps N] [--out FILE] [--quick]";
-    let mut parsed = Args {
-        clients: 8,
-        reps: 6,
-        out: PathBuf::from("BENCH_serve.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--clients" => {
-                parsed.clients = val("--clients")?
-                    .parse()
-                    .map_err(|_| format!("--clients needs a number\n{USAGE}"))?;
-                parsed.clients = parsed.clients.max(1);
-            }
-            "--reps" => {
-                parsed.reps = val("--reps")?
-                    .parse()
-                    .map_err(|_| format!("--reps needs a number\n{USAGE}"))?;
-                parsed.reps = parsed.reps.max(1);
-            }
-            "--out" => parsed.out = PathBuf::from(val("--out")?),
-            "--quick" => parsed.reps = 2,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
-        }
-    }
-    Ok(parsed)
-}
+const CLI: Cli = Cli {
+    usage: "usage: servebench [--clients N] [--reps N] [--out FILE] [--quick]\n\
+            (--quick runs 2 reps instead of 6; an explicit --reps wins)",
+    values: "clients reps out",
+    switches: "quick",
+    operands: 0..=0,
+};
 
 /// Each client's request stream: `reps` passes over the full workset,
 /// rotated per client so concurrent clients hit different keys at any
@@ -121,7 +86,7 @@ fn build_stream(client_id: usize, reps: usize, labels: &[String]) -> Vec<String>
 /// Drives `clients` threads, each sending its stream. Returns (total
 /// requests, wall).
 fn drive(
-    socket: &std::path::Path,
+    socket: &Path,
     clients: usize,
     streams: &[Vec<String>],
 ) -> Result<(u64, Duration), String> {
@@ -155,7 +120,27 @@ fn drive(
     Ok((total, wall))
 }
 
-fn cache_stats(socket: &std::path::Path) -> Result<(u64, u64, u64), String> {
+fn start(socket: &Path, config: ServeConfig) -> Result<Server, String> {
+    Server::start(socket, config).map_err(|e| format!("{}: {e}", socket.display()))
+}
+
+/// Builds every workset image once, in order, on one connection.
+fn build_all(socket: &Path, labels: &[String], phase: &str) -> Result<(), String> {
+    let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
+    for bench in BENCHES {
+        for label in labels {
+            let resp = c
+                .request_raw(&request_line("build", bench, label, None))
+                .map_err(|e| e.to_string())?;
+            if !resp.starts_with(r#"{"ok":true"#) {
+                return Err(format!("{phase} build failed: {resp}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn cache_stats(socket: &Path) -> Result<(u64, u64, u64), String> {
     let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
     let v = c.request(r#"{"op":"stats"}"#).map_err(|e| e.to_string())?;
     let cache = v.get("cache").ok_or("stats response missing `cache`")?;
@@ -169,12 +154,22 @@ fn cache_stats(socket: &std::path::Path) -> Result<(u64, u64, u64), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let socket_dir = std::env::temp_dir();
+    let args = CLI.from_env();
+    let clients = args.num::<usize>("clients")?.unwrap_or(8).max(1);
+    let default_reps = if args.has("quick") { 2 } else { 6 };
+    let reps = args.num::<usize>("reps")?.unwrap_or(default_reps).max(1);
+    let out_path = PathBuf::from(args.opt("out").unwrap_or("BENCH_serve.json"));
+    let temp_dir = std::env::temp_dir();
+    let temp = |name: &str| temp_dir.join(format!("rtdc-servebench-{}-{name}", std::process::id()));
     let labels: Vec<String> = ImageSpec::uniform_families().map(|s| s.label()).collect();
-    let threads = rtdc_bench::jobs::jobs_from_env();
-    let streams: Vec<Vec<String>> = (0..args.clients)
-        .map(|id| build_stream(id, args.reps, &labels))
+    let threads = rtdc_bench::jobs::resolve_jobs(None);
+    let base = ServeConfig {
+        threads,
+        max_insns: 2_000_000_000,
+        ..ServeConfig::default()
+    };
+    let streams: Vec<Vec<String>> = (0..clients)
+        .map(|id| build_stream(id, reps, &labels))
         .collect();
 
     // Generation is memoized per process; do it before timing anything
@@ -195,51 +190,33 @@ fn run() -> Result<(), String> {
     // Phase 1: cold — zero cache budget, every build is from scratch.
     eprintln!(
         "servebench: cold build phase ({} clients x {} requests)...",
-        args.clients,
+        clients,
         streams[0].len()
     );
-    let cold_socket = socket_dir.join(format!("rtdc-servebench-cold-{}.sock", std::process::id()));
-    let cold_server = Server::start(
+    let cold_socket = temp("cold.sock");
+    let cold_server = start(
         &cold_socket,
         ServeConfig {
-            threads,
             cache_bytes: 0,
-            max_insns: 2_000_000_000,
-            ..ServeConfig::default()
+            ..base.clone()
         },
-    )
-    .map_err(|e| format!("{}: {e}", cold_socket.display()))?;
-    let (cold_reqs, cold_wall) = drive(&cold_socket, args.clients, &streams)?;
+    )?;
+    let (cold_reqs, cold_wall) = drive(&cold_socket, clients, &streams)?;
     drop(cold_server);
     let cold_rps = cold_reqs as f64 / cold_wall.as_secs_f64();
 
     // Phase 2: warm — real cache, pre-warmed, same stream.
     eprintln!("servebench: warm build phase...");
-    let warm_socket = socket_dir.join(format!("rtdc-servebench-warm-{}.sock", std::process::id()));
-    let warm_server = Server::start(
+    let warm_socket = temp("warm.sock");
+    let warm_server = start(
         &warm_socket,
         ServeConfig {
-            threads,
             cache_bytes: 256 << 20,
-            max_insns: 2_000_000_000,
-            ..ServeConfig::default()
+            ..base.clone()
         },
-    )
-    .map_err(|e| format!("{}: {e}", warm_socket.display()))?;
-    {
-        let mut c = Client::connect(&warm_socket).map_err(|e| e.to_string())?;
-        for bench in BENCHES {
-            for label in &labels {
-                let resp = c
-                    .request_raw(&request_line("build", bench, label, None))
-                    .map_err(|e| e.to_string())?;
-                if !resp.starts_with(r#"{"ok":true"#) {
-                    return Err(format!("warmup build failed: {resp}"));
-                }
-            }
-        }
-    }
-    let (warm_reqs, warm_wall) = drive(&warm_socket, args.clients, &streams)?;
+    )?;
+    build_all(&warm_socket, &labels, "warmup")?;
+    let (warm_reqs, warm_wall) = drive(&warm_socket, clients, &streams)?;
     let (lookups, hits, _misses) = cache_stats(&warm_socket)?;
     let warm_rps = warm_reqs as f64 / warm_wall.as_secs_f64();
     let hit_rate = hits as f64 / lookups.max(1) as f64;
@@ -248,10 +225,10 @@ fn run() -> Result<(), String> {
     // Phase 3: mixed runs on the warm server (cached builds + fresh
     // simulations) for latency percentiles.
     eprintln!("servebench: run phase...");
-    let run_streams: Vec<Vec<String>> = (0..args.clients)
+    let run_streams: Vec<Vec<String>> = (0..clients)
         .map(|id| {
             let mut lines = Vec::new();
-            for rep in 0..args.reps.min(3) {
+            for rep in 0..reps.min(3) {
                 for (j, label) in labels.iter().enumerate() {
                     let b = BENCHES[(id + rep + j) % BENCHES.len()];
                     lines.push(request_line("run", b, label, None));
@@ -260,7 +237,7 @@ fn run() -> Result<(), String> {
             lines
         })
         .collect();
-    let (run_reqs, run_wall) = drive(&warm_socket, args.clients, &run_streams)?;
+    let (run_reqs, run_wall) = drive(&warm_socket, clients, &run_streams)?;
     // Daemon-side service-time histograms for the same workload,
     // fetched over the same protocol everyone else uses.
     let (build_us, run_us) = {
@@ -284,41 +261,20 @@ fn run() -> Result<(), String> {
     // the warm hit rate after restart: how much of the working set the
     // persistent store carried across the process boundary.
     eprintln!("servebench: restart recovery phase...");
-    let store_dir = socket_dir.join(format!("rtdc-servebench-store-{}", std::process::id()));
+    let store_dir = temp("store");
     let _ = std::fs::remove_dir_all(&store_dir);
-    let restart_socket = socket_dir.join(format!(
-        "rtdc-servebench-restart-{}.sock",
-        std::process::id()
-    ));
+    let restart_socket = temp("restart.sock");
     let disk_config = ServeConfig {
-        threads,
         cache_bytes: 256 << 20,
-        max_insns: 2_000_000_000,
         cache_dir: Some(store_dir.clone()),
-        ..ServeConfig::default()
+        ..base
     };
     let restart_hit_rate = {
-        let populate = |socket: &std::path::Path| -> Result<(), String> {
-            let mut c = Client::connect(socket).map_err(|e| e.to_string())?;
-            for bench in BENCHES {
-                for label in &labels {
-                    let resp = c
-                        .request_raw(&request_line("build", bench, label, None))
-                        .map_err(|e| e.to_string())?;
-                    if !resp.starts_with(r#"{"ok":true"#) {
-                        return Err(format!("restart-phase build failed: {resp}"));
-                    }
-                }
-            }
-            Ok(())
-        };
-        let gen1 = Server::start(&restart_socket, disk_config.clone())
-            .map_err(|e| format!("{}: {e}", restart_socket.display()))?;
-        populate(&restart_socket)?;
+        let gen1 = start(&restart_socket, disk_config.clone())?;
+        build_all(&restart_socket, &labels, "restart-phase")?;
         drop(gen1); // process boundary stand-in: only the disk survives
-        let gen2 = Server::start(&restart_socket, disk_config)
-            .map_err(|e| format!("{}: {e}", restart_socket.display()))?;
-        populate(&restart_socket)?;
+        let gen2 = start(&restart_socket, disk_config)?;
+        build_all(&restart_socket, &labels, "restart-phase")?;
         let (lookups, hits, _) = cache_stats(&restart_socket)?;
         drop(gen2);
         let _ = std::fs::remove_dir_all(&store_dir);
@@ -331,22 +287,20 @@ fn run() -> Result<(), String> {
     // `overloaded`. The metric is that fraction; anything below 1.0
     // means a client saw a malformed line or an untyped failure.
     eprintln!("servebench: shed correctness phase...");
-    let shed_socket = socket_dir.join(format!("rtdc-servebench-shed-{}.sock", std::process::id()));
-    let shed_server = Server::start(
+    let shed_socket = temp("shed.sock");
+    let shed_server = start(
         &shed_socket,
         ServeConfig {
             threads: 1,
             cache_bytes: 0,
-            max_insns: 2_000_000_000,
             max_queue: 1,
-            ..ServeConfig::default()
+            ..base
         },
-    )
-    .map_err(|e| format!("{}: {e}", shed_socket.display()))?;
+    )?;
     let shed_correctness = {
         let per_client = 8usize;
         let counts: Vec<Result<(u64, u64), String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..args.clients)
+            let handles: Vec<_> = (0..clients)
                 .map(|id| {
                     let socket = &shed_socket;
                     let labels = &labels;
@@ -404,36 +358,35 @@ fn run() -> Result<(), String> {
         ("restart_hit_rate", restart_hit_rate),
         ("shed_correctness", shed_correctness),
     ];
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"rtdc-serve throughput; wall-clock dependent, gate on ratios + serve_min/serve_max. latencies (*_daemon_ms, build_p99_ms) are daemon-side handler service time from log2 histograms (bucket upper bounds, within 2x)\",\n",
-    );
-    out.push_str(&format!("  \"clients\": {},\n", args.clients));
-    out.push_str(&format!("  \"server_threads\": {threads},\n"));
-    out.push_str(&format!(
-        "  \"build_requests\": {},\n  \"run_requests\": {},\n",
-        cold_reqs + warm_reqs,
-        run_reqs
-    ));
-    out.push_str("  \"serve\": [\n");
-    for (i, (metric, value)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"metric\": \"{metric}\", \"value\": {value:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&args.out, &out).map_err(|e| format!("{}: {e}", args.out.display()))?;
+    let serve: Vec<String> = rows
+        .iter()
+        .map(|&(metric, value)| {
+            ObjWriter::new()
+                .str("metric", metric)
+                .f64("value", value, 4)
+                .finish()
+        })
+        .collect();
+    let report = ObjWriter::new()
+        .str(
+            "note",
+            "rtdc-serve throughput; wall-clock dependent, gate on ratios + serve_min/serve_max. \
+             latencies (*_daemon_ms, build_p99_ms) are daemon-side handler service time from \
+             log2 histograms (bucket upper bounds, within 2x)",
+        )
+        .u64("clients", clients as u64)
+        .u64("server_threads", threads as u64)
+        .u64("build_requests", cold_reqs + warm_reqs)
+        .u64("run_requests", run_reqs)
+        .raw("serve", &format!("[\n{}\n]", serve.join(",\n")))
+        .finish();
+    std::fs::write(&out_path, report + "\n").map_err(|e| format!("{}: {e}", out_path.display()))?;
 
-    println!(
-        "servebench: {} clients, {threads} server threads",
-        args.clients
-    );
+    println!("servebench: {} clients, {threads} server threads", clients);
     for (metric, value) in rows {
         println!("  {metric:<16} {value:>12.2}");
     }
-    println!("wrote {}", args.out.display());
+    println!("wrote {}", out_path.display());
     if build_speedup < 5.0 {
         eprintln!(
             "servebench: WARNING: build_speedup {build_speedup:.2} below the 5x acceptance floor"

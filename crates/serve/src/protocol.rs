@@ -28,7 +28,8 @@ use std::fmt;
 
 use rtdc::image::Scheme;
 use rtdc::plan::ImageSpec;
-use rtdc_sim::Stats;
+use rtdc_sim::trace::StallCause;
+use rtdc_sim::{StallBreakdown, Stats};
 
 use crate::json::{self, Json, ObjWriter};
 
@@ -422,7 +423,6 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
 /// declaration order. Deterministic across hosts: these are simulated
 /// quantities only.
 pub fn stats_json(s: &Stats) -> String {
-    let b = s.stalls;
     let mut w = ObjWriter::new();
     w.u64("insns", s.insns)
         .u64("program_insns", s.program_insns)
@@ -441,15 +441,10 @@ pub fn stats_json(s: &Stats) -> String {
         .u64("reg_jump_misses", s.reg_jump_misses)
         .u64("exceptions", s.exceptions)
         .u64("swics", s.swics)
-        .u64("handler_cycles", s.handler_cycles)
-        .u64("stall_imiss", b.imiss)
-        .u64("stall_dmiss", b.dmiss)
-        .u64("stall_branch", b.branch)
-        .u64("stall_regjump", b.reg_jump)
-        .u64("stall_loaduse", b.load_use)
-        .u64("stall_hilo", b.hilo)
-        .u64("stall_swic", b.swic)
-        .u64("stall_exception", b.exception);
+        .u64("handler_cycles", s.handler_cycles);
+    for cause in StallCause::ALL {
+        w.u64(&format!("stall_{}", cause.name()), s.stalls.get(cause));
+    }
     w.finish()
 }
 
@@ -457,6 +452,10 @@ pub fn stats_json(s: &Stats) -> String {
 /// the client half of the `rtdc-run --serve` path.
 pub fn parse_stats(v: &Json) -> Option<Stats> {
     let f = |key: &str| v.get(key).and_then(Json::as_u64);
+    let mut stalls = StallBreakdown::default();
+    for cause in StallCause::ALL {
+        stalls.add(cause, f(&format!("stall_{}", cause.name()))?);
+    }
     Some(Stats {
         insns: f("insns")?,
         program_insns: f("program_insns")?,
@@ -476,16 +475,7 @@ pub fn parse_stats(v: &Json) -> Option<Stats> {
         exceptions: f("exceptions")?,
         swics: f("swics")?,
         handler_cycles: f("handler_cycles")?,
-        stalls: rtdc_sim::StallBreakdown {
-            imiss: f("stall_imiss")?,
-            dmiss: f("stall_dmiss")?,
-            branch: f("stall_branch")?,
-            reg_jump: f("stall_regjump")?,
-            load_use: f("stall_loaduse")?,
-            hilo: f("stall_hilo")?,
-            swic: f("stall_swic")?,
-            exception: f("stall_exception")?,
-        },
+        stalls,
     })
 }
 

@@ -79,6 +79,29 @@ fn dispatcher_never_panics_on_mutated_lines() {
     }
 }
 
+/// A request whose one number sits past a 32- or 64-bit field is
+/// rejected with a typed error or kept exactly: the parsed request
+/// still carries the number as given (a field value, a name or plan
+/// text), never a rounding or truncation of it.
+#[test]
+fn boundary_numbers_in_requests_are_kept_or_rejected() {
+    let mut rng = Rng64::seed_from_u64(0xF022_0005);
+    for i in 0..fuzz::iters(300) {
+        let mut bytes = rng.choose(&CORPUS).as_bytes().to_vec();
+        let Some(value) = fuzz::boundary(&mut rng, &mut bytes) else {
+            continue;
+        };
+        let line = String::from_utf8_lossy(&bytes);
+        if let Ok(req) = fuzz::check(i, &*line, parse_request) {
+            let parsed = format!("{req:?}");
+            assert!(
+                parsed.contains(&value.to_string()),
+                "iter {i}: {line:?} parsed as {parsed}"
+            );
+        }
+    }
+}
+
 #[test]
 fn socket_survives_fuzz_and_stays_responsive() {
     let path = std::env::temp_dir().join(format!("rtdc-serve-fuzz-{}.sock", std::process::id()));

@@ -63,8 +63,21 @@ pub enum StallCause {
 }
 
 impl StallCause {
-    /// The JSONL name of this cause (also the
-    /// [`crate::StallBreakdown`] field name).
+    /// Every cause, in [`crate::StallBreakdown`] field order: the order
+    /// every report and JSON object lists them in.
+    pub const ALL: [StallCause; 8] = [
+        StallCause::IMiss,
+        StallCause::DMiss,
+        StallCause::Branch,
+        StallCause::RegJump,
+        StallCause::LoadUse,
+        StallCause::Hilo,
+        StallCause::Swic,
+        StallCause::Exception,
+    ];
+
+    /// The JSONL name of this cause, which reports and the `stall_*`
+    /// JSON keys also use.
     pub fn name(self) -> &'static str {
         match self {
             StallCause::IMiss => "imiss",
@@ -79,17 +92,7 @@ impl StallCause {
     }
 
     fn by_name(name: &str) -> Option<StallCause> {
-        Some(match name {
-            "imiss" => StallCause::IMiss,
-            "dmiss" => StallCause::DMiss,
-            "branch" => StallCause::Branch,
-            "regjump" => StallCause::RegJump,
-            "loaduse" => StallCause::LoadUse,
-            "hilo" => StallCause::Hilo,
-            "swic" => StallCause::Swic,
-            "exception" => StallCause::Exception,
-            _ => return None,
-        })
+        StallCause::ALL.into_iter().find(|c| c.name() == name)
     }
 }
 

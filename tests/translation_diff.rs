@@ -373,8 +373,10 @@ fn classify(r: Result<rtdc_repro::core::runner::RunReport, RunError>) -> Outcome
 /// and memory-stage (only the `--verify-lines` fill checks or the
 /// corrupted code itself can surface them) — must be detected,
 /// classified, and survived identically by the translated and
-/// single-step engines. This is `faultsweep`'s classification loop run
-/// differentially.
+/// single-step engines. A memory-stage fault's corrupted code runs as
+/// blocks and traces only under `run_image`, so that is the pair
+/// compared; `run_image_verified` single-steps whatever the config
+/// says, and its one classification per fault is the fill-CRC check.
 #[test]
 fn injected_faults_classified_identically_with_translation() {
     let program = generate(&tiny::walker());
@@ -393,18 +395,22 @@ fn injected_faults_classified_identically_with_translation() {
             if memory_stage {
                 img.seal();
             }
-            let on = classify(run_image_verified(&img, cfg.with_translation(true), budget));
-            let off = classify(run_image_verified(
-                &img,
-                cfg.with_translation(false),
-                budget,
-            ));
-            assert_eq!(
-                on,
-                off,
-                "{scheme:?} fault seed {} (memory_stage={memory_stage}): engines disagree",
+            let case = format!(
+                "{scheme:?} fault seed {} (memory_stage={memory_stage})",
                 1000 + i
             );
+            let on = classify(run_image(&img, cfg.with_translation(true), budget));
+            let off = classify(run_image(&img, cfg.with_translation(false), budget));
+            assert_eq!(on, off, "{case}: engines disagree");
+            let verified = classify(run_image_verified(&img, cfg, budget));
+            assert_eq!(
+                verified == Outcome::Load,
+                !memory_stage,
+                "{case}: load verification"
+            );
+            if let Outcome::Done { .. } = verified {
+                assert_eq!(verified, off, "{case}: passing fill checks changed the run");
+            }
         }
     }
 }
