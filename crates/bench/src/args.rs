@@ -50,6 +50,14 @@ pub enum ArgError {
     },
     /// The number of operands given, outside what the tool takes.
     Operands(usize),
+    /// An environment variable the tool reads holds a value that does
+    /// not parse as the number it stands for.
+    BadEnv {
+        /// The variable's name.
+        var: &'static str,
+        /// The value as set.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -63,6 +71,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "bad --{flag} `{value}` (want {want})")
             }
             ArgError::Operands(n) => write!(f, "wrong number of operands ({n})"),
+            ArgError::BadEnv { var, value } => write!(f, "bad {var}=`{value}` (want a number)"),
         }
     }
 }

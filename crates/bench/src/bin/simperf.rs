@@ -219,8 +219,9 @@ const CLI: Cli = Cli {
 
 fn main() {
     let args = CLI.from_env();
-    let (repeat, jobs) = match (args.num::<usize>("repeat"), args.num("jobs")) {
-        (Ok(repeat), Ok(jobs)) => (repeat.unwrap_or(3).max(1), resolve_jobs(jobs)),
+    let jobs = args.num("jobs").and_then(resolve_jobs);
+    let (repeat, jobs) = match (args.num::<usize>("repeat"), jobs) {
+        (Ok(repeat), Ok(jobs)) => (repeat.unwrap_or(3).max(1), jobs),
         (Err(e), _) | (_, Err(e)) => CLI.fail(e),
     };
     let cfg = SimConfig::hpca2000_baseline();

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-use crate::args::Cli;
+use crate::args::{ArgError, Cli};
 
 /// Worker count to use when the user does not ask for one: the host's
 /// available parallelism (1 if that cannot be determined).
@@ -36,21 +36,39 @@ const HARNESS: Cli = Cli {
 };
 
 /// Resolves the worker count for a harness binary from its command line
-/// ([`resolve_jobs`] of its `--jobs N`). Any other argument ends the
-/// process with a usage error.
+/// ([`resolve_jobs`] of its `--jobs N`). Any other argument, or an
+/// `RTDC_JOBS` that is not a number, ends the process with a usage
+/// error.
 pub fn jobs_from_env() -> usize {
     let args = HARNESS.from_env();
-    resolve_jobs(args.num("jobs").unwrap_or_else(|e| HARNESS.fail(e)))
+    args.num("jobs")
+        .and_then(resolve_jobs)
+        .unwrap_or_else(|e| HARNESS.fail(e))
 }
 
 /// The worker count: `flag` (a tool's `--jobs N`) wins, then the
 /// `RTDC_JOBS` environment variable, then [`default_jobs`]. Zero is
 /// clamped to 1.
-pub fn resolve_jobs(flag: Option<usize>) -> usize {
-    let from_env = std::env::var("RTDC_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    flag.or(from_env).unwrap_or_else(default_jobs).max(1)
+///
+/// # Errors
+///
+/// [`ArgError::BadEnv`] if `RTDC_JOBS` is consulted and is not a number.
+pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, ArgError> {
+    let env = std::env::var_os("RTDC_JOBS").map(|v| v.to_string_lossy().into_owned());
+    jobs_from(flag, env.as_deref())
+}
+
+/// [`resolve_jobs`] with the environment value passed in.
+fn jobs_from(flag: Option<usize>, env: Option<&str>) -> Result<usize, ArgError> {
+    let jobs = match (flag, env) {
+        (Some(n), _) => n,
+        (None, Some(v)) => v.parse().map_err(|_| ArgError::BadEnv {
+            var: "RTDC_JOBS",
+            value: v.to_string(),
+        })?,
+        (None, None) => default_jobs(),
+    };
+    Ok(jobs.max(1))
 }
 
 /// Applies `f` to every item on up to `jobs` worker threads and returns
@@ -151,8 +169,27 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-        assert!(resolve_jobs(None) >= 1);
-        assert_eq!(resolve_jobs(Some(0)), 1);
-        assert_eq!(resolve_jobs(Some(3)), 3);
+        assert_eq!(jobs_from(None, None), Ok(default_jobs()));
+        assert_eq!(jobs_from(Some(0), None), Ok(1));
+        assert_eq!(jobs_from(Some(3), Some("5")), Ok(3));
+    }
+
+    #[test]
+    fn rtdc_jobs_must_be_a_number() {
+        assert_eq!(jobs_from(None, Some("5")), Ok(5));
+        assert_eq!(jobs_from(None, Some("0")), Ok(1));
+        // A count too large for `usize` is rejected by the parse alone;
+        // nothing here starts a thread.
+        for bad in ["x", "", "2k", "-1", " 4", "99999999999999999999999"] {
+            let err = jobs_from(None, Some(bad)).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::BadEnv {
+                    var: "RTDC_JOBS",
+                    value: bad.to_string()
+                }
+            );
+            assert!(err.to_string().contains("RTDC_JOBS"), "{err}");
+        }
     }
 }

@@ -19,13 +19,31 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::Rng64;
 
-/// A target's iteration count: `RTDC_FUZZ_ITERS` when it holds a
-/// number, else `default` (the smoke count a plain test run uses).
+/// A target's iteration count: `RTDC_FUZZ_ITERS` when it is set, else
+/// `default` (the smoke count a plain test run uses).
+///
+/// # Panics
+///
+/// If `RTDC_FUZZ_ITERS` is set to anything but a number, naming the
+/// variable and the value: a run that asked for a count never falls
+/// back to the smoke count unnoticed.
+#[track_caller]
 pub fn iters(default: u64) -> u64 {
-    std::env::var("RTDC_FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let env = std::env::var_os("RTDC_FUZZ_ITERS").map(|v| v.to_string_lossy().into_owned());
+    match iters_from(env.as_deref(), default) {
+        Ok(n) => n,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// [`iters`] with the environment value passed in.
+fn iters_from(env: Option<&str>, default: u64) -> Result<u64, String> {
+    match env {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("bad RTDC_FUZZ_ITERS=`{v}` (want a number)")),
+    }
 }
 
 /// Applies one to three random edits to `bytes`, each one of: flip a
@@ -123,6 +141,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn iteration_count_must_be_a_number() {
+        assert_eq!(iters_from(None, 300), Ok(300));
+        assert_eq!(iters_from(Some("2000"), 300), Ok(2000));
+        for bad in ["2k", "", "-1", "1e3", "18446744073709551616"] {
+            let err = iters_from(Some(bad), 300).unwrap_err();
+            assert!(
+                err.contains("RTDC_FUZZ_ITERS") && err.contains(&format!("`{bad}`")),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn mutate_is_seeded_and_edits() {

@@ -311,34 +311,32 @@ fn family_store_corruption(ctx: &Ctx) -> Result<(Outcome, String), String> {
     Ok((Outcome::Recovered, detail))
 }
 
-/// Family 3: jobs that panic on the worker pool. The pool must count
-/// them and keep serving.
+/// Family 3: closures that panic in the pool's slots, induced from
+/// several threads at once. The pool must count every panic and keep
+/// granting its slots to the survivors.
 fn family_worker_panics(ctx: &Ctx) -> Result<(Outcome, String), String> {
+    const CALLERS: u64 = 4;
     let panics: u64 = if ctx.quick { 8 } else { 64 };
-    let pool = WorkerPool::new(2);
-    for _ in 0..panics {
-        pool.execute(Box::new(|| panic!("chaos: induced worker panic")));
-    }
-    let (tx, rx) = mpsc::channel::<u64>();
-    for i in 0..4u64 {
-        let tx = tx.clone();
-        pool.execute(Box::new(move || {
-            let _ = tx.send(i);
-        }));
-    }
-    drop(tx);
-    let mut got = 0u64;
-    while rx.recv_timeout(Duration::from_secs(10)).is_ok() {
-        got += 1;
-    }
-    // A worker may still be unwinding its last induced panic when the
-    // survivors land on the other worker — give the counter a moment.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while pool.panics() < panics && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let detail = format!("panics={} survivors={got}/4", pool.panics());
-    if got < 4 {
+    let pool = WorkerPool::new(2, None);
+    let survivors: u64 = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|i| {
+                let pool = &pool;
+                s.spawn(move || {
+                    for _ in (i..panics).step_by(CALLERS as usize) {
+                        pool.run(|| panic!("chaos: induced worker panic"));
+                    }
+                    pool.run(|| i).is_some()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|h| u64::from(h.join().unwrap_or(false)))
+            .sum()
+    });
+    let detail = format!("panics={} survivors={survivors}/{CALLERS}", pool.panics());
+    if survivors < CALLERS {
         return Ok((Outcome::Degraded, detail));
     }
     if pool.panics() != panics {

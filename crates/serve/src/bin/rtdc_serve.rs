@@ -88,7 +88,7 @@ fn run() -> Result<(), String> {
     let server =
         Server::start(&path, config.clone()).map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!(
-        "rtdc-serve: listening on {} ({} workers, {} MiB cache{})",
+        "rtdc-serve: listening on {} ({} slots, {} MiB cache{})",
         path.display(),
         config.threads,
         config.cache_bytes >> 20,

@@ -162,7 +162,7 @@ fn run() -> Result<(), String> {
     let temp_dir = std::env::temp_dir();
     let temp = |name: &str| temp_dir.join(format!("rtdc-servebench-{}-{name}", std::process::id()));
     let labels: Vec<String> = ImageSpec::uniform_families().map(|s| s.label()).collect();
-    let threads = rtdc_bench::jobs::resolve_jobs(None);
+    let threads = rtdc_bench::jobs::resolve_jobs(None).unwrap_or_else(|e| CLI.fail(e));
     let base = ServeConfig {
         threads,
         max_insns: 2_000_000_000,

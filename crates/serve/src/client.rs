@@ -234,8 +234,8 @@ pub fn parse_histogram(v: &Json) -> Option<HistogramSnapshot> {
 }
 
 /// Renders a `build`/`run`/`trace` request line. `scheme` is a CLI-style
-/// argument (`"native"`, `"d"`, `"cp+rf"`, ...); `max_insns` only
-/// applies to `run`/`trace`.
+/// argument (`"native"`, `"d"`, `"cp+rf"`, ...); `max_insns` is a
+/// `run`/`trace` key, so a `build` line leaves it out.
 pub fn request_line(op: &str, bench: &str, scheme: &str, max_insns: Option<u64>) -> String {
     request_line_opts(op, bench, scheme, max_insns, None)
 }
@@ -253,7 +253,7 @@ pub fn request_line_opts(
     if ImageSpec::parse(scheme) != Some(ImageSpec::Native) {
         w.str("scheme", scheme);
     }
-    if let Some(n) = max_insns {
+    if let Some(n) = max_insns.filter(|_| op != "build") {
         w.u64("max_insns", n);
     }
     if let Some(ms) = deadline_ms {
@@ -296,7 +296,11 @@ mod tests {
         );
         assert_eq!(
             request_line("build", "go", "native", Some(5)),
-            r#"{"op":"build","bench":"go","max_insns":5}"#
+            r#"{"op":"build","bench":"go"}"#
+        );
+        assert_eq!(
+            request_line("trace", "go", "native", Some(5)),
+            r#"{"op":"trace","bench":"go","max_insns":5}"#
         );
         assert_eq!(
             request_line_opts("run", "sort", "d", None, Some(250)),

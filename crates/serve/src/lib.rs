@@ -3,8 +3,8 @@
 //! The batch CLI rebuilds every image it touches. This crate turns the
 //! toolchain into a *service*: a daemon that accepts newline-delimited
 //! JSON requests (`build` / `run` / `trace` / `plan` / `stats` /
-//! `metrics` / `shutdown`) over a Unix domain socket, multiplexes
-//! independent [`rtdc_sim::Machine`] instances across a worker pool, and
+//! `metrics` / `shutdown`) over a Unix domain socket, runs independent
+//! [`rtdc_sim::Machine`] instances in a fixed number of execution slots, and
 //! serves repeated builds from a **content-addressed image cache** keyed
 //! by `(benchmark, scheme label, plan digest)`.
 //!

@@ -9,7 +9,7 @@
 //! | `run`   | build/fetch, then run to completion; report exact stats |
 //! | `trace` | run with an event-counting sink; report event counts    |
 //! | `plan`  | run the closed-loop optimizer; return the plan text     |
-//! | `stats` | server/cache counters (the only cache-visible op)       |
+//! | `stats` | server, cache, store and pool counters                  |
 //! | `metrics` | full telemetry snapshot (JSON, or Prometheus text)    |
 //!
 //! plus `shutdown` for orderly teardown. Responses to `build`, `run`,
@@ -17,8 +17,12 @@
 //! no wall-clock, no cache hit/miss flag, nothing host- or
 //! history-dependent — which is what lets the determinism battery demand
 //! byte-identical responses under any client interleaving. Cache
-//! behavior is observable only through `stats` (and the daemon's stderr
-//! log).
+//! behavior is observable only through `stats` and `metrics` (and the
+//! daemon's stderr log).
+//!
+//! Each op accepts only its own keys (see [`parse_request`]); any other
+//! key — a misspelled `shceme` — is a `bad-request` naming it, never a
+//! silently ignored field.
 //!
 //! Every rejection is a typed [`ServeError`] rendered as
 //! `{"ok":false,"error":"<kind>","detail":"..."}`; the fuzz battery
@@ -343,6 +347,10 @@ fn deadline_field(obj: &Json) -> Result<Option<u64>, ServeError> {
 }
 
 /// Parses one request line (already length-checked by the reader).
+/// `build` takes `bench`, `scheme` or `plan`, and `deadline_ms`; `run`
+/// and `trace` take those and `max_insns`; `plan` takes `bench`,
+/// `scheme` and `deadline_ms`; `metrics` takes `format`; `stats` and
+/// `shutdown` take nothing but `op`.
 ///
 /// # Errors
 ///
@@ -351,35 +359,35 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     let obj = json::parse(line).map_err(|e| ServeError::BadJson {
         detail: e.to_string(),
     })?;
-    if !matches!(obj, Json::Obj(_)) {
+    let Json::Obj(fields) = &obj else {
         return Err(ServeError::BadRequest {
             detail: "request must be a JSON object".into(),
         });
-    }
+    };
     let op = obj
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| ServeError::BadRequest {
             detail: "missing string field `op`".into(),
         })?;
-    match op {
-        "build" => Ok(Request::Build {
+    let req = match op {
+        "build" => Request::Build {
             bench: bench_field(&obj)?,
             spec: build_spec(&obj)?,
             deadline_ms: deadline_field(&obj)?,
-        }),
-        "run" => Ok(Request::Run {
-            bench: bench_field(&obj)?,
-            spec: build_spec(&obj)?,
-            max_insns: max_insns_field(&obj)?,
-            deadline_ms: deadline_field(&obj)?,
-        }),
-        "trace" => Ok(Request::Trace {
+        },
+        "run" => Request::Run {
             bench: bench_field(&obj)?,
             spec: build_spec(&obj)?,
             max_insns: max_insns_field(&obj)?,
             deadline_ms: deadline_field(&obj)?,
-        }),
+        },
+        "trace" => Request::Trace {
+            bench: bench_field(&obj)?,
+            spec: build_spec(&obj)?,
+            max_insns: max_insns_field(&obj)?,
+            deadline_ms: deadline_field(&obj)?,
+        },
         "plan" => {
             let bench = bench_field(&obj)?;
             let arg =
@@ -389,14 +397,14 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
                         detail: "`plan` op needs a string field `scheme`".into(),
                     })?;
             let (scheme, rf) = Scheme::split_rf(arg);
-            Ok(Request::Plan {
+            Request::Plan {
                 bench,
                 scheme: scheme.to_string(),
                 rf,
                 deadline_ms: deadline_field(&obj)?,
-            })
+            }
         }
-        "stats" => Ok(Request::Stats),
+        "stats" => Request::Stats,
         "metrics" => {
             let format = match obj.get("format") {
                 None => MetricsFormat::Json,
@@ -410,12 +418,33 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
                     }
                 },
             };
-            Ok(Request::Metrics { format })
+            Request::Metrics { format }
         }
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ServeError::UnknownOp {
-            op: other.to_string(),
+        "shutdown" => Request::Shutdown,
+        other => {
+            return Err(ServeError::UnknownOp {
+                op: other.to_string(),
+            })
+        }
+    };
+    // The keys each op takes besides `op`; any other is named, not ignored.
+    let keys: &[&str] = match req {
+        Request::Build { .. } => &["bench", "scheme", "plan", "deadline_ms"],
+        Request::Run { .. } | Request::Trace { .. } => {
+            &["bench", "scheme", "plan", "deadline_ms", "max_insns"]
+        }
+        Request::Plan { .. } => &["bench", "scheme", "deadline_ms"],
+        Request::Metrics { .. } => &["format"],
+        Request::Stats | Request::Shutdown => &[],
+    };
+    match fields
+        .keys()
+        .find(|k| *k != "op" && !keys.contains(&k.as_str()))
+    {
+        Some(key) => Err(ServeError::BadRequest {
+            detail: format!("unknown key `{key}` for op `{op}`"),
         }),
+        None => Ok(req),
     }
 }
 
@@ -568,10 +597,28 @@ mod tests {
                 r#"{"op":"run","bench":"sort","deadline_ms":"soon"}"#,
                 "bad-request",
             ),
+            // A misspelled key is named, never ignored (this one used to
+            // be answered with a native run).
+            (r#"{"op":"run","bench":"sort","shceme":"d"}"#, "bad-request"),
+            // Each op takes only its own keys.
+            (
+                r#"{"op":"build","bench":"sort","max_insns":5}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"plan","bench":"go","scheme":"cp","plan":"x"}"#,
+                "bad-request",
+            ),
+            (r#"{"op":"stats","format":"text"}"#, "bad-request"),
+            (r#"{"op":"metrics","bench":"sort"}"#, "bad-request"),
+            (r#"{"op":"shutdown","now":true}"#, "bad-request"),
         ];
         for (line, kind) in cases {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.kind(), kind, "line `{line}` -> {err}");
+            if line.contains("shceme") {
+                assert!(err.detail().contains("`shceme`"), "{err}");
+            }
             let rendered = err.render();
             assert!(
                 rendered.starts_with(r#"{"ok":false,"error":"#),

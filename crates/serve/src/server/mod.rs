@@ -1,8 +1,9 @@
 //! The daemon, in three layers over the shared state defined here.
 //!
-//! * [`transport`]: the [`Server`], its accept loop, and one reader
-//!   thread per connection moving length-bounded lines between the
-//!   socket and the pool. It owns every socket and nothing semantic.
+//! * [`transport`]: the [`Server`], its accept loop, and one thread per
+//!   connection that reads each length-bounded line, runs it in a pool
+//!   slot and writes the reply. It owns every socket and nothing
+//!   semantic.
 //! * [`dispatch`]: one request line in, one response line out —
 //!   parsing, admission control, deadline budgets and per-op telemetry
 //!   ([`handle_line`], [`handle_request_at`]).
@@ -47,7 +48,9 @@ pub use transport::Server;
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing requests.
+    /// Execution slots: how many requests run at once. Each request runs
+    /// on its own connection's thread once a slot is free; connections
+    /// beyond this many wait for one in arrival order.
     pub threads: usize,
     /// Image-cache byte budget (0 disables caching).
     pub cache_bytes: u64,
@@ -56,15 +59,15 @@ pub struct ServeConfig {
     /// Directory for the persistent image store (`--cache-dir`).
     /// `None` means RAM-only: the cache dies with the process.
     pub cache_dir: Option<PathBuf>,
-    /// Admission bound: a request arriving while this many jobs are
-    /// already queued (excluding in-flight) is shed with a typed
+    /// Admission bound: a request arriving while this many requests are
+    /// already waiting for a slot (excluding in-flight) is shed with a typed
     /// `overloaded` error instead of queueing without bound.
     pub max_queue: u64,
     /// Per-connection write-stall budget in milliseconds: the socket's
     /// send timeout (0 counts as 1 ms). A response write that cannot
     /// hand the kernel a byte for this long is abandoned and the
-    /// connection dropped, so a client that stops reading cannot pin a
-    /// reader thread. Linux times each send wait separately: a peer
+    /// connection dropped, so a client that stops reading cannot pin its
+    /// connection's thread. Linux times each send wait separately: a peer
     /// that keeps draining, however slowly, is never cut off, and one
     /// that never reads is dropped within two budgets (a partial send,
     /// then a timed-out one).
@@ -139,8 +142,8 @@ pub struct ServeMetrics {
     pub bytes_in: Arc<Counter>,
     /// Response bytes written to client sockets, newlines included.
     pub bytes_out: Arc<Counter>,
-    /// Per-job pool wall time (`serve.pool.job_wall.us`), fed by the
-    /// worker loop.
+    /// Per-request slot hold time (`serve.pool.job_wall.us`), fed by
+    /// [`WorkerPool::run`].
     pub pool_wall: Arc<Histogram>,
     /// Requests shed at admission with `overloaded` (`serve.shed`).
     pub shed: Arc<Counter>,
@@ -231,7 +234,7 @@ impl ServeMetrics {
     }
 }
 
-/// Everything a request handler needs, shared across workers.
+/// Everything a request handler needs, shared across connections.
 pub struct ServeState {
     /// The content-addressed image cache.
     pub cache: ImageCache,

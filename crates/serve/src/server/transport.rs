@@ -1,21 +1,23 @@
 //! The transport layer: the [`Server`] bound to a Unix socket, its
-//! accept loop, and one reader thread per connection.
+//! accept loop, and one thread per connection.
 //!
-//! A reader reads length-bounded lines, parks each request on the
-//! [`WorkerPool`] and writes the reply, so CPU-bound work is bounded by
-//! the pool width however many clients connect, and a slow client never
-//! wedges a worker. Everything semantic happens behind
+//! A connection's thread carries each request from its read to its
+//! write: it reads a length-bounded line, runs it in one of the
+//! [`WorkerPool`]'s slots and writes the reply, so CPU-bound work is
+//! bounded by the slot count however many clients connect. The slot is
+//! freed before the reply is written, so a client that never reads
+//! cannot hold one. Everything semantic happens behind
 //! [`handle_line_at`].
 //!
 //! Teardown has one path, [`ServeState::request_shutdown`]: it sets the
 //! flag and shuts down the listening socket through a dup of its fd, so
 //! the accept loop's blocked `accept` fails at once (`EINVAL`). The
 //! loop keeps a clone of every live connection; it shuts each one's
-//! read half, so a reader blocked in `read` sees end-of-stream at once,
-//! then joins the readers and drains the pool. A reply already being
-//! computed is still written (the write half stays open), and a reader
-//! checks the flag before each read, so nothing that arrives after the
-//! shutdown is served.
+//! read half, so a thread blocked in `read` sees end-of-stream at once,
+//! then joins the connection threads, and with them all in-flight work.
+//! A reply already being computed is still written (the write half
+//! stays open), and a connection checks the flag before each read, so
+//! nothing that arrives after the shutdown is served.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
@@ -24,8 +26,8 @@ use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use rtdc_obs::log::{self, Level};
@@ -91,8 +93,8 @@ pub(super) fn bounded_writer(
 
 /// Writes `line` + newline on a [`bounded_writer`]. A peer that stops
 /// reading makes a send wait out the budget; the write then fails and
-/// the caller drops the connection, so such a client costs a reader
-/// thread at most two budgets instead of pinning it forever.
+/// the caller drops the connection, so such a client costs its
+/// connection thread at most two budgets instead of pinning it forever.
 pub(super) fn write_line_bounded(w: &mut UnixStream, line: &str) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(line.len() + 1);
     buf.extend_from_slice(line.as_bytes());
@@ -107,7 +109,7 @@ static CONN_IDS: AtomicU64 = AtomicU64::new(0);
 
 /// Serves one connection until the client disconnects or the server
 /// shuts down.
-fn serve_connection(state: &Arc<ServeState>, pool: &Arc<WorkerPool>, stream: UnixStream) {
+fn serve_connection(state: &ServeState, pool: &WorkerPool, stream: UnixStream) {
     let conn = CONN_IDS.fetch_add(1, Ordering::Relaxed) + 1;
     log::event(Level::Info, "conn_open")
         .u64("conn", conn)
@@ -119,15 +121,10 @@ fn serve_connection(state: &Arc<ServeState>, pool: &Arc<WorkerPool>, stream: Uni
         .emit();
 }
 
-/// The body of [`serve_connection`]: parse lines, park each request on
-/// the pool, write each reply. Returns how many request lines this
+/// The body of [`serve_connection`]: read each line, run it in a pool
+/// slot, write its reply. Returns how many request lines this
 /// connection answered (for the `conn_close` log event).
-fn serve_requests(
-    state: &Arc<ServeState>,
-    pool: &Arc<WorkerPool>,
-    stream: UnixStream,
-    conn: u64,
-) -> u64 {
+fn serve_requests(state: &ServeState, pool: &WorkerPool, stream: UnixStream, conn: u64) -> u64 {
     let Ok(mut writer) = bounded_writer(&stream, state.write_stall_ms) else {
         return 0;
     };
@@ -159,7 +156,7 @@ fn serve_requests(
                 state.metrics.bytes_in.add(bytes_in);
                 match admit(state, pool) {
                     Err(e) => (reject(state, &e), bytes_in, "shed: admission queue full"),
-                    Ok(()) => (run_on_pool(state, pool, line, req_start), bytes_in, ""),
+                    Ok(()) => (run_in_slot(state, pool, &line, req_start), bytes_in, ""),
                 }
             }
         };
@@ -189,70 +186,53 @@ fn serve_requests(
     seq
 }
 
-/// Runs one admitted request line on the pool and waits for its reply;
-/// the job never dispatches nested jobs, so the pool cannot deadlock.
-fn run_on_pool(
-    state: &Arc<ServeState>,
-    pool: &Arc<WorkerPool>,
-    line: Vec<u8>,
-    admitted: Instant,
-) -> String {
-    let line = String::from_utf8_lossy(&line).into_owned();
-    let (tx, rx) = mpsc::channel::<String>();
-    let st = Arc::clone(state);
-    let pl = Arc::clone(pool);
-    let accepted = pool.execute(Box::new(move || {
-        let _ = tx.send(handle_line_at(&st, &line, Some(&pl), admitted));
-    }));
-    if !accepted {
-        return ServeError::Unsupported {
-            detail: "server is shutting down".into(),
-        }
-        .render();
-    }
-    // A job that panicked past the renderer (it shouldn't) closes the
-    // channel; answer with a typed error, not silence.
-    rx.recv().unwrap_or_else(|_| {
-        ServeError::BuildFailed {
-            detail: "internal: request handler died".into(),
-        }
-        .render()
-    })
+/// Runs one admitted request line in a pool slot on this thread. The
+/// slot is freed when this returns, before the reply is written.
+fn run_in_slot(state: &ServeState, pool: &WorkerPool, line: &[u8], admitted: Instant) -> String {
+    let line = String::from_utf8_lossy(line);
+    // A handler that panicked past the renderer (it shouldn't) is caught
+    // by the pool; answer with a typed error, not silence.
+    pool.run(|| handle_line_at(state, &line, Some(pool), admitted))
+        .unwrap_or_else(|| {
+            ServeError::BuildFailed {
+                detail: "internal: request handler died".into(),
+            }
+            .render()
+        })
 }
 
-/// The accept loop: one reader thread per connection until shutdown is
+/// The accept loop: one thread per connection until shutdown is
 /// requested, then the teardown described in the module docs and a
 /// final telemetry flush.
-fn accept_loop(listener: &UnixListener, state: &Arc<ServeState>, pool: WorkerPool) {
-    let pool = Arc::new(pool);
-    let mut readers: Vec<(JoinHandle<()>, UnixStream)> = Vec::new();
-    for stream in listener.incoming() {
-        if state.shutdown_requested() {
-            break;
+fn accept_loop(listener: &UnixListener, state: &ServeState, pool: &WorkerPool) {
+    std::thread::scope(|s| {
+        let mut conns: Vec<(ScopedJoinHandle<()>, UnixStream)> = Vec::new();
+        for stream in listener.incoming() {
+            if state.shutdown_requested() {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let Ok(peer) = stream.try_clone() else {
+                continue;
+            };
+            let h = std::thread::Builder::new()
+                .name("rtdc-serve-conn".into())
+                .spawn_scoped(s, move || serve_connection(state, pool, stream))
+                .expect("spawn connection thread");
+            conns.retain(|(h, _)| !h.is_finished());
+            conns.push((h, peer));
         }
-        let Ok(stream) = stream else { continue };
-        let Ok(peer) = stream.try_clone() else {
-            continue;
-        };
-        let st = Arc::clone(state);
-        let pl = Arc::clone(&pool);
-        let h = std::thread::Builder::new()
-            .name("rtdc-serve-conn".into())
-            .spawn(move || serve_connection(&st, &pl, stream))
-            .expect("spawn connection reader");
-        readers.retain(|(h, _)| !h.is_finished());
-        readers.push((h, peer));
-    }
-    for (_, peer) in &readers {
-        let _ = peer.shutdown(Shutdown::Read);
-    }
-    for (h, _) in readers {
-        let _ = h.join();
-    }
-    // Final telemetry flush: with every reader joined the counters are
-    // quiescent, so this snapshot is the exact totals for the daemon's
-    // lifetime. The pool is still alive here, so its gauges are too.
-    sync_ambient(state, Some(&pool));
+        for (_, peer) in &conns {
+            let _ = peer.shutdown(Shutdown::Read);
+        }
+        for (h, _) in conns {
+            let _ = h.join();
+        }
+    });
+    // Final telemetry flush: with every connection joined the counters
+    // are quiescent, so this snapshot is the exact totals for the
+    // daemon's lifetime.
+    sync_ambient(state, Some(pool));
     log::event(Level::Info, "metrics_snapshot")
         .raw("metrics", &state.metrics.registry.snapshot().to_json())
         .emit();
@@ -291,6 +271,7 @@ pub struct Server {
     /// it is still this file.
     bound: (u64, u64),
     state: Arc<ServeState>,
+    pool: Arc<WorkerPool>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -309,8 +290,8 @@ impl Server {
             listener: Some(UnixStream::from(OwnedFd::from(listener.try_clone()?))),
             ..ServeState::try_new(&config)?
         });
-        let pool =
-            WorkerPool::new_instrumented(config.threads, Arc::clone(&state.metrics.pool_wall));
+        let wall = Arc::clone(&state.metrics.pool_wall);
+        let pool = Arc::new(WorkerPool::new(config.threads, Some(wall)));
         let mut start_ev = log::event(Level::Info, "serve_start")
             .str("socket", &path.to_string_lossy())
             .u64("threads", config.threads as u64)
@@ -320,17 +301,18 @@ impl Server {
             start_ev = start_ev.str("cache_dir", &dir.to_string_lossy());
         }
         start_ev.emit();
-        let accept_state = Arc::clone(&state);
-        // `pool` lives (and on drop, drains) inside the accept thread:
+        let (accept_state, accept_pool) = (Arc::clone(&state), Arc::clone(&pool));
+        // Requests run on connection threads the accept loop joins, so
         // joining the server joins all in-flight work.
         let accept = std::thread::Builder::new()
             .name("rtdc-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_state, pool))
+            .spawn(move || accept_loop(&listener, &accept_state, &accept_pool))
             .expect("spawn accept loop");
         Ok(Server {
             path: path.to_path_buf(),
             bound,
             state,
+            pool,
             accept: Some(accept),
         })
     }
@@ -338,6 +320,11 @@ impl Server {
     /// The shared state (tests poke counters and the cache through this).
     pub fn state(&self) -> &Arc<ServeState> {
         &self.state
+    }
+
+    /// The execution slots (tests watch callers queue through this).
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     /// The socket path.

@@ -121,19 +121,15 @@ fn registry_reconciles_with_cache_and_pool_after_eviction_stress() {
         "tiny budget must evict"
     );
 
-    // Pool gauges: the snapshot is taken from inside the metrics job,
-    // so that job is in flight. A worker retires its accounting
-    // (`in_flight-- / executed++`) *after* the reply is produced, so
-    // the other worker may still hold one stress-phase straggler.
+    // Pool gauges: the snapshot is taken from inside the metrics run,
+    // so that run holds the one busy slot. Every stress-phase request
+    // freed its slot before its reply was written, so all of them are
+    // retired exactly.
     assert_eq!(gauge(m, "serve.pool.threads"), 2);
     assert_eq!(gauge(m, "serve.pool.queued"), total + 1);
-    let executed = gauge(m, "serve.pool.executed");
-    assert!(
-        (total - 1..=total).contains(&executed),
-        "executed {executed} vs {total} submitted"
-    );
-    assert!(gauge(m, "serve.pool.in_flight") >= 1);
-    assert!(gauge(m, "serve.pool.queue_depth") <= 1);
+    assert_eq!(gauge(m, "serve.pool.executed"), total);
+    assert_eq!(gauge(m, "serve.pool.in_flight"), 1);
+    assert_eq!(gauge(m, "serve.pool.queue_depth"), 0);
     assert_eq!(gauge(m, "serve.pool.panics"), 0);
 
     // Service-time histogram: one observation per build, buckets
@@ -147,18 +143,13 @@ fn registry_reconciles_with_cache_and_pool_after_eviction_stress() {
     assert_eq!(h.count, h.buckets.iter().map(|&(_, n)| n).sum::<u64>());
     assert!(h.quantile(0.99).is_some());
 
-    // The pool's wall histogram saw every retired job (same possible
-    // straggler as `executed`).
+    // The pool's wall histogram saw every retired run.
     let wall = m
         .get("histograms")
         .and_then(|h| h.get("serve.pool.job_wall.us"))
         .and_then(parse_histogram)
         .expect("pool wall histogram");
-    assert!(
-        (total - 1..=total).contains(&wall.count),
-        "wall count {} vs {total}",
-        wall.count
-    );
+    assert_eq!(wall.count, total, "one wall observation per retired run");
 
     drop(server);
 }
@@ -257,9 +248,9 @@ fn stats_op_and_metrics_gauges_agree_field_by_field() {
     let path = std::env::temp_dir().join(format!("rtdc-serve-mfld-{tag}.sock"));
     let dir = std::env::temp_dir().join(format!("rtdc-serve-mfld-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
-    // One worker: the `metrics` job cannot start before the `stats` job
+    // One slot: the `metrics` run cannot start before the `stats` run
     // has retired, so the daemon is quiescent between the two views
-    // except for those two jobs.
+    // except for those two runs.
     let server = Server::start(
         &path,
         ServeConfig {
@@ -286,7 +277,7 @@ fn stats_op_and_metrics_gauges_agree_field_by_field() {
         assert_eq!(fields.len(), n_fields, "stats `{group}`: {fields:?}");
         for (name, v) in fields {
             let seen = v.as_u64().expect("numeric field");
-            // The pool view moved by exactly the two jobs: `stats` retired
+            // The pool view moved by exactly the two runs: `stats` retired
             // and `metrics` queued in between.
             let want = match (group, name.as_str()) {
                 ("pool", "queued" | "executed") => seen + 1,

@@ -1,6 +1,6 @@
 //! Protocol fuzz battery: arbitrary malformed, truncated, mutated, and
 //! oversized request lines must each produce exactly one *typed* error
-//! response — never a panic, never a wedged worker pool, never a stuck
+//! response — never a panic, never a wedged pool, never a stuck
 //! connection — and mutated store files must come back as typed
 //! `StoreError`s.
 //!
